@@ -16,7 +16,10 @@ Circuit interchange format (JSON):
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
+
+import numpy as np
 
 from .statevector import (
     StateVector,
@@ -31,6 +34,12 @@ PHASE = "phase"
 CONTROLLED_PHASE = "cphase"
 SWAP = "swap"
 GATE_KINDS = (HADAMARD, PHASE, CONTROLLED_PHASE, SWAP)
+
+BATCH_AMPLITUDES = 1 << 16  # largest state one run_on_basis block uses (1 MiB)
+# Below three qubits a phase or controlled phase can act on one amplitude,
+# which numpy multiplies on another path than the strided slice it becomes in
+# a batch; the two round differently, so such circuits run one input at a time.
+BATCH_MIN_QUBITS = 3
 
 
 @dataclass(frozen=True)
@@ -146,6 +155,38 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
             apply_controlled_phase(state, gate.control, gate.target, gate.angle)
         else:
             apply_swap(state, gate.target, gate.other)
+
+
+def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the circuit on each basis input, yielding (start, outputs) blocks.
+
+    Row j of outputs is the output state for inputs[start + j]. A block of
+    2**k inputs runs as one state of N + k qubits whose top k qubits index
+    the input; no gate touches them, so every amplitude goes through the
+    same arithmetic as in a run per input and the rows are bitwise equal to
+    those runs. A block holds at most BATCH_AMPLITUDES amplitudes, or a
+    single input when one state is larger than that or the circuit is
+    narrower than BATCH_MIN_QUBITS.
+    """
+    n_qubits, dim = circuit.n_qubits, 1 << circuit.n_qubits
+    inputs = np.asarray(inputs, dtype=np.int64)
+    if inputs.ndim != 1:
+        raise ValueError(f"inputs must be a flat sequence of basis values, got shape {inputs.shape}")
+    if inputs.size and not (0 <= inputs.min() and inputs.max() < dim):
+        raise ValueError(f"inputs out of range: expected 0 <= value < 2**{n_qubits} = {dim}")
+    widest = 0
+    if n_qubits >= BATCH_MIN_QUBITS:
+        widest = max(BATCH_AMPLITUDES.bit_length() - 1 - n_qubits, 0)
+    start = 0
+    while start < inputs.size:
+        k = min(widest, (inputs.size - start).bit_length() - 1)
+        rows = 1 << k
+        amplitudes = np.zeros((rows, dim), dtype=np.complex128)
+        amplitudes[np.arange(rows), inputs[start : start + rows]] = 1.0
+        state = StateVector(n_qubits + k, amplitudes.reshape(-1))
+        run_circuit(Circuit(n_qubits + k, circuit.gates), state)
+        yield start, state.amplitudes.reshape(rows, dim)
+        start += rows
 
 
 def concat(first: Circuit, second: Circuit) -> Circuit:

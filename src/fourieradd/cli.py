@@ -2,13 +2,14 @@
 
 Exit codes: 0 on success, 1 on verification failure or bad input data,
 2 on usage errors. The FOURIER_ADDER_TOL environment variable overrides
-the default 1e-10 verification tolerance.
+the default 1e-10 verification tolerance; it must be a finite number >= 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -17,9 +18,9 @@ import numpy as np
 from .arithmetic import DraperAdderSpec, apply_const_add, draper_adder_circuit
 from .circuits import circuit_to_dict, qft_circuit, run_circuit
 from .counts import complexity_table
-from .dense import circuit_to_matrix
+from .dense import DENSE_MAX_QUBITS, circuit_to_matrix
 from .statevector import StateVector, basis_state, state_from_dict, state_to_dict
-from .verify import DEFAULT_TOL, SUITES, run_suite
+from .verify import DEFAULT_TOL, DENSE_SUITES, SUITES, run_suite
 
 PROB_DISPLAY_CUTOFF = 1e-12
 QFT_DUMP_MAX_QUBITS = 6
@@ -170,12 +171,20 @@ def _verification_tolerance() -> float:
     if raw is None:
         return DEFAULT_TOL
     try:
-        return float(raw)
+        tol = float(raw)
     except ValueError as exc:
         raise ValueError(f"FOURIER_ADDER_TOL={raw!r} is not a number") from exc
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"FOURIER_ADDER_TOL={raw!r} must be a finite number >= 0")
+    return tol
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
+    if args.suite in DENSE_SUITES and args.n_max > DENSE_MAX_QUBITS:
+        parser.error(
+            f"--suite {args.suite} uses dense matrices, limited to {DENSE_MAX_QUBITS} qubits; "
+            f"got --n-max {args.n_max}"
+        )
     reports = run_suite(args.suite, args.n_max, seed=args.seed, tol=_verification_tolerance())
     for report in reports:
         status = "pass" if report.passed else "FAIL"

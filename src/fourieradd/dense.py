@@ -19,8 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuits import Circuit, run_circuit
-from .statevector import basis_state
+from .circuits import Circuit, run_on_basis
 
 DENSE_MAX_QUBITS = 12
 DEFAULT_CHECK_TOL = 1e-10
@@ -68,10 +67,8 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     _require_dense(circuit.n_qubits)
     dim = 1 << circuit.n_qubits
     matrix = np.empty((dim, dim), dtype=np.complex128)
-    for column in range(dim):
-        state = basis_state(circuit.n_qubits, column)
-        run_circuit(circuit, state)
-        matrix[:, column] = state.amplitudes
+    for start, outputs in run_on_basis(circuit, np.arange(dim)):
+        matrix[:, start : start + len(outputs)] = outputs.T
     return matrix
 
 
@@ -148,6 +145,10 @@ def check_modularity(n_qubits: int, x: int, tol: float = DEFAULT_CHECK_TOL) -> C
         [cmath.exp(2j * math.pi * ((j * x) % dim) / dim) for j in range(dim)],
         dtype=np.complex128,
     ) / math.sqrt(dim)
-    result = dft_matrix(n_qubits).conj().T @ column
-    infidelity = 1.0 - float(abs(result[x % dim]) ** 2)
+    # entry x mod 2**N of the inverse transform applied to the column: only
+    # that column of dft_matrix is needed, conjugated and dotted with it
+    k = x % dim
+    transform_column = np.exp((2j * np.pi / dim) * ((np.arange(dim, dtype=np.int64) * k) % dim))
+    overlap = np.vdot(transform_column / math.sqrt(dim), column)
+    infidelity = 1.0 - float(abs(overlap) ** 2)
     return CheckReport("modularity", n_qubits, x, infidelity, infidelity < tol)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from fourieradd import (
+    BATCH_AMPLITUDES,
     Circuit,
     Gate,
     StateVector,
@@ -23,6 +24,7 @@ from fourieradd import (
     phase,
     qft_circuit,
     run_circuit,
+    run_on_basis,
     shift_qubits,
     swap,
 )
@@ -191,6 +193,74 @@ class TestRunCircuit:
         run_circuit(order_b, state_b)
         np.testing.assert_allclose(state_a.amplitudes, [SQRT1_2, SQRT1_2 * 1j], atol=1e-15)
         np.testing.assert_allclose(state_b.amplitudes, [SQRT1_2, SQRT1_2], atol=1e-15)
+
+
+def random_circuit(n_qubits, seed, n_gates=60):
+    """Every gate kind at random places and angles; one-qubit circuits get no pair gates."""
+    rng = np.random.default_rng(seed)
+    gates = []
+    for _ in range(n_gates):
+        kind = int(rng.integers(0, 4 if n_qubits > 1 else 2))
+        target = int(rng.integers(1, n_qubits + 1))
+        angle = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+        other = (target + int(rng.integers(0, max(n_qubits - 1, 1)))) % n_qubits + 1
+        if kind == 0:
+            gates.append(hadamard(target))
+        elif kind == 1:
+            gates.append(phase(target, angle))
+        elif kind == 2:
+            gates.append(cphase(other, target, angle))
+        else:
+            gates.append(swap(target, other))
+    return Circuit(n_qubits, gates)
+
+
+def run_each(circuit, inputs):
+    """Reference for run_on_basis: one run_circuit per input, one output row each."""
+    rows = []
+    for value in inputs:
+        state = basis_state(circuit.n_qubits, int(value))
+        run_circuit(circuit, state)
+        rows.append(state.amplitudes)
+    return np.array(rows).reshape(len(rows), 1 << circuit.n_qubits)
+
+
+def run_batched(circuit, inputs):
+    """run_on_basis's blocks joined in order, after checking they are contiguous and capped."""
+    blocks = list(run_on_basis(circuit, inputs))
+    sizes = [len(outputs) for _, outputs in blocks]
+    assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(blocks))]
+    assert all(outputs.size <= BATCH_AMPLITUDES for _, outputs in blocks)
+    return np.concatenate([outputs for _, outputs in blocks])
+
+
+class TestRunOnBasis:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_bitwise_equal_to_a_run_per_input(self, n):
+        circuit = random_circuit(n, seed=n)
+        inputs = np.arange(1 << n)
+        assert np.array_equal(run_batched(circuit, inputs), run_each(circuit, inputs))
+
+    @pytest.mark.parametrize("n,count", [(3, 5), (4, 13), (7, 200), (9, 1000), (12, 7)])
+    def test_counts_that_leave_the_last_block_partly_filled(self, n, count):
+        # 9 qubits hold 128 inputs a block, so 1000 inputs end in blocks of 64, 32 and 8;
+        # 12 qubits hold 16, so 7 inputs run as blocks of 4, 2 and 1
+        circuit = random_circuit(n, seed=100 + n, n_gates=20)
+        inputs = np.random.default_rng(n).integers(0, 1 << n, size=count)
+        assert np.array_equal(run_batched(circuit, inputs), run_each(circuit, inputs))
+
+    def test_blocks_hold_as_many_inputs_as_the_cap_allows(self):
+        n = 9
+        sizes = [len(outputs) for _, outputs in run_on_basis(Circuit(n, ()), np.arange(1000) % 512)]
+        assert sizes == [BATCH_AMPLITUDES >> n] * 7 + [64, 32, 8]
+
+    def test_no_inputs_yield_no_blocks(self):
+        assert list(run_on_basis(qft_circuit(3), [])) == []
+
+    @pytest.mark.parametrize("inputs", [[0, 8], [-1], [[0, 1]]])
+    def test_rejects_bad_inputs(self, inputs):
+        with pytest.raises(ValueError):
+            list(run_on_basis(qft_circuit(3), inputs))
 
 
 class TestCombinators:

@@ -185,6 +185,22 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "const", "--n-max", "1"]) == 1
         assert "is not a number" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("raw", ["inf", "nan", "-1e-3", "-inf"])
+    def test_rejects_tolerance_override_that_is_not_finite_and_nonnegative(self, raw, monkeypatch, capsys):
+        monkeypatch.setenv("FOURIER_ADDER_TOL", raw)
+        assert run_cli(["verify", "--suite", "const", "--n-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"error: FOURIER_ADDER_TOL={raw!r} must be a finite number >= 0" in captured.err
+
+    @pytest.mark.parametrize("suite", ["equivalence", "modularity", "all"])
+    def test_refuses_dense_suites_past_the_dense_cap(self, suite, capsys):
+        # refused before any work, so nothing of 13 qubits is allocated
+        assert run_cli(["verify", "--suite", suite, "--n-max", "13"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "limited to 12 qubits" in captured.err
+
 
 class TestCounts:
     def test_csv_table(self, capsys):

@@ -8,6 +8,7 @@ from fourieradd import (
     Circuit,
     ConstAdderSpec,
     DraperAdderSpec,
+    basis_state,
     check_modularity,
     check_phase_adder_equivalence,
     circuit_to_matrix,
@@ -18,6 +19,7 @@ from fourieradd import (
     phase,
     phase_adder_matrix,
     qft_circuit,
+    run_circuit,
 )
 
 
@@ -117,6 +119,16 @@ class TestCircuitToMatrix:
     def test_transform_unitary(self, n):
         assert_unitary(circuit_to_matrix(qft_circuit(n)))
 
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bitwise_equal_to_a_column_by_column_build(self, n):
+        circuit = const_adder_circuit(ConstAdderSpec(n, 3 * n + 1))
+        expected = np.empty((1 << n, 1 << n), dtype=np.complex128)
+        for column in range(1 << n):
+            state = basis_state(n, column)
+            run_circuit(circuit, state)
+            expected[:, column] = state.amplitudes
+        assert np.array_equal(circuit_to_matrix(circuit), expected)
+
 
 class TestOracleChain:
     """The three dense matrices agree with each other and with the circuits."""
@@ -195,6 +207,16 @@ class TestModularityCheck:
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match=">= 0"):
             check_modularity(2, -1)
+
+    @pytest.mark.parametrize("n", [1, 3, 6, 9])
+    def test_agrees_with_the_full_inverse_transform(self, n):
+        # the check reads one entry of dft_matrix(n).conj().T @ column; build it whole here
+        dim = 1 << n
+        adjoint = dft_matrix(n).conj().T
+        for x in range(0, 4 * dim, max(1, dim // 8)):
+            column = np.exp(2j * np.pi * ((np.arange(dim) * x) % dim) / dim) / math.sqrt(dim)
+            expected = 1.0 - abs((adjoint @ column)[x % dim]) ** 2
+            assert abs(check_modularity(n, x).max_error - expected) < 1e-15
 
 
 class TestCheckReport:
