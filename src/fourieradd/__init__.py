@@ -1,7 +1,7 @@
 """Statevector simulation with Fourier-basis integer adders and a dense verification layer."""
 
 from .statevector import (
-    NORM_TOL,
+    DEFAULT_TOL,
     StateVector,
     apply_controlled_phase,
     apply_hadamard,
@@ -57,7 +57,6 @@ from .dense import (
 )
 from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates
 from .verify import (
-    DEFAULT_TOL,
     SUITES,
     run_suite,
     verify_const_adder,
@@ -67,64 +66,3 @@ from .verify import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "NORM_TOL",
-    "StateVector",
-    "apply_controlled_phase",
-    "apply_hadamard",
-    "apply_phase",
-    "apply_swap",
-    "basis_state",
-    "fidelity",
-    "state_from_dict",
-    "state_to_dict",
-    "superposition_state",
-    "BATCH_AMPLITUDES",
-    "CONTROLLED_PHASE",
-    "GATE_KINDS",
-    "HADAMARD",
-    "PHASE",
-    "SWAP",
-    "Circuit",
-    "Gate",
-    "circuit_from_dict",
-    "circuit_to_dict",
-    "concat",
-    "cphase",
-    "hadamard",
-    "inverse",
-    "inverse_qft_circuit",
-    "phase",
-    "qft_circuit",
-    "run_circuit",
-    "run_on_basis",
-    "shift_qubits",
-    "swap",
-    "ConstAdderSpec",
-    "DraperAdderSpec",
-    "apply_const_add",
-    "const_adder_circuit",
-    "draper_adder_circuit",
-    "draper_inner_circuit",
-    "phase_adder_circuit",
-    "DENSE_MAX_QUBITS",
-    "CheckReport",
-    "check_modularity",
-    "check_phase_adder_equivalence",
-    "circuit_to_matrix",
-    "dft_matrix",
-    "permutation_add_matrix",
-    "phase_adder_matrix",
-    "ComplexityRow",
-    "GateCountReport",
-    "complexity_table",
-    "count_gates",
-    "DEFAULT_TOL",
-    "SUITES",
-    "run_suite",
-    "verify_const_adder",
-    "verify_draper",
-    "verify_equivalence",
-    "verify_modularity",
-]

@@ -34,6 +34,18 @@ PHASE = "phase"
 CONTROLLED_PHASE = "cphase"
 SWAP = "swap"
 GATE_KINDS = (HADAMARD, PHASE, CONTROLLED_PHASE, SWAP)
+# The fields each kind carries, in the order the JSON schema writes them.
+GATE_FIELDS = {
+    HADAMARD: ("target",),
+    PHASE: ("target", "angle"),
+    CONTROLLED_PHASE: ("control", "target", "angle"),
+    SWAP: ("target", "other"),
+}
+# Per kind, whether it sets control, other and angle; derived once for Gate's check.
+_SETS_OPTIONAL = {
+    kind: tuple(name in fields for name in ("control", "other", "angle"))
+    for kind, fields in GATE_FIELDS.items()
+}
 
 BATCH_AMPLITUDES = 1 << 16  # largest state one run_on_basis block uses (1 MiB)
 # Below three qubits a phase or controlled phase can act on one amplitude,
@@ -46,8 +58,8 @@ BATCH_MIN_QUBITS = 3
 class Gate:
     """One primitive operation: a kind plus the qubits and angle it needs.
 
-    control is set exactly for "cphase", other exactly for "swap", and
-    angle (radians) exactly for "phase" and "cphase".
+    control, other and angle (radians) are set exactly for the kinds whose
+    GATE_FIELDS entry names them.
     """
 
     kind: str
@@ -61,14 +73,10 @@ class Gate:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if self.target < 1:
             raise ValueError(f"target qubit must be >= 1, got {self.target}")
-        if (self.control is not None) != (self.kind == CONTROLLED_PHASE):
-            raise ValueError(f"control is required for {CONTROLLED_PHASE!r} and forbidden otherwise")
-        if (self.other is not None) != (self.kind == SWAP):
-            raise ValueError(f"other is required for {SWAP!r} and forbidden otherwise")
-        needs_angle = self.kind in (PHASE, CONTROLLED_PHASE)
-        if needs_angle != (self.angle is not None):
-            raise ValueError("angle is required for phase kinds and forbidden otherwise")
-        if needs_angle and not math.isfinite(self.angle):
+        present = (self.control is not None, self.other is not None, self.angle is not None)
+        if present != _SETS_OPTIONAL[self.kind]:
+            raise ValueError(f"{self.kind!r} gates carry exactly the fields {GATE_FIELDS[self.kind]}")
+        if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"angle must be finite, got {self.angle}")
         if self.control is not None and (self.control < 1 or self.control == self.target):
             raise ValueError(f"control qubit {self.control} invalid for target {self.target}")
@@ -200,15 +208,11 @@ def concat(first: Circuit, second: Circuit) -> Circuit:
 
 def inverse(circuit: Circuit) -> Circuit:
     """Reversed gate order with negated angles; Hadamard and swap are self-inverse."""
-    inverted: list[Gate] = []
-    for gate in reversed(circuit.gates):
-        if gate.angle is None:
-            inverted.append(gate)
-        elif gate.kind == PHASE:
-            inverted.append(phase(gate.target, -gate.angle))
-        else:
-            inverted.append(cphase(gate.control, gate.target, -gate.angle))
-    return Circuit(circuit.n_qubits, tuple(inverted))
+    inverted = tuple(
+        gate if gate.angle is None else Gate(gate.kind, gate.target, gate.control, gate.other, -gate.angle)
+        for gate in reversed(circuit.gates)
+    )
+    return Circuit(circuit.n_qubits, inverted)
 
 
 def shift_qubits(circuit: Circuit, offset: int, n_qubits_total: int) -> Circuit:
@@ -230,17 +234,10 @@ def shift_qubits(circuit: Circuit, offset: int, n_qubits_total: int) -> Circuit:
 
 def circuit_to_dict(circuit: Circuit) -> dict:
     """Serializable form following the documented circuit schema."""
-    gates = []
-    for gate in circuit.gates:
-        entry: dict = {"kind": gate.kind}
-        if gate.control is not None:
-            entry["control"] = gate.control
-        entry["target"] = gate.target
-        if gate.other is not None:
-            entry["other"] = gate.other
-        if gate.angle is not None:
-            entry["angle"] = gate.angle
-        gates.append(entry)
+    gates = [
+        {"kind": gate.kind, **{name: getattr(gate, name) for name in GATE_FIELDS[gate.kind]}}
+        for gate in circuit.gates
+    ]
     return {"n": circuit.n_qubits, "gates": gates}
 
 
@@ -263,37 +260,20 @@ def circuit_from_dict(data) -> Circuit:
         kind = entry.get("kind")
         if kind not in GATE_KINDS:
             raise ValueError(f"gate {position} has unknown kind {kind!r}")
-        allowed = {"kind", "target"}
-        if kind == CONTROLLED_PHASE:
-            allowed |= {"control", "angle"}
-        elif kind == PHASE:
-            allowed.add("angle")
-        elif kind == SWAP:
-            allowed.add("other")
-        if set(entry) != allowed:
+        fields = GATE_FIELDS[kind]
+        if set(entry) != {"kind", *fields}:
             raise ValueError(
-                f"gate {position} ({kind}) must have exactly the fields {sorted(allowed)}"
+                f"gate {position} ({kind}) must have exactly the fields {sorted({'kind', *fields})}"
             )
-        target = entry["target"]
-        if not isinstance(target, int) or isinstance(target, bool):
-            raise ValueError(f"gate {position} target must be an integer")
-        if kind == HADAMARD:
-            gates.append(hadamard(target))
-            continue
-        if kind == SWAP:
-            other = entry["other"]
-            if not isinstance(other, int) or isinstance(other, bool):
-                raise ValueError(f"gate {position} other must be an integer")
-            gates.append(swap(target, other))
-            continue
-        angle = entry["angle"]
-        if not isinstance(angle, (int, float)) or isinstance(angle, bool):
-            raise ValueError(f"gate {position} angle must be a number")
-        if kind == PHASE:
-            gates.append(phase(target, angle))
-        else:
-            control = entry["control"]
-            if not isinstance(control, int) or isinstance(control, bool):
-                raise ValueError(f"gate {position} control must be an integer")
-            gates.append(cphase(control, target, angle))
+        values = {}
+        for name in fields:
+            value = entry[name]
+            if name == "angle":
+                if not isinstance(value, (int, float)) or isinstance(value, bool):
+                    raise ValueError(f"gate {position} angle must be a number")
+                value = float(value)
+            elif not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"gate {position} {name} must be an integer")
+            values[name] = value
+        gates.append(Gate(kind, **values))
     return Circuit(n_qubits, tuple(gates))

@@ -19,8 +19,8 @@ from .arithmetic import DraperAdderSpec, apply_const_add, draper_adder_circuit
 from .circuits import circuit_to_dict, qft_circuit, run_circuit
 from .counts import complexity_table
 from .dense import DENSE_MAX_QUBITS, circuit_to_matrix
-from .statevector import StateVector, basis_state, state_from_dict, state_to_dict
-from .verify import DEFAULT_TOL, DENSE_SUITES, SUITES, run_suite
+from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_dict
+from .verify import DENSE_SUITES, SUITES, run_suite
 
 PROB_DISPLAY_CUTOFF = 1e-12
 QFT_DUMP_MAX_QUBITS = 6

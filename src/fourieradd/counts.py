@@ -18,7 +18,10 @@ class GateCountReport:
     """Per-kind tallies of a circuit plus the closed-form reference figures.
 
     The closed forms count Hadamards, phases and controlled phases only;
-    bit-reversal swaps are bookkeeping and reported separately.
+    bit-reversal swaps are bookkeeping and reported separately. They take
+    the report's width as the operand width N, so they hold for a transform
+    or constant-adder report but not for a register-adder report, whose
+    width is 2N.
     """
 
     n_qubits: int
@@ -88,12 +91,12 @@ def complexity_table(n_max: int) -> list[ComplexityRow]:
         raise ValueError(f"n_max must be a positive integer, got {n_max}")
     rows = []
     for n in range(1, n_max + 1):
-        const_ops = n * n + 2 * n
-        inner_ops = n * (n + 1) // 2
-        swaps = n // 2
         const_report = count_gates(const_adder_circuit(ConstAdderSpec(n, 1)))
         inner_report = count_gates(draper_inner_circuit(DraperAdderSpec(n)))
         transform_report = count_gates(qft_circuit(n))
+        const_ops = const_report.const_adder_op_count
+        inner_ops = const_report.register_adder_inner_count
+        swaps = n // 2
         if (
             const_report.counted_total != const_ops
             or inner_report.controlled_phase != inner_ops

@@ -20,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circuits import Circuit, run_on_basis
+from .statevector import DEFAULT_TOL
 
 DENSE_MAX_QUBITS = 12
-DEFAULT_CHECK_TOL = 1e-10
 
 
 def _require_dense(n_qubits: int) -> None:
@@ -32,23 +32,24 @@ def _require_dense(n_qubits: int) -> None:
         )
 
 
+def _omega_powers(exponents: np.ndarray, dim: int) -> np.ndarray:
+    """omega**e for each integer exponent e, reduced mod 2**N first."""
+    return np.exp((2j * np.pi / dim) * (exponents % dim))
+
+
 def dft_matrix(n_qubits: int) -> np.ndarray:
     """Unitary with entry (j, k) = omega**(j*k) / sqrt(2**N)."""
     _require_dense(n_qubits)
     dim = 1 << n_qubits
     indices = np.arange(dim, dtype=np.int64)
-    exponents = np.outer(indices, indices) % dim
-    return np.exp((2j * np.pi / dim) * exponents) / math.sqrt(dim)
+    return _omega_powers(np.outer(indices, indices), dim) / math.sqrt(dim)
 
 
 def phase_adder_matrix(n_qubits: int, constant: int) -> np.ndarray:
     """Diagonal matrix with entry (j, j) = omega**(j*c)."""
     _require_dense(n_qubits)
     dim = 1 << n_qubits
-    reduced = constant % dim
-    indices = np.arange(dim, dtype=np.int64)
-    exponents = (indices * reduced) % dim
-    return np.diag(np.exp((2j * np.pi / dim) * exponents))
+    return np.diag(_omega_powers(np.arange(dim, dtype=np.int64) * (constant % dim), dim))
 
 
 def permutation_add_matrix(n_qubits: int, constant: int) -> np.ndarray:
@@ -98,7 +99,7 @@ class CheckReport:
 
 
 def check_phase_adder_equivalence(
-    n_qubits: int, constant: int, tol: float = DEFAULT_CHECK_TOL
+    n_qubits: int, constant: int, tol: float = DEFAULT_TOL
 ) -> CheckReport:
     """Tensor-product form of the Fourier-basis adder against its diagonal form.
 
@@ -131,7 +132,7 @@ def check_phase_adder_equivalence(
     return CheckReport("phase-adder-equivalence", n_qubits, constant, max_error, max_error < tol)
 
 
-def check_modularity(n_qubits: int, x: int, tol: float = DEFAULT_CHECK_TOL) -> CheckReport:
+def check_modularity(n_qubits: int, x: int, tol: float = DEFAULT_TOL) -> CheckReport:
     """The inverse transform of the Fourier column for any x >= 0 lands on |x mod 2**N>.
 
     x may exceed 2**N by any amount; the column only depends on x mod 2**N
@@ -148,7 +149,7 @@ def check_modularity(n_qubits: int, x: int, tol: float = DEFAULT_CHECK_TOL) -> C
     # entry x mod 2**N of the inverse transform applied to the column: only
     # that column of dft_matrix is needed, conjugated and dotted with it
     k = x % dim
-    transform_column = np.exp((2j * np.pi / dim) * ((np.arange(dim, dtype=np.int64) * k) % dim))
+    transform_column = _omega_powers(np.arange(dim, dtype=np.int64) * k, dim)
     overlap = np.vdot(transform_column / math.sqrt(dim), column)
     infidelity = 1.0 - float(abs(overlap) ** 2)
     return CheckReport("modularity", n_qubits, x, infidelity, infidelity < tol)

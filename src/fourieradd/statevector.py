@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-NORM_TOL = 1e-10
+DEFAULT_TOL = 1e-10  # normalization bound of states, and the default pass bound of checks
 SQRT1_2 = math.sqrt(0.5)
 
 
@@ -74,7 +74,7 @@ def superposition_state(n_qubits: int, terms) -> StateVector:
     """Weighted superposition from (value, weight) pairs.
 
     Weights are taken exactly as given; they must already be normalized
-    (sum of squared magnitudes 1 within NORM_TOL), and values must be
+    (sum of squared magnitudes 1 within DEFAULT_TOL), and values must be
     distinct and in range.
     """
     if n_qubits < 1:
@@ -91,12 +91,17 @@ def superposition_state(n_qubits: int, terms) -> StateVector:
         seen.add(value)
         amplitudes[value] = weight
         norm_sq += abs(weight) ** 2
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(
-            f"weights are not normalized: sum of squared magnitudes is {norm_sq!r}, "
-            f"expected 1 within {NORM_TOL}"
-        )
+    _require_normalized(norm_sq, "weights are")
     return StateVector(n_qubits, amplitudes)
+
+
+def _require_normalized(norm_sq: float, subject: str) -> None:
+    # written as "not <=" so that a NaN norm is refused too
+    if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
+        raise ValueError(
+            f"{subject} not normalized: sum of squared magnitudes is {norm_sq!r}, "
+            f"expected 1 within {DEFAULT_TOL}"
+        )
 
 
 def _check_qubit(n_qubits: int, index: int, name: str = "target") -> None:
@@ -206,10 +211,5 @@ def state_from_dict(data) -> StateVector:
             raise ValueError(f"amplitude {index} is not finite")
         amplitudes[index] = complex(re, im)
     state = StateVector(n_qubits, amplitudes)
-    norm_sq = state.norm_sq()
-    if abs(norm_sq - 1.0) > NORM_TOL:
-        raise ValueError(
-            f"state is not normalized: sum of squared magnitudes is {norm_sq!r}, "
-            f"expected 1 within {NORM_TOL}"
-        )
+    _require_normalized(state.norm_sq(), "state is")
     return state

@@ -17,8 +17,8 @@ from .dense import (
     check_phase_adder_equivalence,
     circuit_to_matrix,
 )
+from .statevector import DEFAULT_TOL
 
-DEFAULT_TOL = 1e-10
 MODULAR_MATRIX_TOL = 1e-12  # pinned separately; not subject to the tolerance override
 
 SUITES = ("const", "draper", "equivalence", "modularity", "all")
@@ -58,6 +58,11 @@ def _worst_input(
             row = int(above[np.argmax(errors[above])])
             worst, worst_input = float(errors[row]), int(inputs[start + row])
     return worst, worst_input
+
+
+def _worst(reports: list[CheckReport]) -> CheckReport:
+    """The report with the largest error: the first of equal errors, or the first NaN."""
+    return reports[int(np.argmax([report.max_error for report in reports]))]
 
 
 def verify_const_adder(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
@@ -106,13 +111,8 @@ def verify_equivalence(
     rng = np.random.default_rng(seed)
     reports = []
     for n in range(1, n_max + 1):
-        dim = 1 << n
-        worst: CheckReport | None = None
-        for c in rng.integers(0, 4 * dim, size=samples):
-            report = check_phase_adder_equivalence(n, int(c), tol=tol)
-            if worst is None or report.max_error > worst.max_error:
-                worst = report
-        reports.append(worst)
+        constants = rng.integers(0, 4 * (1 << n), size=samples)
+        reports.append(_worst([check_phase_adder_equivalence(n, int(c), tol=tol) for c in constants]))
     return reports
 
 
@@ -121,26 +121,15 @@ def verify_modularity(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]
     reports = []
     for n in range(1, n_max + 1):
         dim = 1 << n
-        worst: CheckReport | None = None
-        for x in range(4 * dim):
-            report = check_modularity(n, x, tol=tol)
-            if worst is None or report.max_error > worst.max_error:
-                worst = report
-        reports.append(worst)
+        reports.append(_worst([check_modularity(n, x, tol=tol) for x in range(4 * dim)]))
         # shifting the constant by 2**N must leave the realized operator untouched
-        constants = (0, 1, dim // 2, dim - 1)
-        errors = []
-        for c in constants:
+        shifts = []
+        for c in (0, 1, dim // 2, dim - 1):
             lhs = circuit_to_matrix(const_adder_circuit(ConstAdderSpec(n, c)))
             rhs = circuit_to_matrix(const_adder_circuit(ConstAdderSpec(n, c + dim)))
-            errors.append(float(np.max(np.abs(lhs - rhs))))
-        at = int(np.argmax(errors))  # the first largest error, or the first NaN
-        worst_error, worst_c = errors[at], constants[at]
-        reports.append(
-            CheckReport(
-                "modular-constant-shift", n, worst_c, worst_error, worst_error < MODULAR_MATRIX_TOL
-            )
-        )
+            error = float(np.max(np.abs(lhs - rhs)))
+            shifts.append(CheckReport("modular-constant-shift", n, c, error, error < MODULAR_MATRIX_TOL))
+        reports.append(_worst(shifts))
     return reports
 
 

@@ -78,6 +78,10 @@ class TestGateValidation:
         with pytest.raises(ValueError):
             phase(1, math.nan)
 
+    def test_other_in_place_of_control(self):
+        with pytest.raises(ValueError):
+            Gate("cphase", 1, other=2, angle=0.5)
+
 
 class TestCircuitValidation:
     def test_gate_beyond_register(self):
@@ -308,11 +312,59 @@ class TestCombinators:
             shift_qubits(qft_circuit(2), -1, 2)
 
 
+# one gate of every kind
+ALL_KINDS = Circuit(3, (hadamard(1), phase(2, 0.3), cphase(1, 3, -1.25), swap(2, 3)))
+
+
+class TestEveryKind:
+    def test_inverse(self):
+        assert inverse(ALL_KINDS).gates == (swap(2, 3), cphase(1, 3, 1.25), phase(2, -0.3), hadamard(1))
+
+    def test_shift_qubits(self):
+        shifted = shift_qubits(ALL_KINDS, 2, 5)
+        assert shifted.n_qubits == 5
+        assert shifted.gates == (hadamard(3), phase(4, 0.3), cphase(3, 5, -1.25), swap(4, 5))
+
+
 class TestCircuitJson:
     def test_round_trip(self):
         circuit = qft_circuit(3)
         back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
         assert back == circuit
+
+    def test_round_trip_of_every_kind(self):
+        back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(ALL_KINDS))))
+        assert back == ALL_KINDS
+
+    def test_key_order(self):
+        # dict equality ignores order; the bytes of qft-dump do not
+        assert json.dumps(circuit_to_dict(ALL_KINDS)) == (
+            '{"n": 3, "gates": [{"kind": "h", "target": 1}, '
+            '{"kind": "phase", "target": 2, "angle": 0.3}, '
+            '{"kind": "cphase", "control": 1, "target": 3, "angle": -1.25}, '
+            '{"kind": "swap", "target": 2, "other": 3}]}'
+        )
+
+    def test_integer_angle_is_read_as_float(self):
+        circuit = circuit_from_dict({"n": 1, "gates": [{"kind": "phase", "target": 1, "angle": 1}]})
+        assert json.dumps(circuit_to_dict(circuit)["gates"]) == '[{"kind": "phase", "target": 1, "angle": 1.0}]'
+
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            {"kind": "h", "target": True},
+            {"kind": "h", "target": 1.0},
+            {"kind": "cphase", "control": True, "target": 1, "angle": 0.5},
+            {"kind": "cphase", "control": 2.0, "target": 1, "angle": 0.5},
+            {"kind": "swap", "target": 1, "other": True},
+            {"kind": "swap", "target": 1, "other": 2.0},
+            {"kind": "phase", "target": 1, "angle": True},
+            {"kind": ["h"], "target": 1},
+        ],
+    )
+    def test_rejects_mistyped_field(self, gate):
+        with pytest.raises(ValueError):
+            circuit_from_dict({"n": 2, "gates": [gate]})
 
     def test_documented_shape(self):
         doc = circuit_to_dict(Circuit(2, (hadamard(1), cphase(2, 1, 0.5), swap(1, 2))))

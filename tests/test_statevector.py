@@ -73,6 +73,12 @@ class TestSuperpositionState:
         with pytest.raises(ValueError):
             superposition_state(1, [(2, 1.0)])
 
+    @pytest.mark.parametrize("weight", [math.nan, complex(math.nan, 0.0), complex(0.0, math.inf)])
+    def test_non_finite_weight_rejected(self, weight):
+        # a NaN norm must not slip past the normalization check
+        with pytest.raises(ValueError, match="not normalized"):
+            superposition_state(2, [(0, weight)])
+
 
 class TestHadamard:
     def test_on_zero(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import fourieradd.circuits
+import fourieradd.verify
 from fourieradd import (
     BATCH_AMPLITUDES,
     CheckReport,
@@ -15,6 +16,8 @@ from fourieradd import (
     run_circuit,
     verify_const_adder,
     verify_draper,
+    verify_equivalence,
+    verify_modularity,
 )
 from fourieradd.cli import main
 
@@ -114,3 +117,46 @@ def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
     assert len(shift_rows) == 3
     assert all(line.endswith("max_error=nan  FAIL") for line in shift_rows)
     assert lines[-1] == "3 of 6 checks FAILED"
+
+
+def nan_on_call(check, bad_call):
+    """Wrap a dense check so that its report on call number bad_call carries a NaN error."""
+    calls = []
+
+    def patched(n_qubits, swept, tol):
+        calls.append(swept)
+        report = check(n_qubits, swept, tol=tol)
+        if len(calls) != bad_call:
+            return report
+        return CheckReport(report.check, n_qubits, swept, float("nan"), False)
+
+    return patched, calls
+
+
+def test_nan_modularity_report_is_the_worst(monkeypatch):
+    # x = 3 is the fourth column checked at n = 1; every other column is near 0
+    patched, _ = nan_on_call(fourieradd.verify.check_modularity, bad_call=4)
+    monkeypatch.setattr(fourieradd.verify, "check_modularity", patched)
+    report = verify_modularity(1)[0]
+    assert (report.check, report.c, report.passed) == ("modularity", 3, False)
+    assert np.isnan(report.max_error)
+
+
+def test_nan_equivalence_report_is_the_worst(monkeypatch):
+    patched, constants = nan_on_call(
+        fourieradd.verify.check_phase_adder_equivalence, bad_call=2
+    )
+    monkeypatch.setattr(fourieradd.verify, "check_phase_adder_equivalence", patched)
+    report = verify_equivalence(1)[0]
+    assert (report.check, report.c, report.passed) == ("phase-adder-equivalence", constants[1], False)
+    assert np.isnan(report.max_error)
+
+
+def test_worst_report_is_the_first_of_equal_errors(monkeypatch):
+    # every x gives the same error, so the report is the one for x = 0
+    monkeypatch.setattr(
+        fourieradd.verify,
+        "check_modularity",
+        lambda n_qubits, x, tol: CheckReport("modularity", n_qubits, x, 0.5, False),
+    )
+    assert verify_modularity(2)[0].c == 0
