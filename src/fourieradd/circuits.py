@@ -271,7 +271,10 @@ def circuit_from_dict(data) -> Circuit:
             if name == "angle":
                 if not isinstance(value, (int, float)) or isinstance(value, bool):
                     raise ValueError(f"gate {position} angle must be a number")
-                value = float(value)
+                try:
+                    value = float(value)
+                except OverflowError:  # an integer past the float range
+                    raise ValueError(f"gate {position} angle must be a finite number") from None
             elif not isinstance(value, int) or isinstance(value, bool):
                 raise ValueError(f"gate {position} {name} must be an integer")
             values[name] = value

@@ -366,6 +366,12 @@ class TestCircuitJson:
         with pytest.raises(ValueError):
             circuit_from_dict({"n": 2, "gates": [gate]})
 
+    @pytest.mark.parametrize("angle", [10**400, -(10**400)])
+    def test_rejects_integer_angle_past_the_float_range(self, angle):
+        # float() of such an integer raises OverflowError; it is a schema error
+        with pytest.raises(ValueError, match="gate 0 angle must be a finite number"):
+            circuit_from_dict({"n": 1, "gates": [{"kind": "phase", "target": 1, "angle": angle}]})
+
     def test_documented_shape(self):
         doc = circuit_to_dict(Circuit(2, (hadamard(1), cphase(2, 1, 0.5), swap(1, 2))))
         assert doc == {

@@ -1,10 +1,15 @@
+import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import fourieradd.dense
 from fourieradd import (
+    DEFAULT_TOL,
+    CheckReport,
     Circuit,
     ConstAdderSpec,
     DraperAdderSpec,
@@ -188,6 +193,79 @@ class TestEquivalenceCheck:
     def test_respects_dense_cap(self):
         with pytest.raises(ValueError, match="1..12"):
             check_phase_adder_equivalence(13, 1)
+
+    @staticmethod
+    def dense_reference(n, c):
+        """The check on 2**N by 2**N matrices, with Python's max over the errors."""
+        dim = 1 << n
+        reduced = c % dim
+
+        def rotation(theta):
+            return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * theta)]], dtype=np.complex128)
+
+        tensor = rotation(reduced * math.pi / (1 << (n - 1)))
+        max_error = 0.0
+        for t in range(2, n + 1):
+            tensor = np.kron(rotation(reduced * math.pi / (1 << (n - t))), tensor)
+            half = tensor.shape[0] // 2
+            step_phase = cmath.exp(2j * math.pi * ((reduced * (1 << (t - 1))) % dim) / dim)
+            block_error = np.max(np.abs(tensor[half:, half:] - step_phase * tensor[:half, :half]))
+            max_error = max(max_error, float(block_error))
+        max_error = max(max_error, float(np.max(np.abs(tensor - phase_adder_matrix(n, c)))))
+        return CheckReport("phase-adder-equivalence", n, c, max_error, max_error < DEFAULT_TOL)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_bitwise_equal_to_the_dense_matrix_check(self, n):
+        for c in range(4 << n):
+            assert check_phase_adder_equivalence(n, c) == self.dense_reference(n, c)
+
+    def test_peak_memory_at_the_dense_cap(self):
+        # one 4096 by 4096 complex matrix alone is 256 MiB; the diagonals are 64 KiB
+        tracemalloc.start()
+        try:
+            report = check_phase_adder_equivalence(12, 2**11 + 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.passed
+        assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("n,c", [(1, 1), (3, 5), (6, 41), (12, 2**11 + 3)])
+    def test_rotation_off_by_one_unit_fails(self, n, c, monkeypatch):
+        # the rotations are built qubit 1 first; shift the angle of each in turn by 2*pi/2**N
+        rotation = fourieradd.dense._rotation
+        for qubit in range(1, n + 1):
+            calls = []
+
+            def shifted(theta, qubit=qubit, calls=calls):
+                calls.append(theta)
+                if len(calls) == qubit:
+                    theta += 2 * math.pi / (1 << n)
+                return rotation(theta)
+
+            monkeypatch.setattr(fourieradd.dense, "_rotation", shifted)
+            report = check_phase_adder_equivalence(n, c)
+            assert len(calls) == n
+            assert not report.passed
+            assert report.max_error > 1e-4
+
+    def test_nan_rotations_fail(self, monkeypatch):
+        monkeypatch.setattr(
+            fourieradd.dense, "_rotation", lambda theta: np.array([1.0, complex("nan")])
+        )
+        report = check_phase_adder_equivalence(4, 9)
+        assert math.isnan(report.max_error)
+        assert not report.passed
+
+    def test_nan_closed_form_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            fourieradd.dense,
+            "_phase_adder_diagonal",
+            lambda dim, reduced: np.full(dim, complex("nan")),
+        )
+        report = check_phase_adder_equivalence(4, 9)
+        assert math.isnan(report.max_error)
+        assert not report.passed
 
 
 class TestModularityCheck:
