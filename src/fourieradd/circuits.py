@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -47,7 +48,9 @@ _SETS_OPTIONAL = {
     for kind, fields in GATE_FIELDS.items()
 }
 
-BATCH_AMPLITUDES = 1 << 16  # largest state one run_on_basis block uses (1 MiB)
+# Largest state one run_on_basis batch uses, and the block size of run_circuit
+# on wider states (1 MiB); read at call time, and a power of two.
+BATCH_AMPLITUDES = 1 << 16
 # Below three qubits a phase or controlled phase can act on one amplitude,
 # which numpy multiplies on another path than the strided slice it becomes in
 # a batch; the two round differently, so such circuits run one input at a time.
@@ -149,12 +152,42 @@ def inverse_qft_circuit(n_qubits: int) -> Circuit:
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> None:
-    """Apply the gates in list order, mutating the state in place."""
+    """Apply the gates in list order, mutating the state in place.
+
+    On a state of more than BATCH_AMPLITUDES = 2**b amplitudes, each maximal
+    run of consecutive gates on qubits 1..b runs block by block: such gates
+    never mix amplitudes across the aligned 2**b-amplitude blocks, so the whole
+    run is applied to one cache-sized block before the next is loaded. Every
+    gate still goes through its apply_* kernel, once per block, so each
+    amplitude sees the same arithmetic as in a whole-state pass and the output
+    is bitwise the same.
+    """
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit is over {circuit.n_qubits} qubit(s), state has {state.n_qubits}"
         )
-    for gate in circuit.gates:
+    block_amplitudes = BATCH_AMPLITUDES
+    if state.dim <= block_amplitudes:
+        _apply_gates(circuit.gates, state)
+        return
+    block_qubits = block_amplitudes.bit_length() - 1
+    for in_block, run in groupby(circuit.gates, key=lambda gate: _top_qubit(gate) <= block_qubits):
+        if not in_block:
+            _apply_gates(run, state)
+            continue
+        run = tuple(run)
+        for block in state.amplitudes.reshape(-1, block_amplitudes):
+            _apply_gates(run, StateVector(block_qubits, block))
+
+
+def _top_qubit(gate: Gate) -> int:
+    return max(gate.target, gate.control or 0, gate.other or 0)
+
+
+def _apply_gates(gates, state: StateVector) -> None:
+    # the kernels are looked up by name on every call, so a patched
+    # circuits.apply_* reaches every gate and every block
+    for gate in gates:
         if gate.kind == HADAMARD:
             apply_hadamard(state, gate.target)
         elif gate.kind == PHASE:

@@ -124,12 +124,13 @@ def _load_state_file(path: str, n_qubits: int) -> StateVector:
 
 def _print_state_table(state: StateVector) -> None:
     probabilities = state.probabilities()
-    for index in range(state.dim):
-        probability = float(probabilities[index])
-        if probability < PROB_DISPLAY_CUTOFF:
-            continue
-        amplitude = state.amplitudes[index]
-        print(f"{index}  {float(amplitude.real)!r}  {float(amplitude.imag)!r}  {probability!r}")
+    # written "not <" so that a NaN row is printed too
+    rows = np.flatnonzero(~(probabilities < PROB_DISPLAY_CUTOFF))
+    if not rows.size:
+        return
+    amplitudes = state.amplitudes[rows]
+    columns = (rows.tolist(), amplitudes.real.tolist(), amplitudes.imag.tolist(), probabilities[rows].tolist())
+    print("\n".join(f"{index}  {re!r}  {im!r}  {probability!r}" for index, re, im, probability in zip(*columns)))
 
 
 def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
@@ -160,7 +161,7 @@ def _cmd_add_reg(args, parser: argparse.ArgumentParser) -> int:
     run_circuit(draper_adder_circuit(DraperAdderSpec(args.n)), state)
     probabilities = state.probabilities()
     index = int(np.argmax(probabilities))
-    if probabilities[index] < 1.0 - 1e-9:
+    if not probabilities[index] >= 1.0 - 1e-9:  # a NaN output fails too
         raise ValueError("adder output is not a single basis state")
     print(f"a={index % dim} b={index // dim}")
     return 0

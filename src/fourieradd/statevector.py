@@ -20,6 +20,7 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -179,14 +180,16 @@ def fidelity(state_a: StateVector, state_b: StateVector) -> float:
 
 def state_to_dict(state: StateVector) -> dict:
     """Serializable form following the documented state schema."""
-    return {
-        "n": state.n_qubits,
-        "amplitudes": [[float(z.real), float(z.imag)] for z in state.amplitudes],
-    }
+    amplitudes = state.amplitudes
+    return {"n": state.n_qubits, "amplitudes": np.stack((amplitudes.real, amplitudes.imag), axis=1).tolist()}
 
 
 def state_from_dict(data) -> StateVector:
-    """Parse and validate the state schema; rejects non-normalized inputs."""
+    """Parse and validate the state schema; rejects non-normalized inputs.
+
+    Of several bad entries, the error names the first, whether it is
+    malformed or not finite.
+    """
     if not isinstance(data, dict):
         raise ValueError("state document must be a JSON object")
     if set(data) != {"n", "amplitudes"}:
@@ -198,18 +201,45 @@ def state_from_dict(data) -> StateVector:
     dim = 1 << n_qubits
     if not isinstance(entries, list) or len(entries) != dim:
         raise ValueError(f'"amplitudes" must be a list of 2**{n_qubits} = {dim} entries')
-    amplitudes = np.empty(dim, dtype=np.complex128)
-    for index, entry in enumerate(entries):
-        if (
-            not isinstance(entry, (list, tuple))
-            or len(entry) != 2
-            or not all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
-        ):
-            raise ValueError(f"amplitude {index} must be a [re, im] pair of numbers")
-        re, im = float(entry[0]), float(entry[1])
-        if not (math.isfinite(re) and math.isfinite(im)):
-            raise ValueError(f"amplitude {index} is not finite")
-        amplitudes[index] = complex(re, im)
-    state = StateVector(n_qubits, amplitudes)
+    malformed = _first_malformed(entries)
+    well_formed = entries[:malformed]
+    try:
+        pairs = np.array(well_formed, dtype=np.float64).reshape(-1, 2)
+    except OverflowError:  # an integer past the float range, which counts as not finite
+        pairs = np.array([[_float_or_inf(part) for part in entry] for entry in well_formed])
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"amplitude {int(np.argmin(finite))} is not finite")
+    if malformed < dim:
+        raise ValueError(f"amplitude {malformed} must be a [re, im] pair of numbers")
+    state = StateVector(n_qubits, pairs.view(np.complex128).reshape(-1))
     _require_normalized(state.norm_sq(), "state is")
     return state
+
+
+def _is_pair(entry) -> bool:
+    return (
+        isinstance(entry, (list, tuple))
+        and len(entry) == 2
+        and all(isinstance(part, (int, float)) and not isinstance(part, bool) for part in entry)
+    )
+
+
+def _first_malformed(entries: list) -> int:
+    """Index of the first entry that is not a [re, im] pair of numbers, or len(entries)."""
+    # One pass over the types settles the common document, whose pairs are
+    # lists of plain ints and floats; anything else is checked entry by entry.
+    if (
+        set(map(type, entries)) <= {list, tuple}
+        and set(map(len, entries)) <= {2}
+        and set(map(type, chain.from_iterable(entries))) <= {int, float}
+    ):
+        return len(entries)
+    return next((index for index, entry in enumerate(entries) if not _is_pair(entry)), len(entries))
+
+
+def _float_or_inf(part) -> float:
+    try:
+        return float(part)
+    except OverflowError:
+        return math.inf

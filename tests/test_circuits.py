@@ -4,19 +4,29 @@ import math
 import numpy as np
 import pytest
 
+import fourieradd.circuits as circuits_module
 from fourieradd import (
     BATCH_AMPLITUDES,
     Circuit,
+    ConstAdderSpec,
+    DraperAdderSpec,
     Gate,
     StateVector,
+    apply_const_add,
+    apply_controlled_phase,
+    apply_hadamard,
+    apply_phase,
+    apply_swap,
     basis_state,
     circuit_from_dict,
     circuit_to_dict,
     circuit_to_matrix,
     concat,
+    const_adder_circuit,
     count_gates,
     cphase,
     dft_matrix,
+    draper_adder_circuit,
     fidelity,
     hadamard,
     inverse,
@@ -265,6 +275,112 @@ class TestRunOnBasis:
     def test_rejects_bad_inputs(self, inputs):
         with pytest.raises(ValueError):
             list(run_on_basis(qft_circuit(3), inputs))
+
+
+BLOCK_QUBITS = 4  # the block width the tests below patch in, so that 5-9 qubits cross it
+
+
+def run_gate_by_gate(circuit, state):
+    """Reference for run_circuit's blocked runs: every gate on the whole state, in list order."""
+    for gate in circuit.gates:
+        if gate.kind == "h":
+            apply_hadamard(state, gate.target)
+        elif gate.kind == "phase":
+            apply_phase(state, gate.target, gate.angle)
+        elif gate.kind == "cphase":
+            apply_controlled_phase(state, gate.control, gate.target, gate.angle)
+        else:
+            apply_swap(state, gate.target, gate.other)
+
+
+def assert_blocked_run_is_bitwise(circuit, seed):
+    expected = random_state(circuit.n_qubits, seed)
+    actual = expected.copy()
+    run_gate_by_gate(circuit, expected)
+    run_circuit(circuit, actual)
+    assert np.array_equal(actual.amplitudes.view(np.float64), expected.amplitudes.view(np.float64))
+
+
+def record_kernel_widths(monkeypatch):
+    """Wrap the four kernels where run_circuit looks them up; returns the width of every call."""
+    widths = []
+    for name in ("apply_hadamard", "apply_phase", "apply_controlled_phase", "apply_swap"):
+        original = getattr(circuits_module, name)
+
+        def recorded(state, *args, original=original):
+            widths.append(state.n_qubits)
+            original(state, *args)
+
+        monkeypatch.setattr(circuits_module, name, recorded)
+    return widths
+
+
+def edge_crossing_circuit(n_qubits, seed, low_edges):
+    """Runs of gates inside the low BLOCK_QUBITS qubits, of every kind, separated by single
+    gates that reach above them; a swap across the edge is always among the latter.
+
+    The runs have 1 to 6 gates, the third run exactly one. With low_edges the list starts
+    and ends on such a run, otherwise on a gate above the edge.
+    """
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(1, 7, size=5)
+    lengths[2] = 1
+    gates = []
+    for position, length in enumerate(lengths):
+        gates.extend(random_circuit(BLOCK_QUBITS, seed=int(rng.integers(1 << 30)), n_gates=int(length)).gates)
+        if position == len(lengths) - 1:
+            break
+        high = int(rng.integers(BLOCK_QUBITS + 1, n_qubits + 1))
+        low = int(rng.integers(1, BLOCK_QUBITS + 1))
+        angle = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+        choices = (hadamard(high), phase(high, angle), cphase(low, high, angle), swap(low, high))
+        gates.append(swap(low, high) if position == 0 else choices[int(rng.integers(0, 4))])
+    if not low_edges:
+        gates = [hadamard(n_qubits)] + gates + [swap(1, n_qubits)]
+    return Circuit(n_qubits, tuple(gates))
+
+
+class TestBlockedRun:
+    @pytest.mark.parametrize("n", [17, 18])
+    def test_constant_adder_is_bitwise_the_gate_by_gate_run(self, n):
+        assert_blocked_run_is_bitwise(const_adder_circuit(ConstAdderSpec(n, 3 * n + 1)), seed=n)
+
+    def test_register_adder_is_bitwise_the_gate_by_gate_run(self):
+        assert_blocked_run_is_bitwise(draper_adder_circuit(DraperAdderSpec(9)), seed=9)
+
+    @pytest.mark.parametrize("low_edges", [True, False])
+    @pytest.mark.parametrize("n", range(BLOCK_QUBITS + 1, 10))
+    def test_random_circuits_across_the_block_edge(self, n, low_edges, monkeypatch):
+        monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << BLOCK_QUBITS)
+        widths = record_kernel_widths(monkeypatch)
+        for seed in range(4):
+            assert_blocked_run_is_bitwise(edge_crossing_circuit(n, 10 * n + seed, low_edges), seed)
+        assert set(widths) == {BLOCK_QUBITS, n}
+
+    def test_states_up_to_the_block_run_whole(self, monkeypatch):
+        widths = record_kernel_widths(monkeypatch)
+        run_circuit(qft_circuit(16), basis_state(16, 5))
+        assert set(widths) == {16}
+
+    def test_kernel_work_equals_the_unblocked_closed_form(self, monkeypatch):
+        n = 18
+        circuit = const_adder_circuit(ConstAdderSpec(n, 77))
+        widths = record_kernel_widths(monkeypatch)
+        run_circuit(circuit, basis_state(n, 5))
+        assert sum(1 << width for width in widths) == len(circuit.gates) << n
+        assert set(widths) == {16, n}
+
+    def test_a_nan_kernel_reaches_every_block(self, monkeypatch):
+        original = circuits_module.apply_hadamard
+
+        def apply_hadamard_nan(state, target):
+            original(state, target)
+            state.amplitudes[:] = np.nan
+
+        monkeypatch.setattr(circuits_module, "apply_hadamard", apply_hadamard_nan)
+        state = basis_state(18, 12345)
+        apply_const_add(state, 6)
+        assert not np.isfinite(state.amplitudes).any()
 
 
 class TestCombinators:

@@ -4,8 +4,18 @@ import math
 import numpy as np
 import pytest
 
-from fourieradd import circuit_from_dict, circuit_to_dict, dft_matrix, state_from_dict, state_to_dict
-from fourieradd.cli import main
+import fourieradd.circuits as circuits_module
+from fourieradd import (
+    StateVector,
+    apply_const_add,
+    basis_state,
+    circuit_from_dict,
+    circuit_to_dict,
+    dft_matrix,
+    state_from_dict,
+    state_to_dict,
+)
+from fourieradd.cli import PROB_DISPLAY_CUTOFF, _print_state_table, main
 
 
 def run_cli(argv):
@@ -91,6 +101,12 @@ class TestAdd:
         assert run_cli(["add", "--n", "1", "--const", "1", "--input", str(path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_integer_amplitude_past_the_float_range(self, tmp_path, capsys):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"n": 1, "amplitudes": [[10**400, 0], [0, 0]]}))
+        assert run_cli(["add", "--n", "1", "--const", "1", "--input", str(path)]) == 1
+        assert "amplitude 0 is not finite" in capsys.readouterr().err
+
     def test_state_file_width_mismatch(self, tmp_path, capsys):
         path = tmp_path / "narrow.json"
         path.write_text(json.dumps({"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
@@ -129,6 +145,87 @@ class TestAddReg:
     def test_rejects_negative_operand(self, capsys):
         assert run_cli(["add-reg", "--n", "2", "--a", "-1", "--b", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("n", [3, 9])  # 9 makes 18 qubits, which run in blocks
+    def test_nan_output_is_an_error(self, n, monkeypatch, capsys):
+        original = circuits_module.apply_hadamard
+
+        def apply_hadamard_nan(state, target):
+            original(state, target)
+            state.amplitudes[:] = np.nan
+
+        monkeypatch.setattr(circuits_module, "apply_hadamard", apply_hadamard_nan)
+        assert run_cli(["add-reg", "--n", str(n), "--a", "2", "--b", "5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
+def reference_table(state):
+    """The table printed one row at a time: every row whose probability is not below the cutoff."""
+    probabilities = state.probabilities()
+    lines = []
+    for index in range(state.dim):
+        probability = float(probabilities[index])
+        if probability < PROB_DISPLAY_CUTOFF:
+            continue
+        amplitude = state.amplitudes[index]
+        lines.append(f"{index}  {float(amplitude.real)!r}  {float(amplitude.imag)!r}  {probability!r}\n")
+    return "".join(lines)
+
+
+NEAR_CUTOFF_ROWS = range(1, 50, 2)
+
+
+def near_cutoff_state():
+    """Rows whose probabilities sit a few ulps either side of the display cutoff."""
+    amplitudes = np.zeros(64, dtype=np.complex128)
+    edge = math.sqrt(PROB_DISPLAY_CUTOFF)
+    for step, row in enumerate(NEAR_CUTOFF_ROWS, start=-12):
+        amplitudes[row] = edge * (1.0 + step * 2.0**-52) * (1j if row % 4 == 3 else 1.0)
+    amplitudes[0] = math.sqrt(1.0 - np.vdot(amplitudes, amplitudes).real)
+    return StateVector(6, amplitudes)
+
+
+def dense_state(n_qubits, seed):
+    rng = np.random.default_rng(seed)
+    amplitudes = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
+    return StateVector(n_qubits, amplitudes / np.linalg.norm(amplitudes))
+
+
+def nan_state():
+    amplitudes = np.zeros(8, dtype=np.complex128)
+    amplitudes[[1, 6]] = math.sqrt(0.5)
+    amplitudes[3] = complex(math.nan, 0.0)
+    return StateVector(3, amplitudes)
+
+
+class TestStateTable:
+    @pytest.mark.parametrize(
+        "state",
+        [dense_state(12, seed=4), basis_state(5, 19), nan_state(), near_cutoff_state()],
+        ids=["dense", "basis", "nan", "near-cutoff"],
+    )
+    def test_bytes_equal_a_row_by_row_table(self, state, capsys):
+        _print_state_table(state)
+        assert capsys.readouterr().out == reference_table(state)
+
+    def test_near_cutoff_rows_fall_on_both_sides(self):
+        probabilities = near_cutoff_state().probabilities()[NEAR_CUTOFF_ROWS]
+        assert (probabilities < PROB_DISPLAY_CUTOFF).any() and (probabilities >= PROB_DISPLAY_CUTOFF).any()
+
+    def test_nan_row_is_printed(self, capsys):
+        _print_state_table(nan_state())
+        assert [line.split()[0] for line in capsys.readouterr().out.splitlines()] == ["1", "3", "6"]
+
+    def test_json_bytes_equal_a_per_entry_document(self, tmp_path, capsys):
+        state = dense_state(7, seed=8)
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(state_to_dict(state)))
+        assert run_cli(["add", "--n", "7", "--const", "-29", "--input", str(path), "--json"]) == 0
+        apply_const_add(state, -29)
+        pairs = [[float(z.real), float(z.imag)] for z in state.amplitudes]
+        assert capsys.readouterr().out == json.dumps({"n": 7, "amplitudes": pairs}) + "\n"
 
 
 class TestVerify:

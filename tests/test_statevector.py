@@ -277,3 +277,31 @@ class TestStateJson:
     def test_rejects_extra_field(self):
         with pytest.raises(ValueError, match="fields"):
             state_from_dict({"n": 1, "amplitudes": [[1.0, 0.0], [0.0, 0.0]], "note": 1})
+
+    @pytest.mark.parametrize("entry", [[10**400, 0], [0, -(10**400)]])
+    def test_rejects_integer_past_the_float_range(self, entry):
+        with pytest.raises(ValueError, match="amplitude 0 is not finite"):
+            state_from_dict({"n": 1, "amplitudes": [entry, [0, 0]]})
+
+    @pytest.mark.parametrize("entry", [[True, 0.0], ["1", 0.0], [1.0, 0.0, 0.0], None, {"re": 1.0}, [[1.0], 0.0]])
+    def test_rejects_malformed_entry(self, entry):
+        with pytest.raises(ValueError, match="amplitude 1 must be a"):
+            state_from_dict({"n": 1, "amplitudes": [[1.0, 0.0], entry]})
+
+    def test_accepts_tuples_and_numpy_floats(self):
+        state = state_from_dict({"n": 1, "amplitudes": [(0.0, np.float64(-0.0)), [1, np.float64(0.0)]]})
+        expected = np.array([0.0, -0.0, 1.0, 0.0])
+        assert np.array_equal(state.amplitudes.view(np.float64), expected)
+        assert np.signbit(state.amplitudes.view(np.float64)).tolist() == np.signbit(expected).tolist()
+
+    @pytest.mark.parametrize("non_finite", [math.nan, -math.inf, 10**400], ids=["nan", "-inf", "10**400"])
+    @pytest.mark.parametrize("first", ["non-finite", "malformed"])
+    def test_names_the_first_bad_entry(self, first, non_finite):
+        amplitudes = [[0.0, 0.0] for _ in range(8)]
+        amplitudes[0] = [1.0, 0.0]
+        bad = {"non-finite": [0.0, non_finite], "malformed": [0.0]}
+        later = "malformed" if first == "non-finite" else "non-finite"
+        amplitudes[3], amplitudes[5] = bad[first], bad[later]
+        message = "amplitude 3 is not finite" if first == "non-finite" else r"amplitude 3 must be a \[re, im\] pair"
+        with pytest.raises(ValueError, match=message):
+            state_from_dict({"n": 3, "amplitudes": amplitudes})
