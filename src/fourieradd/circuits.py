@@ -52,8 +52,8 @@ _SETS_OPTIONAL = {
 # on wider states (1 MiB); read at call time, and a power of two.
 BATCH_AMPLITUDES = 1 << 16
 # Below three qubits a phase or controlled phase can act on one amplitude,
-# which numpy multiplies on another path than the strided slice it becomes in
-# a batch; the two round differently, so such circuits run one input at a time.
+# which numpy multiplies on another path than the run of amplitudes it becomes
+# in a batch; the two round differently, so such circuits run one input at a time.
 BATCH_MIN_QUBITS = 3
 
 
@@ -202,12 +202,14 @@ def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
     """Run the circuit on each basis input, yielding (start, outputs) blocks.
 
     Row j of outputs is the output state for inputs[start + j]. A block of
-    2**k inputs runs as one state of N + k qubits whose top k qubits index
-    the input; no gate touches them, so every amplitude goes through the
-    same arithmetic as in a run per input and the rows are bitwise equal to
-    those runs. A block holds at most BATCH_AMPLITUDES amplitudes, or a
-    single input when one state is larger than that or the circuit is
-    narrower than BATCH_MIN_QUBITS.
+    2**k inputs runs as one state of N + k qubits whose low k qubits index
+    the input, with the circuit shifted up by k; no gate touches those
+    qubits, so every amplitude goes through the same arithmetic as in a run
+    per input and the rows are bitwise equal to those runs. Keeping the
+    input index lowest gives every gate inner runs of at least 2**k
+    contiguous amplitudes. A block holds at most BATCH_AMPLITUDES
+    amplitudes, or a single input when one state is larger than that or
+    the circuit is narrower than BATCH_MIN_QUBITS.
     """
     n_qubits, dim = circuit.n_qubits, 1 << circuit.n_qubits
     inputs = np.asarray(inputs, dtype=np.int64)
@@ -218,15 +220,18 @@ def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
     widest = 0
     if n_qubits >= BATCH_MIN_QUBITS:
         widest = max(BATCH_AMPLITUDES.bit_length() - 1 - n_qubits, 0)
+    shifted = {0: circuit}
     start = 0
     while start < inputs.size:
         k = min(widest, (inputs.size - start).bit_length() - 1)
         rows = 1 << k
-        amplitudes = np.zeros((rows, dim), dtype=np.complex128)
-        amplitudes[np.arange(rows), inputs[start : start + rows]] = 1.0
+        if k not in shifted:
+            shifted[k] = shift_qubits(circuit, k, n_qubits + k)
+        amplitudes = np.zeros((dim, rows), dtype=np.complex128)
+        amplitudes[inputs[start : start + rows], np.arange(rows)] = 1.0
         state = StateVector(n_qubits + k, amplitudes.reshape(-1))
-        run_circuit(Circuit(n_qubits + k, circuit.gates), state)
-        yield start, state.amplitudes.reshape(rows, dim)
+        run_circuit(shifted[k], state)
+        yield start, np.ascontiguousarray(state.amplitudes.reshape(dim, rows).T)
         start += rows
 
 

@@ -23,6 +23,8 @@ from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict,
 from .verify import DENSE_SUITES, SUITES, run_suite
 
 PROB_DISPLAY_CUTOFF = 1e-12
+# add-reg prints a=... b=... only when one basis state holds at least this probability
+BASIS_OUTPUT_MIN_PROB = 1.0 - 1e-9
 QFT_DUMP_MAX_QUBITS = 6
 
 
@@ -161,7 +163,7 @@ def _cmd_add_reg(args, parser: argparse.ArgumentParser) -> int:
     run_circuit(draper_adder_circuit(DraperAdderSpec(args.n)), state)
     probabilities = state.probabilities()
     index = int(np.argmax(probabilities))
-    if not probabilities[index] >= 1.0 - 1e-9:  # a NaN output fails too
+    if not probabilities[index] >= BASIS_OUTPUT_MIN_PROB:  # a NaN output fails too
         raise ValueError("adder output is not a single basis state")
     print(f"a={index % dim} b={index // dim}")
     return 0

@@ -26,6 +26,7 @@ import numpy as np
 
 DEFAULT_TOL = 1e-10  # normalization bound of states, and the default pass bound of checks
 SQRT1_2 = math.sqrt(0.5)
+SPLIT_BELOW = 16  # kernels split a view whose last axis is shorter than this; see _parts
 
 
 @dataclass
@@ -121,14 +122,32 @@ def _pair_view(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
     return amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (lo - 1))
 
 
+def _parts(view: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The view, or one part per index of its last axis when that axis is short.
+
+    numpy runs an inner loop along the last axis, so a last axis shorter than
+    SPLIT_BELOW pays one loop start per few amplitudes; each part instead runs
+    one long strided loop. The view is split only when it holds at least
+    SPLIT_BELOW times as many amplitudes as its last axis has indices, so no
+    part is ever a single amplitude.
+    """
+    length = view.shape[-1]
+    if length >= SPLIT_BELOW or view.size < SPLIT_BELOW * length:
+        return (view,)
+    return tuple(view[..., index] for index in range(length))
+
+
 def apply_hadamard(state: StateVector, target: int) -> None:
     """Map the target-bit pair (a0, a1) to ((a0+a1), (a0-a1)) / sqrt(2)."""
     _check_qubit(state.n_qubits, target)
-    view = _split_view(state.amplitudes, target)
-    clear = view[:, 0, :].copy()
-    set_ = view[:, 1, :].copy()
-    view[:, 0, :] = (clear + set_) * SQRT1_2
-    view[:, 1, :] = (clear - set_) * SQRT1_2
+    # the sum and difference are half-state temporaries: an in-place update was
+    # faster but raised the benchmark's peak RSS past its bound (ROADMAP item 3)
+    for part in _parts(_split_view(state.amplitudes, target)):
+        clear, set_ = part[:, 0], part[:, 1]
+        total = clear + set_
+        diff = clear - set_
+        np.multiply(total, SQRT1_2, out=clear)
+        np.multiply(diff, SQRT1_2, out=set_)
 
 
 def apply_phase(state: StateVector, target: int, theta: float) -> None:
@@ -136,8 +155,9 @@ def apply_phase(state: StateVector, target: int, theta: float) -> None:
     _check_qubit(state.n_qubits, target)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    view = _split_view(state.amplitudes, target)
-    view[:, 1, :] *= cmath.exp(1j * theta)
+    rotation = cmath.exp(1j * theta)
+    for part in _parts(_split_view(state.amplitudes, target)):
+        part[:, 1] *= rotation
 
 
 def apply_controlled_phase(state: StateVector, control: int, target: int, theta: float) -> None:
@@ -152,8 +172,9 @@ def apply_controlled_phase(state: StateVector, control: int, target: int, theta:
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
     lo, hi = sorted((control, target))
-    view = _pair_view(state.amplitudes, lo, hi)
-    view[:, 1, :, 1, :] *= cmath.exp(1j * theta)
+    rotation = cmath.exp(1j * theta)
+    for part in _parts(_pair_view(state.amplitudes, lo, hi)):
+        part[:, 1, :, 1] *= rotation
 
 
 def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> None:

@@ -160,6 +160,24 @@ class TestAddReg:
         assert captured.out == ""
         assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("shortfall, code", [(2e-9, 1), (5e-10, 0)])
+    def test_basis_output_threshold(self, shortfall, code, monkeypatch, capsys):
+        # the run leaves |a, a+b> with probability 1 - shortfall and the rest on another state;
+        # BASIS_OUTPUT_MIN_PROB = 1 - 1e-9 lies between the two shortfalls
+        def run_circuit(circuit, state):
+            state.amplitudes[:] = 0.0
+            state.amplitudes[2 + 8 * 7] = math.sqrt(1.0 - shortfall)
+            state.amplitudes[0] = math.sqrt(shortfall)
+
+        monkeypatch.setattr("fourieradd.cli.run_circuit", run_circuit)
+        assert run_cli(["add-reg", "--n", "3", "--a", "2", "--b", "5"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+        else:
+            assert captured.out == "a=2 b=7\n"
+
 
 def reference_table(state):
     """The table printed one row at a time: every row whose probability is not below the cutoff."""

@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from fourieradd import (
     state_to_dict,
     superposition_state,
 )
+from fourieradd.statevector import _parts, _split_view
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -165,6 +167,84 @@ class TestControlledPhase:
     def test_control_out_of_range(self):
         with pytest.raises(ValueError, match="control"):
             apply_controlled_phase(basis_state(2, 0), 5, 1, 0.5)
+
+
+def reference_hadamard(amplitudes, target):
+    """The Hadamard as first written: both halves copied, then two formulas assigned back."""
+    view = amplitudes.reshape(-1, 2, 1 << (target - 1))
+    clear = view[:, 0, :].copy()
+    set_ = view[:, 1, :].copy()
+    view[:, 0, :] = (clear + set_) * SQRT1_2
+    view[:, 1, :] = (clear - set_) * SQRT1_2
+
+
+def reference_phase(amplitudes, target, theta):
+    amplitudes.reshape(-1, 2, 1 << (target - 1))[:, 1, :] *= cmath.exp(1j * theta)
+
+
+def reference_controlled_phase(amplitudes, control, target, theta):
+    lo, hi = sorted((control, target))
+    view = amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (lo - 1))
+    view[:, 1, :, 1, :] *= cmath.exp(1j * theta)
+
+
+def awkward_amplitudes(n_qubits, seed):
+    """Seeded random amplitudes with exact zeros of both signs in either part and one NaN amplitude."""
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((1 << n_qubits, 2))
+    parts[rng.random(parts.shape) < 0.1] = 0.0
+    parts[rng.random(parts.shape) < 0.1] = -0.0
+    parts[rng.integers(1 << n_qubits)] = np.nan
+    return parts.view(np.complex128).reshape(-1)
+
+
+def assert_kernel_matches_reference(n_qubits, seed, kernel, reference, *args):
+    # compared as integers, so the sign of a zero and the bits of a NaN count too
+    expected = awkward_amplitudes(n_qubits, seed)
+    state = StateVector(n_qubits, expected.copy())
+    reference(expected, *args)
+    kernel(state, *args)
+    assert np.array_equal(state.amplitudes.view(np.uint64), expected.view(np.uint64)), args
+
+
+# n = 16 runs targets whose last axis is split (1..4) and targets whose axis is not
+KERNEL_TARGETS = {**{n: range(1, n + 1) for n in range(1, 10)}, 16: [*range(1, 6), *range(12, 17)]}
+
+
+class TestKernelsAgainstTheFirstFormulas:
+    @pytest.mark.parametrize("n", KERNEL_TARGETS)
+    def test_hadamard(self, n):
+        for target in KERNEL_TARGETS[n]:
+            assert_kernel_matches_reference(n, target, apply_hadamard, reference_hadamard, target)
+
+    @pytest.mark.parametrize("n", KERNEL_TARGETS)
+    def test_phase(self, n):
+        rng = np.random.default_rng(n)
+        for target in KERNEL_TARGETS[n]:
+            theta = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+            assert_kernel_matches_reference(n, target, apply_phase, reference_phase, target, theta)
+
+    @pytest.mark.parametrize("n", KERNEL_TARGETS)
+    def test_controlled_phase(self, n):
+        rng = np.random.default_rng(100 + n)
+        targets = KERNEL_TARGETS[n]
+        for control in targets:
+            for target in targets:
+                if control != target:
+                    theta = float(rng.uniform(-2.0 * math.pi, 2.0 * math.pi))
+                    assert_kernel_matches_reference(
+                        n, control, apply_controlled_phase, reference_controlled_phase, control, target, theta
+                    )
+
+    def test_short_last_axes_split_only_in_views_large_enough(self):
+        amplitudes = np.zeros(1 << 16, dtype=np.complex128)
+        # targets 1..4 have last axes of 1..8 and lose them; from 16 up the view stays whole
+        shapes = [[part.shape for part in _parts(_split_view(amplitudes, target))] for target in range(1, 7)]
+        assert shapes == [[(1 << 15, 2)], [(1 << 14, 2)] * 2, [(1 << 13, 2)] * 4, [(1 << 12, 2)] * 8,
+                          [(1 << 11, 2, 16)], [(1 << 10, 2, 32)]]
+        # 2**7 amplitudes hold 16 times a last axis of 8, 2**6 do not
+        assert len(_parts(_split_view(amplitudes[: 1 << 7], 4))) == 8
+        assert len(_parts(_split_view(amplitudes[: 1 << 6], 4))) == 1
 
 
 class TestSwap:

@@ -160,3 +160,56 @@ def test_worst_report_is_the_first_of_equal_errors(monkeypatch):
         lambda n_qubits, x, tol: CheckReport("modularity", n_qubits, x, 0.5, False),
     )
     assert verify_modularity(2)[0].c == 0
+
+
+def transform_gates(n):
+    """Gates of one unfused transform: n Hadamards, n(n-1)/2 controlled phases, n//2 swaps."""
+    return n * (n + 1) // 2 + n // 2
+
+
+QUBIT_ARGS = {"apply_hadamard": 1, "apply_phase": 1, "apply_controlled_phase": 2, "apply_swap": 2}
+
+
+def record_batched_calls(monkeypatch):
+    """Per kernel call of a sweep: its state width and how many index qubits sit below the circuit.
+
+    The circuit width comes from the sweep's run_on_basis call; each call also records the
+    lowest qubit the kernel addresses.
+    """
+    calls = []
+    circuit_width = []
+    run_on_basis = fourieradd.verify.run_on_basis
+
+    def recorded_run_on_basis(circuit, inputs):
+        circuit_width.append(circuit.n_qubits)
+        return run_on_basis(circuit, inputs)
+
+    monkeypatch.setattr(fourieradd.verify, "run_on_basis", recorded_run_on_basis)
+    for name, count in QUBIT_ARGS.items():
+        original = getattr(fourieradd.circuits, name)
+
+        def recorded(state, *args, original=original, count=count):
+            calls.append((state.n_qubits, state.n_qubits - circuit_width[-1], min(args[:count])))
+            original(state, *args)
+
+        monkeypatch.setattr(fourieradd.circuits, name, recorded)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "sweep, n_max, gates, shift",
+    [
+        # 2**n constants x 2**n inputs, each on 2**n amplitudes
+        (verify_const_adder, 4, lambda n: 2 * transform_gates(n) + n, 3),
+        # 4**n inputs, each on 4**n amplitudes
+        (verify_draper, 3, lambda n: 2 * transform_gates(n) + n * (n + 1) // 2, 4),
+    ],
+    ids=["const", "draper"],
+)
+def test_batches_do_the_unbatched_work_above_their_index_qubits(monkeypatch, sweep, n_max, gates, shift):
+    calls = record_batched_calls(monkeypatch)
+    assert all(report.passed for report in sweep(n_max))
+    assert sum(1 << width for width, _, _ in calls) == sum(gates(n) << (shift * n) for n in range(1, n_max + 1))
+    batched = [(index_qubits, lowest) for _, index_qubits, lowest in calls if index_qubits >= 1]
+    assert batched  # every width from BATCH_MIN_QUBITS up runs in batches
+    assert all(lowest > index_qubits for index_qubits, lowest in batched)
