@@ -230,10 +230,7 @@ def _cmd_qft_dump(args, parser: argparse.ArgumentParser) -> int:
     circuit = qft_circuit(args.n)
     if args.matrix:
         matrix = circuit_to_matrix(circuit)
-        payload = {
-            "n": args.n,
-            "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in matrix],
-        }
+        payload = {"n": args.n, "matrix": np.stack((matrix.real, matrix.imag), axis=-1).tolist()}
         print(json.dumps(payload))
     else:
         print(json.dumps(circuit_to_dict(circuit)))

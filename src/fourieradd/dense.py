@@ -2,9 +2,10 @@
 
 Everything here is built straight from defining formulas, independent of
 the gate kernels, so circuits and matrices can be checked against each
-other. Matrices have 4**N entries, so the layer is capped at
-DENSE_MAX_QUBITS qubits; the equivalence check needs only 2**N-entry
-diagonals but keeps the same cap.
+other; the equivalence check reads the angles of the program's phase stage.
+Matrices have 4**N entries, so the layer is capped at DENSE_MAX_QUBITS
+qubits; the equivalence check needs only 2**N-entry diagonals but keeps
+the same cap.
 
 Integer exponents of omega = exp(2*pi*i / 2**N) are reduced mod 2**N
 before the complex exponential is evaluated. The reduction is exact for
@@ -20,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arithmetic import ConstAdderSpec, phase_adder_circuit
 from .circuits import Circuit, run_on_basis
 from .statevector import DEFAULT_TOL
 
@@ -84,7 +86,7 @@ class CheckReport:
     """Outcome of one numeric check.
 
     The c field holds whichever parameter was swept: the adder constant,
-    the out-of-range column index, or the basis input where the worst
+    the modularity column x, or the basis input where the worst
     error occurred.
     """
 
@@ -112,32 +114,34 @@ def _rotation(theta: float) -> np.ndarray:
 def check_phase_adder_equivalence(
     n_qubits: int, constant: int, tol: float = DEFAULT_TOL
 ) -> CheckReport:
-    """Tensor-product form of the Fourier-basis adder against its diagonal form.
+    """Tensor-product form of the built phase stage against its diagonal form.
 
-    Every factor is diagonal, so the check works on diagonals of 2**N
+    The stage is phase_adder_circuit's, one rotation per qubit from qubit 1
+    up. Every factor is diagonal, so the check works on diagonals of 2**N
     entries; the 2**N by 2**N matrices would add only exact zeros off the
-    diagonal. The Kronecker product of the N single-qubit rotation
-    diagonals, most significant qubit leftmost, is the diagonal of their
-    tensor product, and it is compared with the closed form omega**(j*c).
-    It is accumulated as flattened outer products: the same products as
-    np.kron, without its overhead per call. While accumulating, the
-    entries where the newly absorbed qubit m is set must equal those where
-    it is clear times omega**(c * 2**(m-1)), the phase that qubit
-    contributes; that per-step error is folded into the reported
-    max_error. A NaN in any error makes max_error NaN, which fails.
+    diagonal. The Kronecker product of the rotation diagonals, most
+    significant qubit leftmost, is the diagonal of their tensor product,
+    and it is compared with the closed form omega**(j*c). It is accumulated
+    as flattened outer products: the same products as np.kron, without its
+    overhead per call. While accumulating, the entries where the newly
+    absorbed qubit m is set must equal those where it is clear times
+    omega**(c * 2**(m-1)), the phase that qubit contributes; that per-step
+    error is folded into the reported max_error. A NaN in any error makes
+    max_error NaN, which fails.
     """
     _require_dense(n_qubits)
     dim = 1 << n_qubits
-    reduced = constant % dim  # shifts of 2**N change each rotation by a full number of turns
-    tensor = _rotation(reduced * math.pi / (1 << (n_qubits - 1)))
+    reduced = constant % dim
+    first, *rest = phase_adder_circuit(ConstAdderSpec(n_qubits, constant)).gates
+    tensor = _rotation(first.angle)
     errors = []
-    for t in range(2, n_qubits + 1):
-        tensor = np.multiply.outer(_rotation(reduced * math.pi / (1 << (n_qubits - t))), tensor).ravel()
+    for t, gate in enumerate(rest, start=2):
+        tensor = np.multiply.outer(_rotation(gate.angle), tensor).ravel()
         half = len(tensor) // 2
         step_phase = cmath.exp(2j * math.pi * ((reduced * (1 << (t - 1))) % dim) / dim)
-        errors.append(np.max(np.abs(tensor[half:] - step_phase * tensor[:half])))
-    errors.append(np.max(np.abs(tensor - _phase_adder_diagonal(dim, reduced))))
-    max_error = float(np.max(errors))
+        errors.append(np.abs(tensor[half:] - step_phase * tensor[:half]))
+    errors.append(np.abs(tensor - _phase_adder_diagonal(dim, reduced)))
+    max_error = float(np.max(np.concatenate(errors)))
     return CheckReport("phase-adder-equivalence", n_qubits, constant, max_error, max_error < tol)
 
 

@@ -11,7 +11,9 @@ from fourieradd import (
     basis_state,
     circuit_from_dict,
     circuit_to_dict,
+    circuit_to_matrix,
     dft_matrix,
+    qft_circuit,
     state_from_dict,
     state_to_dict,
 )
@@ -372,6 +374,13 @@ class TestQftDump:
         )
         assert matrix.shape == (8, 8)
         np.testing.assert_allclose(matrix, dft_matrix(3), atol=1e-10)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matrix_dump_is_the_per_entry_document(self, n, capsys):
+        assert run_cli(["qft-dump", "--n", str(n), "--matrix"]) == 0
+        matrix = circuit_to_matrix(qft_circuit(n))
+        expected = {"n": n, "matrix": [[[float(z.real), float(z.imag)] for z in row] for row in matrix]}
+        assert capsys.readouterr().out == json.dumps(expected) + "\n"
 
     def test_rejects_oversized_dump(self, capsys):
         assert run_cli(["qft-dump", "--n", "7"]) == 2

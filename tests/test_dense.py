@@ -249,6 +249,20 @@ class TestEquivalenceCheck:
             assert not report.passed
             assert report.max_error > 1e-4
 
+    @pytest.mark.parametrize("n", [1, 3, 6, 12])
+    def test_a_wrong_built_stage_fails(self, n, monkeypatch):
+        # the check reads the program's phase stage; hand it the stage for c + 1
+        build = fourieradd.dense.phase_adder_circuit
+        monkeypatch.setattr(
+            fourieradd.dense,
+            "phase_adder_circuit",
+            lambda spec: build(ConstAdderSpec(spec.n_qubits, spec.constant + 1)),
+        )
+        for c in (0, 5, (1 << n) - 1, 3 << n):
+            report = check_phase_adder_equivalence(n, c)
+            assert not report.passed
+            assert report.max_error > 1e-4
+
     def test_nan_rotations_fail(self, monkeypatch):
         monkeypatch.setattr(
             fourieradd.dense, "_rotation", lambda theta: np.array([1.0, complex("nan")])

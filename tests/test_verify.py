@@ -1,5 +1,7 @@
 """The exhaustive sweeps run their inputs in batches; their reports must not change."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from fourieradd import (
     ConstAdderSpec,
     DraperAdderSpec,
     basis_state,
+    check_modularity,
     const_adder_circuit,
     draper_adder_circuit,
     run_circuit,
@@ -134,12 +137,42 @@ def nan_on_call(check, bad_call):
 
 
 def test_nan_modularity_report_is_the_worst(monkeypatch):
-    # x = 3 is the fourth column checked at n = 1; every other column is near 0
-    patched, _ = nan_on_call(fourieradd.verify.check_modularity, bad_call=4)
+    # x = 1 is the second column checked at n = 1; every other column is near 0
+    patched, _ = nan_on_call(fourieradd.verify.check_modularity, bad_call=2)
     monkeypatch.setattr(fourieradd.verify, "check_modularity", patched)
     report = verify_modularity(1)[0]
-    assert (report.check, report.c, report.passed) == ("modularity", 3, False)
+    assert (report.check, report.c, report.passed) == ("modularity", 1, False)
     assert np.isnan(report.max_error)
+
+
+def reference_modularity_report(n):
+    """The first worst of the columns x in [0, 4 * 2**N): a strictly greater error wins."""
+    worst = None
+    for x in range(4 << n):
+        report = check_modularity(n, x)
+        if worst is None or report.max_error > worst.max_error:
+            worst = report
+    return worst
+
+
+def test_modularity_reports_equal_the_four_fold_column_sweep():
+    reports = [report for report in verify_modularity(6) if report.check == "modularity"]
+    expected = [reference_modularity_report(n) for n in range(1, 7)]
+    assert reports == expected
+    assert [r.max_error.hex() for r in reports] == [r.max_error.hex() for r in expected]
+
+
+def test_modularity_checks_each_column_below_two_to_the_n_once(monkeypatch):
+    columns = []
+    check = fourieradd.verify.check_modularity
+
+    def recording_check(n_qubits, x, tol):
+        columns.append((n_qubits, x))
+        return check(n_qubits, x, tol=tol)
+
+    monkeypatch.setattr(fourieradd.verify, "check_modularity", recording_check)
+    verify_modularity(5)
+    assert columns == [(n, x) for n in range(1, 6) for x in range(1 << n)]
 
 
 def test_nan_equivalence_report_is_the_worst(monkeypatch):
@@ -160,6 +193,36 @@ def test_worst_report_is_the_first_of_equal_errors(monkeypatch):
         lambda n_qubits, x, tol: CheckReport("modularity", n_qubits, x, 0.5, False),
     )
     assert verify_modularity(2)[0].c == 0
+
+
+@pytest.mark.parametrize(
+    "errors, expected",
+    [
+        ([0.1, 0.3, 0.2, 0.3], (0.3, 1)),  # the first of equal errors wins
+        ([float("nan"), 0.2, float("nan")], (0.2, 1)),  # NaN is never picked
+        ([float("nan"), float("nan")], (0.0, 0)),
+        ([-1.0, 0.0, -0.0], (0.0, 0)),  # nothing above 0.0
+        ([-0.5, 0.0, 1e-300], (1e-300, 2)),
+    ],
+)
+def test_first_worst_selection_rule(errors, expected):
+    worst, index = fourieradd.verify._first_worst(np.array(errors))
+    assert (worst, index) == expected
+    assert math.copysign(1.0, worst) == 1.0
+
+
+def test_const_sweep_reports_the_constant_of_the_first_worst_entry(monkeypatch):
+    # c-major errors at n = 2: equal errors at (c=1, a=3) and (c=2, a=0); c=1 comes first
+    per_constant = {1: [0.0, 0.1, 0.0, 0.5], 2: [0.5, 0.0, float("nan"), 0.0]}
+
+    def scored(circuit, inputs, targets):
+        if circuit.n_qubits == 1:
+            return np.zeros(len(inputs))
+        return np.array(per_constant.get(int(targets[0]), [0.0] * 4))  # targets[0] = 0 + c
+
+    monkeypatch.setattr(fourieradd.verify, "_basis_errors", scored)
+    report = verify_const_adder(2)[1]
+    assert (report.c, report.max_error, report.passed) == (1, 0.5, False)
 
 
 def transform_gates(n):
