@@ -185,8 +185,7 @@ def _verification_tolerance() -> float:
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
     if args.suite in DENSE_SUITES and args.n_max > DENSE_MAX_QUBITS:
         parser.error(
-            f"--suite {args.suite} uses dense matrices, limited to {DENSE_MAX_QUBITS} qubits; "
-            f"got --n-max {args.n_max}"
+            f"--suite {args.suite} is limited to {DENSE_MAX_QUBITS} qubits; got --n-max {args.n_max}"
         )
     reports = run_suite(args.suite, args.n_max, seed=args.seed, tol=_verification_tolerance())
     for report in reports:

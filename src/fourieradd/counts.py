@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .arithmetic import (
@@ -10,7 +11,7 @@ from .arithmetic import (
     const_adder_circuit,
     draper_inner_circuit,
 )
-from .circuits import CONTROLLED_PHASE, HADAMARD, PHASE, Circuit, qft_circuit
+from .circuits import CONTROLLED_PHASE, HADAMARD, PHASE, SWAP, Circuit, qft_circuit
 
 
 @dataclass(frozen=True)
@@ -62,17 +63,10 @@ class GateCountReport:
 
 def count_gates(circuit: Circuit) -> GateCountReport:
     """Exact per-kind tallies of a circuit."""
-    hadamards = phases = controlled = swaps = 0
-    for gate in circuit.gates:
-        if gate.kind == HADAMARD:
-            hadamards += 1
-        elif gate.kind == PHASE:
-            phases += 1
-        elif gate.kind == CONTROLLED_PHASE:
-            controlled += 1
-        else:
-            swaps += 1
-    return GateCountReport(circuit.n_qubits, hadamards, phases, controlled, swaps)
+    kinds = Counter(gate.kind for gate in circuit.gates)
+    return GateCountReport(
+        circuit.n_qubits, kinds[HADAMARD], kinds[PHASE], kinds[CONTROLLED_PHASE], kinds[SWAP]
+    )
 
 
 @dataclass(frozen=True)

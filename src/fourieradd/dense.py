@@ -4,8 +4,8 @@ Everything here is built straight from defining formulas, independent of
 the gate kernels, so circuits and matrices can be checked against each
 other; the equivalence check reads the angles of the program's phase stage.
 Matrices have 4**N entries, so the layer is capped at DENSE_MAX_QUBITS
-qubits; the equivalence check needs only 2**N-entry diagonals but keeps
-the same cap.
+qubits. The equivalence and modularity checks build no matrix, only
+2**N-entry diagonals and columns, but keep the same cap.
 
 Integer exponents of omega = exp(2*pi*i / 2**N) are reduced mod 2**N
 before the complex exponential is evaluated. The reduction is exact for

@@ -155,7 +155,7 @@ def test_addition_wraps_modulo_the_register_size():
     _report(
         "addition wraps modulo the register size",
         passed,
-        f"max_error={worst:.3e}, widths 1..6, inputs up to 4x register size, "
+        f"max_error={worst:.3e}, widths 1..6, columns x < 2^N, constants c and c + 2^N, "
         f"elapsed={elapsed:.1f}s",
     )
     assert passed

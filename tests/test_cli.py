@@ -292,6 +292,15 @@ class TestVerify:
         assert run_cli(["verify", "--suite", "const", "--n-max", "2"]) == 1
         assert "FAILED" in capsys.readouterr().out
 
+    def test_tolerance_override_of_zero_fails_every_modularity_row(self, monkeypatch, capsys):
+        # the constant-shift check has no bound of its own: the override applies to it as well
+        monkeypatch.setenv("FOURIER_ADDER_TOL", "0")
+        assert run_cli(["verify", "--suite", "modularity", "--n-max", "2"]) == 1
+        *rows, summary = capsys.readouterr().out.splitlines()
+        assert [row.split()[0] for row in rows] == ["modularity", "modular-constant-shift"] * 2
+        assert all(row.endswith("  FAIL") for row in rows)
+        assert summary == "4 of 4 checks FAILED"
+
     def test_tolerance_override_loosened(self, monkeypatch, capsys):
         monkeypatch.setenv("FOURIER_ADDER_TOL", "1.0")
         assert run_cli(["verify", "--suite", "const", "--n-max", "2"]) == 0

@@ -1,0 +1,137 @@
+"""Fault matrix: each verify suite must FAIL on every fault it claims to cover.
+
+Each fault is injected by monkeypatching one seam of the program; each suite
+runs at a small width. COVERS is the measured matrix of (fault, suite) pairs
+that fail. Every other pair is a gap, listed in GAPS with its reason, so a
+gap is a visible decision rather than a silent one. A gap that a later change
+closes makes its pair fail here and moves to COVERS.
+"""
+
+import itertools
+import math
+
+import numpy as np
+import pytest
+
+import fourieradd.arithmetic
+import fourieradd.circuits
+import fourieradd.dense
+import fourieradd.verify
+from fourieradd import Circuit, ConstAdderSpec, phase, run_suite
+
+WIDTHS = {"const": 3, "draper": 3, "equivalence": 4, "modularity": 4}
+
+
+def nan_hadamard(monkeypatch):
+    original = fourieradd.circuits.apply_hadamard
+
+    def patched(state, target):
+        original(state, target)
+        state.amplitudes[:] = np.nan
+
+    monkeypatch.setattr(fourieradd.circuits, "apply_hadamard", patched)
+
+
+def phase_off_by_one_unit(monkeypatch):
+    # one unit of the angle grid at that qubit: the rotation for c + 1 instead of c
+    original = fourieradd.circuits.apply_phase
+
+    def patched(state, target, theta):
+        original(state, target, theta + math.pi / 2 ** (state.n_qubits - target))
+
+    monkeypatch.setattr(fourieradd.circuits, "apply_phase", patched)
+
+
+def cphase_off(monkeypatch):
+    original = fourieradd.circuits.apply_controlled_phase
+
+    def patched(state, control, target, theta):
+        original(state, control, target, theta + 0.01)
+
+    monkeypatch.setattr(fourieradd.circuits, "apply_controlled_phase", patched)
+
+
+def swap_dropped(monkeypatch):
+    monkeypatch.setattr(fourieradd.circuits, "apply_swap", lambda state, qubit_a, qubit_b: None)
+
+
+def stage_for_next_constant(monkeypatch):
+    original = fourieradd.arithmetic.phase_adder_circuit
+
+    def patched(spec):
+        return original(ConstAdderSpec(spec.n_qubits, spec.constant + 1))
+
+    for module in (fourieradd.arithmetic, fourieradd.dense):
+        monkeypatch.setattr(module, "phase_adder_circuit", patched)
+
+
+def trailing_phase(monkeypatch):
+    original = fourieradd.arithmetic.const_adder_circuit
+
+    def patched(spec):
+        circuit = original(spec)
+        return Circuit(circuit.n_qubits, circuit.gates + (phase(1, 0.3),))
+
+    for module in (fourieradd.arithmetic, fourieradd.verify):
+        monkeypatch.setattr(module, "const_adder_circuit", patched)
+
+
+FAULTS = {
+    "nan": nan_hadamard,
+    "phase": phase_off_by_one_unit,
+    "cphase": cphase_off,
+    "swap": swap_dropped,
+    "c+1": stage_for_next_constant,
+    "trailing-phase": trailing_phase,
+}
+
+COVERS = {
+    "const": {"phase", "cphase", "swap", "c+1"},
+    "draper": {"cphase", "swap"},
+    "equivalence": {"c+1"},
+    "modularity": {"nan", "phase", "cphase", "swap", "c+1"},
+}
+
+NAN_BLIND = "the sweeps never pick a NaN score (perfbench test_nan_kernel_passes_the_programs_own_sweep)"
+PHASE_BLIND = "scoring basis inputs by probability cannot see a relative phase"
+NO_CONST_ADDER = "draper runs no phase kernel and builds no constant adder"
+NO_KERNEL = "the equivalence check calls no kernel"
+
+GAPS = {
+    ("nan", "const"): NAN_BLIND,
+    ("nan", "draper"): NAN_BLIND,
+    ("nan", "equivalence"): NO_KERNEL,
+    ("phase", "draper"): NO_CONST_ADDER,
+    ("phase", "equivalence"): NO_KERNEL,
+    ("cphase", "equivalence"): NO_KERNEL,
+    ("swap", "equivalence"): NO_KERNEL,
+    ("c+1", "draper"): NO_CONST_ADDER,
+    ("trailing-phase", "const"): PHASE_BLIND,
+    ("trailing-phase", "draper"): NO_CONST_ADDER,
+    ("trailing-phase", "equivalence"): "the equivalence check reads the phase stage, not the whole adder",
+    ("trailing-phase", "modularity"): PHASE_BLIND,
+}
+
+PAIRS = list(itertools.product(FAULTS, WIDTHS))
+
+
+def test_covers_and_gaps_partition_every_pair():
+    covered = {(fault, suite) for suite, faults in COVERS.items() for fault in faults}
+    assert covered.isdisjoint(GAPS)
+    assert covered | set(GAPS) == set(PAIRS)
+    assert len(PAIRS) == 24
+
+
+def test_every_suite_passes_on_the_clean_program():
+    for suite, n_max in WIDTHS.items():
+        assert all(report.passed for report in run_suite(suite, n_max))
+
+
+@pytest.mark.parametrize("fault, suite", PAIRS, ids=[f"{fault}-{suite}" for fault, suite in PAIRS])
+def test_fault_matrix(monkeypatch, fault, suite):
+    FAULTS[fault](monkeypatch)
+    passed = all(report.passed for report in run_suite(suite, WIDTHS[suite]))
+    if fault in COVERS[suite]:
+        assert not passed, f"{suite} passes with the {fault} fault it claims to cover"
+    else:
+        assert passed, f"{suite} now fails on {fault}: move the pair from GAPS to COVERS"
