@@ -15,16 +15,17 @@ Circuit interchange format (JSON):
 
 from __future__ import annotations
 
+import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
-from itertools import groupby
 
 import numpy as np
 
 from .statevector import (
     StateVector,
     apply_controlled_phase,
+    apply_diagonal,
     apply_hadamard,
     apply_phase,
     apply_swap,
@@ -48,8 +49,9 @@ _SETS_OPTIONAL = {
     for kind, fields in GATE_FIELDS.items()
 }
 
-# Largest state one run_on_basis batch uses, and the block size of run_circuit
-# on wider states (1 MiB); read at call time, and a power of two.
+# Largest state that run_circuit runs gate by gate and that one run_on_basis
+# batch uses (1 MiB); a wider state runs run_circuit's plan over blocks of this
+# many amplitudes. Read at call time, and a power of two.
 BATCH_AMPLITUDES = 1 << 16
 # Below three qubits a phase or controlled phase can act on one amplitude,
 # which numpy multiplies on another path than the run of amplitudes it becomes
@@ -154,39 +156,38 @@ def inverse_qft_circuit(n_qubits: int) -> Circuit:
 def run_circuit(circuit: Circuit, state: StateVector) -> None:
     """Apply the gates in list order, mutating the state in place.
 
-    On a state of more than BATCH_AMPLITUDES = 2**b amplitudes, each maximal
-    run of consecutive gates on qubits 1..b runs block by block: such gates
-    never mix amplitudes across the aligned 2**b-amplitude blocks, so the whole
-    run is applied to one cache-sized block before the next is loaded. Every
-    gate still goes through its apply_* kernel, once per block, so each
-    amplitude sees the same arithmetic as in a whole-state pass and the output
-    is bitwise the same.
+    A state of at most BATCH_AMPLITUDES = 2**b amplitudes takes one apply_*
+    kernel call per gate over the whole state. A wider state runs the plan
+    that _plan compiles from the same gate list: swaps relabel qubits,
+    consecutive diagonal gates become phase-vector multiplies, and every step
+    but a Hadamard above qubit b runs block by block over the aligned
+    2**b-amplitude blocks, so a stretch of steps is applied to one
+    cache-sized block before the next is loaded. Qubits still out of place at
+    the end are put back with apply_swap. The plan multiplies its phases in
+    another order than the gates do, so its output is within DEFAULT_TOL of
+    the per-gate loop rather than bitwise the same.
     """
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit is over {circuit.n_qubits} qubit(s), state has {state.n_qubits}"
         )
-    block_amplitudes = BATCH_AMPLITUDES
-    if state.dim <= block_amplitudes:
+    if state.dim <= BATCH_AMPLITUDES:
         _apply_gates(circuit.gates, state)
         return
-    block_qubits = block_amplitudes.bit_length() - 1
-    for in_block, run in groupby(circuit.gates, key=lambda gate: _top_qubit(gate) <= block_qubits):
-        if not in_block:
-            _apply_gates(run, state)
-            continue
-        run = tuple(run)
-        for block in state.amplitudes.reshape(-1, block_amplitudes):
-            _apply_gates(run, StateVector(block_qubits, block))
-
-
-def _top_qubit(gate: Gate) -> int:
-    return max(gate.target, gate.control or 0, gate.other or 0)
+    steps, where = _plan(circuit)
+    _run_plan(steps, state, BATCH_AMPLITUDES.bit_length() - 1)
+    # where[q] is the position that holds qubit q; put each qubit back in its place
+    for qubit in range(1, len(where)):
+        position = where[qubit]
+        if position != qubit:
+            apply_swap(state, qubit, position)
+            displaced = where.index(qubit)  # the qubit that held position `qubit`
+            where[displaced], where[qubit] = position, qubit
 
 
 def _apply_gates(gates, state: StateVector) -> None:
-    # the kernels are looked up by name on every call, so a patched
-    # circuits.apply_* reaches every gate and every block
+    # the kernels are looked up by name on every call, here and in the plan,
+    # so a patched circuits.apply_* reaches every call
     for gate in gates:
         if gate.kind == HADAMARD:
             apply_hadamard(state, gate.target)
@@ -196,6 +197,161 @@ def _apply_gates(gates, state: StateVector) -> None:
             apply_controlled_phase(state, gate.control, gate.target, gate.angle)
         else:
             apply_swap(state, gate.target, gate.other)
+
+
+@dataclass(frozen=True)
+class _Diagonal:
+    """Consecutive diagonal gates as one step over positions (relabelled qubits).
+
+    Each term (qubit, angle) multiplies by exp(i*angle) the amplitudes whose
+    qubit and shared bits are set; a term with qubit None needs only shared
+    set. Without a shared qubit every term is a single-qubit phase.
+    """
+
+    shared: int | None
+    terms: tuple[tuple[int | None, float], ...]
+
+
+def _plan(circuit: Circuit) -> tuple[list, list[int]]:
+    """The steps of a wide run, and where[q], the position that holds qubit q after them.
+
+    A step is a Hadamard's position (an int) or a _Diagonal. A swap only
+    exchanges two entries of where, and every later gate is read through it.
+    """
+    where = list(range(circuit.n_qubits + 1))
+    steps: list = []
+    run: list[tuple[tuple[int, ...], float]] = []  # diagonal gates since the last Hadamard
+    for gate in circuit.gates:
+        if gate.kind == SWAP:
+            where[gate.target], where[gate.other] = where[gate.other], where[gate.target]
+        elif gate.kind == HADAMARD:
+            steps.extend(_group_diagonals(run))
+            run = []
+            steps.append(where[gate.target])
+        elif gate.kind == PHASE:
+            run.append(((where[gate.target],), gate.angle))
+        else:
+            run.append(((where[gate.control], where[gate.target]), gate.angle))
+    steps.extend(_group_diagonals(run))
+    return steps, where
+
+
+def _group_diagonals(run) -> list[_Diagonal]:
+    """Split a run of diagonal gates into steps that share one qubit or are all single-qubit phases.
+
+    A step's shared qubit is the one its first gate has in common with the
+    next gate, so the register adder's rotations group by control.
+    """
+    steps = []
+    start = 0
+    while start < len(run):
+        qubits = run[start][0]
+        following = run[start + 1][0] if start + 1 < len(run) else ()
+        if len(qubits) == 1 and len(following) != 2:
+            shared = None
+            stop = start + 1
+            while stop < len(run) and len(run[stop][0]) == 1:
+                stop += 1
+        else:
+            shared = next((qubit for qubit in qubits if qubit in following), max(qubits))
+            stop = start + 1
+            while stop < len(run) and shared in run[stop][0]:
+                stop += 1
+        terms = tuple(
+            (next((qubit for qubit in gate_qubits if qubit != shared), None), angle)
+            for gate_qubits, angle in run[start:stop]
+        )
+        steps.append(_Diagonal(shared, terms))
+        start = stop
+    return steps
+
+
+@dataclass(frozen=True)
+class _Multiply:
+    """A _Diagonal as apply_diagonal arguments for each block of the state.
+
+    factors covers the block's positions low..low+K-1; control is the shared
+    position when it lies in the block; scales[i] is what the positions above
+    the block contribute in block i, or None where the step leaves block i
+    alone.
+    """
+
+    factors: np.ndarray
+    low: int
+    control: int | None
+    scales: list
+
+
+def _multiply(step: _Diagonal, n_qubits: int, block_qubits: int) -> _Multiply:
+    constant = 1.0 + 0.0j
+    inside: dict[int, complex] = {}
+    above: dict[int, complex] = {}
+    for qubit, angle in step.terms:
+        rotation = cmath.exp(1j * angle)
+        if qubit is None:
+            constant *= rotation
+        elif qubit <= block_qubits:
+            inside[qubit] = inside.get(qubit, 1.0) * rotation
+        else:
+            above[qubit - block_qubits] = above.get(qubit - block_qubits, 1.0) * rotation
+    shared = step.shared
+    control = shared if shared is not None and shared <= block_qubits else None
+    low, top = (min(inside), max(inside)) if inside else (1, 0)
+    factors = _phase_vector(inside, low, top, constant)
+    scales = _phase_vector(above, 1, n_qubits - block_qubits, 1.0).tolist()
+    if shared is not None and shared > block_qubits:
+        bit = shared - block_qubits - 1
+        scales = [scale if index >> bit & 1 else None for index, scale in enumerate(scales)]
+    return _Multiply(factors, low, control, scales)
+
+
+def _phase_vector(rotations: dict[int, complex], low: int, top: int, first: complex) -> np.ndarray:
+    """Entry k: first times the rotation of every position low + j whose bit j of k is set."""
+    vector = np.empty(1 << (top - low + 1), dtype=np.complex128)
+    vector[0] = first
+    for offset, position in enumerate(range(low, top + 1)):
+        half = 1 << offset
+        np.multiply(vector[:half], rotations.get(position, 1.0), out=vector[half : 2 * half])
+    return vector
+
+
+def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
+    """Run the steps, block by block between Hadamards above the block.
+
+    The phase vectors of a stretch add up to at most one block of amplitudes:
+    a step that would pass that starts a new stretch.
+    """
+    stretch: list = []
+    held = 0
+    for step in steps:
+        if isinstance(step, int) and step > block_qubits:
+            _run_blocked(stretch, state, block_qubits)
+            stretch, held = [], 0
+            apply_hadamard(state, step)
+            continue
+        if isinstance(step, _Diagonal):
+            step = _multiply(step, state.n_qubits, block_qubits)
+            if held + step.factors.size > 1 << block_qubits:
+                _run_blocked(stretch, state, block_qubits)
+                stretch, held = [], 0
+            held += step.factors.size
+        stretch.append(step)
+    _run_blocked(stretch, state, block_qubits)
+
+
+def _run_blocked(stretch: list, state: StateVector, block_qubits: int) -> None:
+    if not stretch:
+        return
+    for index, block in enumerate(state.amplitudes.reshape(-1, 1 << block_qubits)):
+        block_state = StateVector(block_qubits, block)
+        for step in stretch:
+            if isinstance(step, int):
+                apply_hadamard(block_state, step)
+                continue
+            scale = step.scales[index]
+            if scale is not None:
+                factors = step.factors if scale == 1.0 else step.factors * scale
+                apply_diagonal(block_state, factors, step.low, step.control)
 
 
 def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:

@@ -26,6 +26,14 @@ PROB_DISPLAY_CUTOFF = 1e-12
 # add-reg prints a=... b=... only when one basis state holds at least this probability
 BASIS_OUTPUT_MIN_PROB = 1.0 - 1e-9
 QFT_DUMP_MAX_QUBITS = 6
+# Peak memory of a run, checked before anything is allocated. A state of 2**N
+# 16-byte amplitudes runs beside the Hadamard's two half-state temporaries.
+# Per entry of its 4**N inputs, the const sweep holds its 8-byte scores twice
+# (per constant and joined); the draper sweep holds five 8-byte arrays (inputs,
+# operands, targets, scores) and runs each input as a 4**N-amplitude state,
+# whose output it copies: 40 + 3 * 16 bytes. `all` is held to the larger.
+STATE_BYTES_PER_AMPLITUDE = 2 * 16
+SWEEP_BYTES_PER_ENTRY = {"const": 16, "draper": 88, "all": 88}
 
 
 def _positive_int(text: str) -> int:
@@ -108,6 +116,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory, as the operating system reports them."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _require_memory(parser: argparse.ArgumentParser, needed: int, request: str) -> None:
+    """Refuse, as a usage error and before anything is allocated, a run that would not fit in memory."""
+    available = _physical_memory()
+    if needed > available:
+        parser.error(f"{request} needs more than the {available / 2**30:.3g} GiB of physical memory")
+
+
 def _load_state_file(path: str, n_qubits: int) -> StateVector:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -136,6 +156,7 @@ def _print_state_table(state: StateVector) -> None:
 
 
 def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
+    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE << args.n, f"--n {args.n}")
     dim = 1 << args.n
     try:
         value = int(args.input)
@@ -154,6 +175,7 @@ def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_add_reg(args, parser: argparse.ArgumentParser) -> int:
+    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE << (2 * args.n), f"--n {args.n} ({2 * args.n} qubits)")
     dim = 1 << args.n
     if args.a >= dim:
         parser.error(f"--a {args.a} out of range: expected 0 <= a < {dim}")
@@ -187,6 +209,8 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
         parser.error(
             f"--suite {args.suite} is limited to {DENSE_MAX_QUBITS} qubits; got --n-max {args.n_max}"
         )
+    if args.suite in SWEEP_BYTES_PER_ENTRY:
+        _require_memory(parser, SWEEP_BYTES_PER_ENTRY[args.suite] << (2 * args.n_max), f"--n-max {args.n_max}")
     reports = run_suite(args.suite, args.n_max, seed=args.seed, tol=_verification_tolerance())
     for report in reports:
         status = "pass" if report.passed else "FAIL"

@@ -177,6 +177,46 @@ def apply_controlled_phase(state: StateVector, control: int, target: int, theta:
         part[:, 1, :, 1] *= rotation
 
 
+def apply_diagonal(state: StateVector, factors: np.ndarray, low: int, control: int | None = None) -> None:
+    """Multiply each amplitude by factors[k], k the value of its qubits low..low+K-1.
+
+    factors holds 2**K entries, K >= 0, and is broadcast over the other qubits.
+    With a control qubit, only the amplitudes whose control bit is set are
+    multiplied; if the control is one of the K qubits, the entries whose bit
+    for it is clear are never read. The factors are taken as given: the plan
+    in circuits.py builds them from the gates' finite angles.
+    """
+    factors = np.asarray(factors, dtype=np.complex128)
+    size = factors.size
+    span = size.bit_length() - 1
+    if factors.shape != (1 << span,):
+        raise ValueError(f"factors must be a flat vector of 2**K entries, got shape {factors.shape}")
+    _check_qubit(state.n_qubits, low, "low")
+    _check_qubit(state.n_qubits, low + max(span, 1) - 1, "top")
+    below = 1 << (low - 1)
+    amplitudes = state.amplitudes
+    # view: the amplitudes to multiply; operand: the factors, broadcast from view's axis `axis` on
+    axis, operand = 1, factors
+    if control is None:
+        view = amplitudes.reshape(-1, size, below)
+    else:
+        _check_qubit(state.n_qubits, control, "control")
+        if control < low:
+            # axes: (top bits, factor bits, bits between, control bit, lower bits)
+            view = amplitudes.reshape(-1, size, below >> control, 2, 1 << (control - 1))[:, :, :, 1]
+        elif control < low + span:
+            # axes: (top bits, factor bits above control, control bit, factor bits below, lower bits)
+            inner = 1 << (control - low)
+            view = amplitudes.reshape(-1, size // (2 * inner), 2, inner, below)[:, :, 1]
+            operand = factors.reshape(-1, 2, inner)[:, 1]
+        else:
+            # axes: (top bits, control bit, bits between, factor bits, lower bits)
+            view = amplitudes.reshape(-1, 2, 1 << (control - low - span), size, below)[:, 1]
+            axis = 2
+    for part in _parts(view):
+        part *= operand.reshape(operand.shape + (1,) * (part.ndim - axis - operand.ndim))
+
+
 def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> None:
     """Exchange the two qubits: amplitudes at indices differing only in those bits trade places."""
     _check_qubit(state.n_qubits, qubit_a, "qubit_a")

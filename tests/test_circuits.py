@@ -1,5 +1,7 @@
+import cmath
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ import pytest
 import fourieradd.circuits as circuits_module
 from fourieradd import (
     BATCH_AMPLITUDES,
+    DEFAULT_TOL,
     Circuit,
     ConstAdderSpec,
     DraperAdderSpec,
@@ -278,10 +281,11 @@ class TestRunOnBasis:
 
 
 BLOCK_QUBITS = 4  # the block width the tests below patch in, so that 5-9 qubits cross it
+KERNEL_NAMES = ("apply_hadamard", "apply_phase", "apply_controlled_phase", "apply_swap", "apply_diagonal")
 
 
 def run_gate_by_gate(circuit, state):
-    """Reference for run_circuit's blocked runs: every gate on the whole state, in list order."""
+    """Reference for run_circuit's plan: every gate on the whole state, in list order."""
     for gate in circuit.gates:
         if gate.kind == "h":
             apply_hadamard(state, gate.target)
@@ -293,22 +297,31 @@ def run_gate_by_gate(circuit, state):
             apply_swap(state, gate.target, gate.other)
 
 
-def assert_blocked_run_is_bitwise(circuit, seed):
+def gate_path_error(circuit, seed):
+    """Largest distance between run_circuit's output and the gate-by-gate run's, on a random state."""
     expected = random_state(circuit.n_qubits, seed)
     actual = expected.copy()
     run_gate_by_gate(circuit, expected)
     run_circuit(circuit, actual)
-    assert np.array_equal(actual.amplitudes.view(np.float64), expected.amplitudes.view(np.float64))
+    return float(np.max(np.abs(actual.amplitudes - expected.amplitudes)))
+
+
+def roll_error(n, constant, seed):
+    """Largest distance of the constant adder's output from np.roll of its random input."""
+    before = random_state(n, seed)
+    after = before.copy()
+    apply_const_add(after, constant)
+    return float(np.max(np.abs(after.amplitudes - np.roll(before.amplitudes, constant % (1 << n)))))
 
 
 def record_kernel_widths(monkeypatch):
-    """Wrap the four kernels where run_circuit looks them up; returns the width of every call."""
-    widths = []
-    for name in ("apply_hadamard", "apply_phase", "apply_controlled_phase", "apply_swap"):
+    """Wrap the kernels where run_circuit looks them up; returns the widths of each kernel's calls."""
+    widths = {name: [] for name in KERNEL_NAMES}
+    for name in KERNEL_NAMES:
         original = getattr(circuits_module, name)
 
-        def recorded(state, *args, original=original):
-            widths.append(state.n_qubits)
+        def recorded(state, *args, original=original, calls=widths[name]):
+            calls.append(state.n_qubits)
             original(state, *args)
 
         monkeypatch.setattr(circuits_module, name, recorded)
@@ -340,35 +353,100 @@ def edge_crossing_circuit(n_qubits, seed, low_edges):
     return Circuit(n_qubits, tuple(gates))
 
 
-class TestBlockedRun:
-    @pytest.mark.parametrize("n", [17, 18])
-    def test_constant_adder_is_bitwise_the_gate_by_gate_run(self, n):
-        assert_blocked_run_is_bitwise(const_adder_circuit(ConstAdderSpec(n, 3 * n + 1)), seed=n)
+def leaves_a_permutation(circuit):
+    """Whether the circuit's swaps, composed, move some qubit."""
+    where = list(range(circuit.n_qubits + 1))
+    for gate in circuit.gates:
+        if gate.kind == "swap":
+            where[gate.target], where[gate.other] = where[gate.other], where[gate.target]
+    return where != sorted(where)
 
-    def test_register_adder_is_bitwise_the_gate_by_gate_run(self):
-        assert_blocked_run_is_bitwise(draper_adder_circuit(DraperAdderSpec(9)), seed=9)
+
+def has_an_unshared_diagonal_run(circuit):
+    """Whether some run of diagonal gates between Hadamards has no qubit in common to all its gates."""
+    runs, run = [], []
+    for gate in circuit.gates + (hadamard(1),):
+        if gate.kind == "h":
+            runs.append(run)
+            run = []
+        elif gate.kind != "swap":
+            run.append({gate.target, gate.control} - {None})
+    return any(len(run) > 1 and not set.intersection(*run) for run in runs)
+
+
+class TestBlockedRun:
+    @pytest.mark.parametrize("n", [17, 18, 20])
+    def test_constant_adder_is_the_roll(self, n):
+        assert roll_error(n, 3 * n + 1 - (1 << n), seed=n) < DEFAULT_TOL
+
+    @pytest.mark.parametrize("m", [9, 10])
+    def test_register_adder_is_the_gather(self, m):
+        # y[a + 2**m * ((a + b) mod 2**m)] = x[a + 2**m * b]
+        before = random_state(2 * m, seed=m)
+        after = before.copy()
+        run_circuit(draper_adder_circuit(DraperAdderSpec(m)), after)
+        a, b = np.indices((1 << m, 1 << m))
+        expected = np.empty_like(before.amplitudes)
+        expected[a + (b + a) % (1 << m) * (1 << m)] = before.amplitudes[a + b * (1 << m)]
+        assert np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL
 
     @pytest.mark.parametrize("low_edges", [True, False])
     @pytest.mark.parametrize("n", range(BLOCK_QUBITS + 1, 10))
     def test_random_circuits_across_the_block_edge(self, n, low_edges, monkeypatch):
         monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << BLOCK_QUBITS)
         widths = record_kernel_widths(monkeypatch)
-        for seed in range(4):
-            assert_blocked_run_is_bitwise(edge_crossing_circuit(n, 10 * n + seed, low_edges), seed)
-        assert set(widths) == {BLOCK_QUBITS, n}
+        circuits = [edge_crossing_circuit(n, 10 * n + seed, low_edges) for seed in range(4)]
+        circuits += [random_circuit(n, seed=1000 * n + seed) for seed in range(2)]
+        assert any(leaves_a_permutation(circuit) for circuit in circuits)
+        assert any(has_an_unshared_diagonal_run(circuit) for circuit in circuits)
+        for seed, circuit in enumerate(circuits):
+            assert gate_path_error(circuit, seed) < DEFAULT_TOL
+        assert set(widths["apply_diagonal"]) == {BLOCK_QUBITS}
+        assert set(widths["apply_hadamard"]) == {BLOCK_QUBITS, n}
+        assert set(widths["apply_swap"]) == {n}
+        assert widths["apply_phase"] == widths["apply_controlled_phase"] == []
+
+    def test_states_up_to_the_block_run_gate_by_gate_bitwise(self, monkeypatch):
+        circuit = const_adder_circuit(ConstAdderSpec(16, 12345))
+        expected = random_state(16, seed=16)
+        actual = expected.copy()
+        run_gate_by_gate(circuit, expected)
+        widths = record_kernel_widths(monkeypatch)
+        run_circuit(circuit, actual)
+        assert np.array_equal(actual.amplitudes.view(np.float64), expected.amplitudes.view(np.float64))
+        assert sum(map(len, widths.values())) == len(circuit.gates)
+        assert widths["apply_diagonal"] == []
 
     def test_states_up_to_the_block_run_whole(self, monkeypatch):
         widths = record_kernel_widths(monkeypatch)
         run_circuit(qft_circuit(16), basis_state(16, 5))
-        assert set(widths) == {16}
+        assert set(sum(widths.values(), [])) == {16}
 
-    def test_kernel_work_equals_the_unblocked_closed_form(self, monkeypatch):
-        n = 18
-        circuit = const_adder_circuit(ConstAdderSpec(n, 77))
+    @pytest.mark.parametrize(
+        "circuit",
+        [const_adder_circuit(ConstAdderSpec(18, 77)), draper_adder_circuit(DraperAdderSpec(9))],
+        ids=["const-18", "register-9"],
+    )
+    def test_hadamard_work_is_the_unfused_count_and_no_swap_runs(self, circuit, monkeypatch):
         widths = record_kernel_widths(monkeypatch)
-        run_circuit(circuit, basis_state(n, 5))
-        assert sum(1 << width for width in widths) == len(circuit.gates) << n
-        assert set(widths) == {16, n}
+        run_circuit(circuit, basis_state(circuit.n_qubits, 5))
+        assert sum(1 << width for width in widths["apply_hadamard"]) == count_gates(circuit).hadamard << circuit.n_qubits
+        assert widths["apply_swap"] == []
+
+    @pytest.mark.parametrize(
+        "circuit",
+        [const_adder_circuit(ConstAdderSpec(18, 77)), draper_adder_circuit(DraperAdderSpec(9))],
+        ids=["const-18", "register-9"],
+    )
+    def test_peak_memory_is_one_state_and_two_mebibytes(self, circuit):
+        state = basis_state(circuit.n_qubits, 5)
+        tracemalloc.start()
+        try:
+            run_circuit(circuit, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= state.amplitudes.nbytes + (2 << 20)
 
     def test_a_nan_kernel_reaches_every_block(self, monkeypatch):
         original = circuits_module.apply_hadamard
@@ -381,6 +459,31 @@ class TestBlockedRun:
         state = basis_state(18, 12345)
         apply_const_add(state, 6)
         assert not np.isfinite(state.amplitudes).any()
+
+    def test_a_diagonal_kernel_one_angle_unit_off_fails_the_roll(self, monkeypatch):
+        n = 17
+        assert roll_error(n, 6, seed=n) < DEFAULT_TOL
+        original = circuits_module.apply_diagonal
+        unit = cmath.exp(2j * math.pi / (1 << n))
+
+        def apply_diagonal_off(state, factors, low, control=None):
+            original(state, factors * unit, low, control)
+
+        monkeypatch.setattr(circuits_module, "apply_diagonal", apply_diagonal_off)
+        assert not roll_error(n, 6, seed=n) < DEFAULT_TOL
+
+    def test_a_dropped_swap_breaks_a_left_permutation(self, monkeypatch):
+        # the transform alone leaves its closing swaps as a permutation; the FFT is its oracle
+        n = 17
+        before = random_state(n, seed=n)
+        expected = np.fft.ifft(before.amplitudes) * math.sqrt(1 << n)
+        after = before.copy()
+        run_circuit(qft_circuit(n), after)
+        assert np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL
+        monkeypatch.setattr(circuits_module, "apply_swap", lambda state, qubit_a, qubit_b: None)
+        after = before.copy()
+        run_circuit(qft_circuit(n), after)
+        assert not np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL
 
 
 class TestCombinators:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import fourieradd.circuits as circuits_module
+import fourieradd.cli as cli_module
 from fourieradd import (
     StateVector,
     apply_const_add,
@@ -394,6 +395,50 @@ class TestQftDump:
     def test_rejects_oversized_dump(self, capsys):
         assert run_cli(["qft-dump", "--n", "7"]) == 2
         assert "limited to 6 qubits" in capsys.readouterr().err
+
+
+class TestWidthCap:
+    """Widths past physical memory are usage errors, refused before anything is allocated."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["add", "--n", "40", "--const", "1", "--input", "0"],
+            ["add", "--n", "40", "--const", "1", "--input", "no-such-file.json"],
+            ["add-reg", "--n", "20", "--a", "0", "--b", "1"],
+            ["verify", "--suite", "const", "--n-max", "40"],
+            ["verify", "--suite", "draper", "--n-max", "20"],
+            ["add", "--n", "2000", "--const", "1", "--input", "0"],
+            ["verify", "--suite", "const", "--n-max", "700"],
+        ],
+    )
+    def test_refuses_a_width_past_physical_memory(self, argv, monkeypatch, capsys):
+        def refuse_to_allocate(*args, **kwargs):
+            raise AssertionError("allocated a state before the width check")
+
+        monkeypatch.setattr(cli_module, "basis_state", refuse_to_allocate)
+        monkeypatch.setattr(cli_module, "run_suite", refuse_to_allocate)
+        assert run_cli(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "of physical memory" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, needed",
+        [
+            (["add", "--n", "10", "--const", "3", "--input", "5"], 32 << 10),
+            (["add-reg", "--n", "5", "--a", "1", "--b", "2"], 32 << 10),
+            (["verify", "--suite", "const", "--n-max", "5"], 16 << 10),
+            (["verify", "--suite", "draper", "--n-max", "3"], 88 << 6),
+        ],
+    )
+    def test_the_estimate_is_the_limit(self, argv, needed, monkeypatch, capsys):
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: needed)
+        assert run_cli(argv) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: needed - 1)
+        assert run_cli(argv) == 2
+        assert "of physical memory" in capsys.readouterr().err
 
 
 class TestTopLevel:

@@ -7,6 +7,7 @@ import pytest
 from fourieradd import (
     StateVector,
     apply_controlled_phase,
+    apply_diagonal,
     apply_hadamard,
     apply_phase,
     apply_swap,
@@ -245,6 +246,47 @@ class TestKernelsAgainstTheFirstFormulas:
         # 2**7 amplitudes hold 16 times a last axis of 8, 2**6 do not
         assert len(_parts(_split_view(amplitudes[: 1 << 7], 4))) == 8
         assert len(_parts(_split_view(amplitudes[: 1 << 6], 4))) == 1
+
+
+def reference_diagonal(amplitudes, factors, low, control):
+    """The diagonal as first written: each amplitude's factor and control bit read off its index."""
+    index = np.arange(amplitudes.size)
+    chosen = np.ones(amplitudes.size, dtype=bool) if control is None else (index >> (control - 1)) & 1 == 1
+    amplitudes[chosen] *= factors[(index[chosen] >> (low - 1)) & (factors.size - 1)]
+
+
+class TestDiagonal:
+    @pytest.mark.parametrize("n", [1, 3, 6, 10])
+    def test_every_span_and_control_matches_the_first_formula(self, n):
+        # 10 qubits also take the split paths: views of 2**10 amplitudes over short last axes
+        rng = np.random.default_rng(n)
+        for low in range(1, n + 1):
+            for span in range(0, n - low + 2):
+                factors = np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << span))
+                for control in (None, *range(1, n + 1)):
+                    assert_kernel_matches_reference(
+                        n, low, apply_diagonal, reference_diagonal, factors, low, control
+                    )
+
+    def test_a_control_among_the_factor_qubits_reads_only_its_set_entries(self):
+        state = basis_state(2, 0b10)
+        apply_diagonal(state, np.array([2.0, 3.0, 5.0, 7.0]), 1, control=2)
+        assert np.array_equal(state.amplitudes, [0, 0, 5.0, 0])
+
+    @pytest.mark.parametrize(
+        "factors, low, control",
+        [
+            (np.ones(3), 1, None),
+            (np.ones((2, 2)), 1, None),
+            (np.ones(8), 2, None),
+            (np.ones(2), 0, None),
+            (np.ones(2), 1, 4),
+            (np.ones(1), 4, None),
+        ],
+    )
+    def test_rejects_bad_arguments(self, factors, low, control):
+        with pytest.raises(ValueError):
+            apply_diagonal(basis_state(3, 0), factors, low, control)
 
 
 class TestSwap:
