@@ -53,7 +53,9 @@ from .dense import (
     check_phase_adder_equivalence,
     circuit_to_matrix,
     dft_matrix,
+    modularity_reports,
     permutation_add_matrix,
+    phase_adder_equivalence_reports,
     phase_adder_matrix,
 )
 from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates

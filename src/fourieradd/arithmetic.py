@@ -85,7 +85,7 @@ def phase_adder_circuit(spec: ConstAdderSpec) -> Circuit:
 def const_adder_circuit(spec: ConstAdderSpec) -> Circuit:
     """Full adder: transform, phase stage, inverse transform."""
     n = spec.n_qubits
-    return concat(qft_circuit(n), concat(phase_adder_circuit(spec), inverse_qft_circuit(n)))
+    return concat(qft_circuit(n), phase_adder_circuit(spec), inverse_qft_circuit(n))
 
 
 def apply_const_add(state: StateVector, constant: int) -> None:
@@ -119,4 +119,4 @@ def draper_adder_circuit(spec: DraperAdderSpec) -> Circuit:
     total = 2 * n
     transform_b = shift_qubits(qft_circuit(n), n, total)
     inverse_b = shift_qubits(inverse_qft_circuit(n), n, total)
-    return concat(transform_b, concat(draper_inner_circuit(spec), inverse_b))
+    return concat(transform_b, draper_inner_circuit(spec), inverse_b)

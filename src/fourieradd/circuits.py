@@ -2,8 +2,9 @@
 
 A circuit is an ordered gate list over qubits 1..N. Gates apply left to
 right, so the unitary of a circuit is the right-to-left product of its
-gate matrices. Circuits are treated as immutable once built; helpers
-like concat and inverse always return new objects.
+gate matrices. Circuits are frozen once built; helpers like concat and
+inverse return new objects, and each width's transform and inverse
+transform are built once and shared by every caller.
 
 Circuit interchange format (JSON):
 
@@ -19,6 +20,7 @@ import cmath
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -105,7 +107,7 @@ def swap(target: int, other: int) -> Gate:
     return Gate(SWAP, target, other=other)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
     """Ordered gate list over a fixed register width."""
 
@@ -115,7 +117,7 @@ class Circuit:
     def __post_init__(self) -> None:
         if self.n_qubits < 1:
             raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits}")
-        self.gates = tuple(self.gates)
+        object.__setattr__(self, "gates", tuple(self.gates))
         for gate in self.gates:
             for qubit in (gate.target, gate.control, gate.other):
                 if qubit is not None and qubit > self.n_qubits:
@@ -127,6 +129,12 @@ class Circuit:
         return len(self.gates)
 
 
+# Each width's transforms, built on first use and shared, keyed by (n_qubits,
+# inverted, offset): offset 0 holds what qft_circuit and inverse_qft_circuit
+# return, a larger offset the copy that shift_qubits moves up by that many qubits.
+_TRANSFORMS: dict[tuple[int, bool, int], Circuit] = {}
+
+
 def qft_circuit(n_qubits: int) -> Circuit:
     """Circuit whose unitary is the discrete Fourier transform on basis integers.
 
@@ -134,10 +142,37 @@ def qft_circuit(n_qubits: int) -> Circuit:
     Hadamard followed by controlled phases of angle 2*pi/2**l from every less
     significant qubit s, where l = target - s + 1. A closing swap network
     reverses qubit order, which lines the result up with the matrix whose
-    (j, k) entry is exp(2*pi*i*j*k / 2**N) / sqrt(2**N).
+    (j, k) entry is exp(2*pi*i*j*k / 2**N) / sqrt(2**N). Built once per
+    width; every call returns the same circuit.
     """
     if n_qubits < 1:
         raise ValueError(f"n_qubits must be a positive integer, got {n_qubits}")
+    return _transform(n_qubits, False)
+
+
+def inverse_qft_circuit(n_qubits: int) -> Circuit:
+    """The reverse transform: qft_circuit reversed with every angle negated, built once per width."""
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits}")
+    return _transform(n_qubits, True)
+
+
+def _transform(n_qubits: int, inverted: bool, offset: int = 0) -> Circuit:
+    """The width's transform or inverse transform, moved up by offset qubits; built on first use."""
+    key = (n_qubits, inverted, offset)
+    circuit = _TRANSFORMS.get(key)
+    if circuit is None:
+        if offset:
+            circuit = Circuit(n_qubits + offset, _moved(_transform(n_qubits, inverted).gates, offset))
+        elif inverted:
+            circuit = inverse(_transform(n_qubits, False))
+        else:
+            circuit = _build_qft(n_qubits)
+        _TRANSFORMS[key] = circuit
+    return circuit
+
+
+def _build_qft(n_qubits: int) -> Circuit:
     gates: list[Gate] = []
     for target in range(n_qubits, 0, -1):
         gates.append(hadamard(target))
@@ -146,11 +181,6 @@ def qft_circuit(n_qubits: int) -> Circuit:
     for low in range(1, n_qubits // 2 + 1):
         gates.append(swap(low, n_qubits + 1 - low))
     return Circuit(n_qubits, tuple(gates))
-
-
-def inverse_qft_circuit(n_qubits: int) -> Circuit:
-    """The reverse transform: qft_circuit reversed with every angle negated."""
-    return inverse(qft_circuit(n_qubits))
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> None:
@@ -391,13 +421,14 @@ def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
         start += rows
 
 
-def concat(first: Circuit, second: Circuit) -> Circuit:
-    """Circuit that runs first, then second."""
-    if first.n_qubits != second.n_qubits:
-        raise ValueError(
-            f"register sizes differ: {first.n_qubits} vs {second.n_qubits} qubits"
-        )
-    return Circuit(first.n_qubits, first.gates + second.gates)
+def concat(first: Circuit, *rest: Circuit) -> Circuit:
+    """Circuit that runs the given circuits one after another."""
+    for circuit in rest:
+        if circuit.n_qubits != first.n_qubits:
+            raise ValueError(
+                f"register sizes differ: {first.n_qubits} vs {circuit.n_qubits} qubits"
+            )
+    return Circuit(first.n_qubits, first.gates + tuple(chain.from_iterable(c.gates for c in rest)))
 
 
 def inverse(circuit: Circuit) -> Circuit:
@@ -410,10 +441,28 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 def shift_qubits(circuit: Circuit, offset: int, n_qubits_total: int) -> Circuit:
-    """Remap a circuit onto a wider register, moving every qubit index up by offset."""
+    """Remap a circuit onto a wider register, moving every qubit index up by offset.
+
+    When the circuit opens with the transform of its width, or closes with the
+    inverse transform, that part is taken from the moved copy kept with the
+    transforms: shifting a constant adder rebuilds only its N rotations.
+    """
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    moved = tuple(
+    n_qubits, gates = circuit.n_qubits, circuit.gates
+    head = tail = ()
+    forward = _TRANSFORMS.get((n_qubits, False, 0))
+    if forward is not None and gates[: len(forward)] == forward.gates:
+        head, gates = _transform(n_qubits, False, offset).gates, gates[len(forward) :]
+    backward = _TRANSFORMS.get((n_qubits, True, 0))
+    cut = len(gates) - len(backward) if backward is not None else -1
+    if cut >= 0 and gates[cut:] == backward.gates:
+        tail, gates = _transform(n_qubits, True, offset).gates, gates[:cut]
+    return Circuit(n_qubits_total, head + _moved(gates, offset) + tail)
+
+
+def _moved(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
+    return tuple(
         Gate(
             gate.kind,
             gate.target + offset,
@@ -421,9 +470,8 @@ def shift_qubits(circuit: Circuit, offset: int, n_qubits_total: int) -> Circuit:
             None if gate.other is None else gate.other + offset,
             gate.angle,
         )
-        for gate in circuit.gates
+        for gate in gates
     )
-    return Circuit(n_qubits_total, moved)
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -121,10 +121,17 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _require_memory(parser: argparse.ArgumentParser, needed: int, request: str) -> None:
-    """Refuse, as a usage error and before anything is allocated, a run that would not fit in memory."""
+def _require_memory(
+    parser: argparse.ArgumentParser, bytes_per_entry: int, entry_bits: int, request: str
+) -> None:
+    """Refuse, as a usage error and before anything is allocated, a run that would not fit in memory.
+
+    The run holds bytes_per_entry bytes for each of its 2**entry_bits entries.
+    The bit lengths are compared first, so a huge width never builds that
+    2**entry_bits-sized integer.
+    """
     available = _physical_memory()
-    if needed > available:
+    if entry_bits >= available.bit_length() or bytes_per_entry << entry_bits > available:
         parser.error(f"{request} needs more than the {available / 2**30:.3g} GiB of physical memory")
 
 
@@ -156,7 +163,7 @@ def _print_state_table(state: StateVector) -> None:
 
 
 def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
-    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE << args.n, f"--n {args.n}")
+    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE, args.n, f"--n {args.n}")
     dim = 1 << args.n
     try:
         value = int(args.input)
@@ -175,7 +182,7 @@ def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_add_reg(args, parser: argparse.ArgumentParser) -> int:
-    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE << (2 * args.n), f"--n {args.n} ({2 * args.n} qubits)")
+    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE, 2 * args.n, f"--n {args.n} ({2 * args.n} qubits)")
     dim = 1 << args.n
     if args.a >= dim:
         parser.error(f"--a {args.a} out of range: expected 0 <= a < {dim}")
@@ -210,7 +217,7 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
             f"--suite {args.suite} is limited to {DENSE_MAX_QUBITS} qubits; got --n-max {args.n_max}"
         )
     if args.suite in SWEEP_BYTES_PER_ENTRY:
-        _require_memory(parser, SWEEP_BYTES_PER_ENTRY[args.suite] << (2 * args.n_max), f"--n-max {args.n_max}")
+        _require_memory(parser, SWEEP_BYTES_PER_ENTRY[args.suite], 2 * args.n_max, f"--n-max {args.n_max}")
     reports = run_suite(args.suite, args.n_max, seed=args.seed, tol=_verification_tolerance())
     for report in reports:
         status = "pass" if report.passed else "FAIL"

@@ -259,9 +259,12 @@ def state_from_dict(data) -> StateVector:
     if not isinstance(n_qubits, int) or isinstance(n_qubits, bool) or n_qubits < 1:
         raise ValueError(f'"n" must be a positive integer, got {n_qubits!r}')
     entries = data["amplitudes"]
-    dim = 1 << n_qubits
-    if not isinstance(entries, list) or len(entries) != dim:
-        raise ValueError(f'"amplitudes" must be a list of 2**{n_qubits} = {dim} entries')
+    # bit lengths first: a huge "n" would make 2**n too long to build or print
+    count = len(entries) if isinstance(entries, list) else 0
+    if count.bit_length() != n_qubits + 1 or count != 1 << n_qubits:
+        size = f"2**{n_qubits} = {1 << n_qubits}" if n_qubits < 64 else f"2**{n_qubits}"
+        raise ValueError(f'"amplitudes" must be a list of {size} entries')
+    dim = count
     malformed = _first_malformed(entries)
     well_formed = entries[:malformed]
     try:

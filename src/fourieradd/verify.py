@@ -13,7 +13,7 @@ from .arithmetic import (
     draper_adder_circuit,
 )
 from .circuits import Circuit, run_on_basis
-from .dense import CheckReport, check_modularity, check_phase_adder_equivalence
+from .dense import CheckReport, modularity_reports, phase_adder_equivalence_reports
 from .statevector import DEFAULT_TOL
 
 SUITES = ("const", "draper", "equivalence", "modularity", "all")
@@ -93,28 +93,32 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
 def verify_equivalence(
     n_max: int, samples: int = 20, seed: int = 0, tol: float = DEFAULT_TOL
 ) -> list[CheckReport]:
-    """Tensor-vs-diagonal equivalence for random constants, one report per width."""
+    """Tensor-vs-diagonal equivalence for random constants, one report per width.
+
+    A width's constants are checked in one batched call.
+    """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     reports = []
     for n in range(1, n_max + 1):
         constants = rng.integers(0, 4 * (1 << n), size=samples)
-        reports.append(_worst([check_phase_adder_equivalence(n, int(c), tol=tol) for c in constants]))
+        reports.append(_worst(phase_adder_equivalence_reports(n, constants.tolist(), tol=tol)))
     return reports
 
 
 def verify_modularity(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Wraparound behaviour: the column of each x in [0, 2**N), and constants shifted by 2**N.
 
-    check_modularity reduces x mod 2**N, so a larger x would repeat a column bit for bit.
+    The columns of a width are checked in one batched call. The check reduces x mod 2**N,
+    so a larger x would repeat a column bit for bit.
     For c in (0, 1, 2**N / 2, 2**N - 1), the built adders for c and for c + 2**N must both
     add c mod 2**N on every basis input; that error is floored at 0.0, and NaN fails it.
     """
     reports = []
     for n in range(1, n_max + 1):
         dim = 1 << n
-        reports.append(_worst([check_modularity(n, x, tol=tol) for x in range(dim)]))
+        reports.append(_worst(modularity_reports(n, range(dim), tol=tol)))
         shifts = []
         for c in (0, 1, dim // 2, dim - 1):
             error = float(np.maximum(np.max(_const_errors(n, (c, c + dim))), 0.0))

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -110,6 +111,15 @@ class TestCircuitValidation:
         assert isinstance(circuit.gates, tuple)
         assert len(circuit) == 2
 
+    def test_circuits_are_frozen(self):
+        # the transforms are shared between callers, so no circuit may change
+        circuit = qft_circuit(2)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circuit.gates = ()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            circuit.n_qubits = 3
+        assert circuit == qft_circuit(2) and len(circuit) == 4
+
 
 class TestQftConstruction:
     def test_single_qubit_is_one_hadamard(self):
@@ -149,6 +159,13 @@ class TestQftConstruction:
     def test_rejects_nonpositive_width(self):
         with pytest.raises(ValueError):
             qft_circuit(0)
+        with pytest.raises(ValueError):
+            inverse_qft_circuit(0)
+
+    def test_each_width_is_built_once(self):
+        assert qft_circuit(4) is qft_circuit(4)
+        assert inverse_qft_circuit(4) is inverse_qft_circuit(4)
+        assert qft_circuit(4) is not qft_circuit(5)
 
 
 class TestInverseQft:
@@ -525,6 +542,49 @@ class TestCombinators:
         shifted = shift_qubits(Circuit(2, (hadamard(1), cphase(1, 2, 0.5))), 2, 4)
         assert shifted.n_qubits == 4
         assert shifted.gates == (hadamard(3), cphase(3, 4, 0.5))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 6])
+    @pytest.mark.parametrize("offset", [0, 1, 4])
+    def test_shift_takes_the_transforms_from_the_cache(self, n, offset):
+        # a leading transform and a trailing inverse come from the moved copies;
+        # the result must equal a gate-by-gate shift of every gate
+        def moved(circuit):
+            return tuple(
+                Gate(
+                    gate.kind,
+                    gate.target + offset,
+                    None if gate.control is None else gate.control + offset,
+                    None if gate.other is None else gate.other + offset,
+                    gate.angle,
+                )
+                for gate in circuit.gates
+            )
+
+        adder = const_adder_circuit(ConstAdderSpec(n, 5))
+        transform, backward = qft_circuit(n), inverse_qft_circuit(n)
+        middle = Circuit(n, (phase(1, 0.25), hadamard(n)))
+        for circuit in (
+            adder,
+            transform,
+            backward,
+            concat(transform, middle),
+            concat(middle, backward),
+            concat(middle, transform, middle),
+            concat(backward, transform),
+        ):
+            shifted = shift_qubits(circuit, offset, n + offset + 1)
+            assert shifted.n_qubits == n + offset + 1
+            assert shifted.gates == moved(circuit)
+        # the moved transform is reused, not rebuilt: its gates are the same objects
+        head = shift_qubits(transform, offset, n + offset).gates
+        assert all(ours is cached for ours, cached in zip(shift_qubits(adder, offset, n + offset).gates, head))
+
+    def test_concat_joins_any_number_of_circuits(self):
+        parts = [Circuit(2, (hadamard(1),)), Circuit(2, ()), Circuit(2, (swap(1, 2), phase(2, 0.5)))]
+        assert concat(*parts).gates == (hadamard(1), swap(1, 2), phase(2, 0.5))
+        assert concat(parts[0]) == parts[0]
+        with pytest.raises(ValueError, match="register sizes differ: 2 vs 3"):
+            concat(parts[0], parts[1], qft_circuit(3))
 
     def test_shift_rejects_negative_offset(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,15 @@ class TestAdd:
         path.write_text(json.dumps({"n": 1, "amplitudes": [[10**400, 0], [0, 0]]}))
         assert run_cli(["add", "--n", "1", "--const", "1", "--input", str(path)]) == 1
         assert "amplitude 0 is not finite" in capsys.readouterr().err
+
+    def test_state_file_of_a_huge_width(self, tmp_path, capsys):
+        # 2**(10**6) has more digits than Python converts to text; the error must not need them
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"n": 10**6, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]}))
+        assert run_cli(["add", "--n", "2", "--const", "1", "--input", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert '"amplitudes" must be a list of 2**1000000 entries' in err
+        assert "digits" not in err
 
     def test_state_file_width_mismatch(self, tmp_path, capsys):
         path = tmp_path / "narrow.json"
@@ -422,6 +432,27 @@ class TestWidthCap:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "of physical memory" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["add", "--n", str(10**9), "--const", "1", "--input", "0"],
+            ["add-reg", "--n", str(10**9), "--a", "0", "--b", "1"],
+            ["verify", "--suite", "const", "--n-max", str(10**9)],
+            ["verify", "--suite", "draper", "--n-max", str(10**9)],
+        ],
+    )
+    def test_a_huge_width_is_refused_without_building_its_size(self, argv, capsys):
+        # 32 << 10**9 alone would be a 125 MB integer
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "of physical memory" in capsys.readouterr().err
+        assert peak < 2**20
 
     @pytest.mark.parametrize(
         "argv, needed",

@@ -20,8 +20,10 @@ from fourieradd import (
     const_adder_circuit,
     dft_matrix,
     draper_adder_circuit,
+    modularity_reports,
     permutation_add_matrix,
     phase,
+    phase_adder_equivalence_reports,
     phase_adder_matrix,
     qft_circuit,
     run_circuit,
@@ -280,6 +282,58 @@ class TestEquivalenceCheck:
         report = check_phase_adder_equivalence(4, 9)
         assert math.isnan(report.max_error)
         assert not report.passed
+
+
+class TestBatchedChecks:
+    """A batch of constants or columns reports bit for bit what one-element calls report."""
+
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_equivalence_batch_equals_one_constant_calls(self, n):
+        for seed in range(10):
+            constants = np.random.default_rng(seed).integers(0, 4 << n, size=20).tolist()
+            batched = phase_adder_equivalence_reports(n, constants)
+            single = [check_phase_adder_equivalence(n, c) for c in constants]
+            assert [(r.c, r.max_error.hex(), r.passed) for r in batched] == [
+                (r.c, r.max_error.hex(), r.passed) for r in single
+            ]
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_modularity_batch_equals_one_column_calls(self, n):
+        xs = list(range(1 << n))
+        batched = modularity_reports(n, xs)
+        single = [check_modularity(n, x) for x in xs]
+        assert [(r.c, r.max_error.hex(), r.passed) for r in batched] == [
+            (r.c, r.max_error.hex(), r.passed) for r in single
+        ]
+
+    def test_columns_past_two_to_the_n_repeat_their_residue(self):
+        reports = modularity_reports(3, [5, 13, 10**30 + 5])
+        assert [r.c for r in reports] == [5, 13, 10**30 + 5]
+        assert len({r.max_error.hex() for r in reports}) == 1
+
+    def test_a_negative_column_is_refused(self):
+        with pytest.raises(ValueError, match=">= 0"):
+            modularity_reports(2, [0, 1, -3])
+
+    def test_empty_batches(self):
+        assert phase_adder_equivalence_reports(4, []) == []
+        assert modularity_reports(4, []) == []
+
+    @pytest.mark.parametrize(
+        "check, swept",
+        [(phase_adder_equivalence_reports, range(7, 7 + 20 * 97, 97)), (modularity_reports, range(1 << 12))],
+        ids=["equivalence", "modularity"],
+    )
+    def test_peak_memory_at_the_dense_cap(self, check, swept):
+        # equivalence's 20 constants or all 4096 columns, at most DENSE_BATCH_ENTRIES entries per pass
+        tracemalloc.start()
+        try:
+            reports = check(12, swept)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(report.passed for report in reports)
+        assert peak <= 8 * 2**20
 
 
 class TestModularityCheck:

@@ -384,6 +384,11 @@ class TestStateJson:
         with pytest.raises(ValueError, match="entries"):
             state_from_dict({"n": 2, "amplitudes": [[1.0, 0.0]]})
 
+    @pytest.mark.parametrize("n", [64, 10**6])
+    def test_rejects_wrong_entry_count_at_a_huge_width(self, n):
+        with pytest.raises(ValueError, match=rf'"amplitudes" must be a list of 2\*\*{n} entries'):
+            state_from_dict({"n": n, "amplitudes": [[1.0, 0.0], [0.0, 0.0]]})
+
     def test_rejects_non_normalized(self):
         with pytest.raises(ValueError, match="not normalized"):
             state_from_dict({"n": 1, "amplitudes": [[0.5, 0.0], [0.5, 0.0]]})

@@ -122,24 +122,26 @@ def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
     assert lines[-1] == "3 of 6 checks FAILED"
 
 
-def nan_on_call(check, bad_call):
-    """Wrap a dense check so that its report on call number bad_call carries a NaN error."""
-    calls = []
+def nan_at(check, bad_index):
+    """Wrap a batched dense check so that the report it returns at bad_index carries a NaN error."""
+    swept = []
 
-    def patched(n_qubits, swept, tol):
-        calls.append(swept)
-        report = check(n_qubits, swept, tol=tol)
-        if len(calls) != bad_call:
-            return report
-        return CheckReport(report.check, n_qubits, swept, float("nan"), False)
+    def patched(n_qubits, values, tol):
+        values = list(values)
+        swept.extend(values)
+        reports = check(n_qubits, values, tol=tol)
+        if bad_index < len(reports):
+            report = reports[bad_index]
+            reports[bad_index] = CheckReport(report.check, n_qubits, report.c, float("nan"), False)
+        return reports
 
-    return patched, calls
+    return patched, swept
 
 
 def test_nan_modularity_report_is_the_worst(monkeypatch):
     # x = 1 is the second column checked at n = 1; every other column is near 0
-    patched, _ = nan_on_call(fourieradd.verify.check_modularity, bad_call=2)
-    monkeypatch.setattr(fourieradd.verify, "check_modularity", patched)
+    patched, _ = nan_at(fourieradd.verify.modularity_reports, bad_index=1)
+    monkeypatch.setattr(fourieradd.verify, "modularity_reports", patched)
     report = verify_modularity(1)[0]
     assert (report.check, report.c, report.passed) == ("modularity", 1, False)
     assert np.isnan(report.max_error)
@@ -163,23 +165,22 @@ def test_modularity_reports_equal_the_four_fold_column_sweep():
 
 
 def test_modularity_checks_each_column_below_two_to_the_n_once(monkeypatch):
-    columns = []
-    check = fourieradd.verify.check_modularity
+    calls = []
+    check = fourieradd.verify.modularity_reports
 
-    def recording_check(n_qubits, x, tol):
-        columns.append((n_qubits, x))
-        return check(n_qubits, x, tol=tol)
+    def recording_check(n_qubits, xs, tol):
+        calls.append((n_qubits, list(xs)))
+        return check(n_qubits, xs, tol=tol)
 
-    monkeypatch.setattr(fourieradd.verify, "check_modularity", recording_check)
+    monkeypatch.setattr(fourieradd.verify, "modularity_reports", recording_check)
     verify_modularity(5)
-    assert columns == [(n, x) for n in range(1, 6) for x in range(1 << n)]
+    # one batched call per width, over every column below 2**N in order
+    assert calls == [(n, list(range(1 << n))) for n in range(1, 6)]
 
 
 def test_nan_equivalence_report_is_the_worst(monkeypatch):
-    patched, constants = nan_on_call(
-        fourieradd.verify.check_phase_adder_equivalence, bad_call=2
-    )
-    monkeypatch.setattr(fourieradd.verify, "check_phase_adder_equivalence", patched)
+    patched, constants = nan_at(fourieradd.verify.phase_adder_equivalence_reports, bad_index=1)
+    monkeypatch.setattr(fourieradd.verify, "phase_adder_equivalence_reports", patched)
     report = verify_equivalence(1)[0]
     assert (report.check, report.c, report.passed) == ("phase-adder-equivalence", constants[1], False)
     assert np.isnan(report.max_error)
@@ -189,10 +190,26 @@ def test_worst_report_is_the_first_of_equal_errors(monkeypatch):
     # every x gives the same error, so the report is the one for x = 0
     monkeypatch.setattr(
         fourieradd.verify,
-        "check_modularity",
-        lambda n_qubits, x, tol: CheckReport("modularity", n_qubits, x, 0.5, False),
+        "modularity_reports",
+        lambda n_qubits, xs, tol: [CheckReport("modularity", n_qubits, x, 0.5, False) for x in xs],
     )
     assert verify_modularity(2)[0].c == 0
+
+
+def test_the_const_sweep_builds_each_width_transform_once(monkeypatch, capsys):
+    # with no transform built yet, each width's qft_circuit adds one Hadamard per qubit
+    built = []
+    original = fourieradd.circuits.hadamard
+
+    def counted_hadamard(target):
+        built.append(target)
+        return original(target)
+
+    monkeypatch.setattr(fourieradd.circuits, "_TRANSFORMS", {})
+    monkeypatch.setattr(fourieradd.circuits, "hadamard", counted_hadamard)
+    assert run_cli(["verify", "--suite", "const", "--n-max", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"
+    assert sorted(built) == sorted(target for n in range(1, 6) for target in range(1, n + 1))
 
 
 @pytest.mark.parametrize(
