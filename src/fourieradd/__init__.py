@@ -49,8 +49,6 @@ from .arithmetic import (
 from .dense import (
     DENSE_MAX_QUBITS,
     CheckReport,
-    check_modularity,
-    check_phase_adder_equivalence,
     circuit_to_matrix,
     dft_matrix,
     modularity_reports,

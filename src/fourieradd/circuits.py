@@ -129,10 +129,9 @@ class Circuit:
         return len(self.gates)
 
 
-# Each width's transforms, built on first use and shared, keyed by (n_qubits,
-# inverted, offset): offset 0 holds what qft_circuit and inverse_qft_circuit
-# return, a larger offset the copy that shift_qubits moves up by that many qubits.
-_TRANSFORMS: dict[tuple[int, bool, int], Circuit] = {}
+# Each width's transform and inverse transform, built on first use and shared,
+# keyed by (n_qubits, inverted).
+_TRANSFORMS: dict[tuple[int, bool], Circuit] = {}
 
 
 def qft_circuit(n_qubits: int) -> Circuit:
@@ -157,17 +156,12 @@ def inverse_qft_circuit(n_qubits: int) -> Circuit:
     return _transform(n_qubits, True)
 
 
-def _transform(n_qubits: int, inverted: bool, offset: int = 0) -> Circuit:
-    """The width's transform or inverse transform, moved up by offset qubits; built on first use."""
-    key = (n_qubits, inverted, offset)
+def _transform(n_qubits: int, inverted: bool) -> Circuit:
+    """The width's transform or inverse transform, built on first use."""
+    key = (n_qubits, inverted)
     circuit = _TRANSFORMS.get(key)
     if circuit is None:
-        if offset:
-            circuit = Circuit(n_qubits + offset, _moved(_transform(n_qubits, inverted).gates, offset))
-        elif inverted:
-            circuit = inverse(_transform(n_qubits, False))
-        else:
-            circuit = _build_qft(n_qubits)
+        circuit = inverse(_transform(n_qubits, False)) if inverted else _build_qft(n_qubits)
         _TRANSFORMS[key] = circuit
     return circuit
 
@@ -215,18 +209,18 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
             where[displaced], where[qubit] = position, qubit
 
 
-def _apply_gates(gates, state: StateVector) -> None:
-    # the kernels are looked up by name on every call, here and in the plan,
-    # so a patched circuits.apply_* reaches every call
+def _apply_gates(gates, state: StateVector, offset: int = 0) -> None:
+    # every qubit index is moved up by offset; the kernels are looked up by name
+    # on every call, here and in the plan, so a patched circuits.apply_* reaches every call
     for gate in gates:
         if gate.kind == HADAMARD:
-            apply_hadamard(state, gate.target)
+            apply_hadamard(state, gate.target + offset)
         elif gate.kind == PHASE:
-            apply_phase(state, gate.target, gate.angle)
+            apply_phase(state, gate.target + offset, gate.angle)
         elif gate.kind == CONTROLLED_PHASE:
-            apply_controlled_phase(state, gate.control, gate.target, gate.angle)
+            apply_controlled_phase(state, gate.control + offset, gate.target + offset, gate.angle)
         else:
-            apply_swap(state, gate.target, gate.other)
+            apply_swap(state, gate.target + offset, gate.other + offset)
 
 
 @dataclass(frozen=True)
@@ -349,31 +343,32 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
     """Run the steps, block by block between Hadamards above the block.
 
     The phase vectors of a stretch add up to at most one block of amplitudes:
-    a step that would pass that starts a new stretch.
+    a step that would pass that starts a new stretch. The blocks are wrapped
+    as states once, before any step runs.
     """
+    blocks = [StateVector(block_qubits, block) for block in state.amplitudes.reshape(-1, 1 << block_qubits)]
     stretch: list = []
     held = 0
     for step in steps:
         if isinstance(step, int) and step > block_qubits:
-            _run_blocked(stretch, state, block_qubits)
+            _run_blocked(stretch, blocks)
             stretch, held = [], 0
             apply_hadamard(state, step)
             continue
         if isinstance(step, _Diagonal):
             step = _multiply(step, state.n_qubits, block_qubits)
             if held + step.factors.size > 1 << block_qubits:
-                _run_blocked(stretch, state, block_qubits)
+                _run_blocked(stretch, blocks)
                 stretch, held = [], 0
             held += step.factors.size
         stretch.append(step)
-    _run_blocked(stretch, state, block_qubits)
+    _run_blocked(stretch, blocks)
 
 
-def _run_blocked(stretch: list, state: StateVector, block_qubits: int) -> None:
+def _run_blocked(stretch: list, blocks: list[StateVector]) -> None:
     if not stretch:
         return
-    for index, block in enumerate(state.amplitudes.reshape(-1, 1 << block_qubits)):
-        block_state = StateVector(block_qubits, block)
+    for index, block_state in enumerate(blocks):
         for step in stretch:
             if isinstance(step, int):
                 apply_hadamard(block_state, step)
@@ -389,13 +384,14 @@ def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
 
     Row j of outputs is the output state for inputs[start + j]. A block of
     2**k inputs runs as one state of N + k qubits whose low k qubits index
-    the input, with the circuit shifted up by k; no gate touches those
-    qubits, so every amplitude goes through the same arithmetic as in a run
-    per input and the rows are bitwise equal to those runs. Keeping the
-    input index lowest gives every gate inner runs of at least 2**k
-    contiguous amplitudes. A block holds at most BATCH_AMPLITUDES
-    amplitudes, or a single input when one state is larger than that or
-    the circuit is narrower than BATCH_MIN_QUBITS.
+    the input: the circuit's own gates are applied with every qubit index
+    moved up by k. No gate touches the low k qubits, so every amplitude goes
+    through the same arithmetic as in a run per input and the rows are
+    bitwise equal to those runs. Keeping the input index lowest gives every
+    gate inner runs of at least 2**k contiguous amplitudes. A block holds at
+    most BATCH_AMPLITUDES amplitudes, or a single input, which run_circuit
+    runs, when one state is larger than that or the circuit is narrower
+    than BATCH_MIN_QUBITS.
     """
     n_qubits, dim = circuit.n_qubits, 1 << circuit.n_qubits
     inputs = np.asarray(inputs, dtype=np.int64)
@@ -406,17 +402,17 @@ def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
     widest = 0
     if n_qubits >= BATCH_MIN_QUBITS:
         widest = max(BATCH_AMPLITUDES.bit_length() - 1 - n_qubits, 0)
-    shifted = {0: circuit}
     start = 0
     while start < inputs.size:
         k = min(widest, (inputs.size - start).bit_length() - 1)
         rows = 1 << k
-        if k not in shifted:
-            shifted[k] = shift_qubits(circuit, k, n_qubits + k)
         amplitudes = np.zeros((dim, rows), dtype=np.complex128)
         amplitudes[inputs[start : start + rows], np.arange(rows)] = 1.0
         state = StateVector(n_qubits + k, amplitudes.reshape(-1))
-        run_circuit(shifted[k], state)
+        if k:
+            _apply_gates(circuit.gates, state, k)
+        else:
+            run_circuit(circuit, state)
         yield start, np.ascontiguousarray(state.amplitudes.reshape(dim, rows).T)
         start += rows
 
@@ -441,28 +437,15 @@ def inverse(circuit: Circuit) -> Circuit:
 
 
 def shift_qubits(circuit: Circuit, offset: int, n_qubits_total: int) -> Circuit:
-    """Remap a circuit onto a wider register, moving every qubit index up by offset.
-
-    When the circuit opens with the transform of its width, or closes with the
-    inverse transform, that part is taken from the moved copy kept with the
-    transforms: shifting a constant adder rebuilds only its N rotations.
-    """
+    """Remap a circuit onto a register at least as wide, moving every qubit index up by offset."""
     if offset < 0:
         raise ValueError(f"offset must be >= 0, got {offset}")
-    n_qubits, gates = circuit.n_qubits, circuit.gates
-    head = tail = ()
-    forward = _TRANSFORMS.get((n_qubits, False, 0))
-    if forward is not None and gates[: len(forward)] == forward.gates:
-        head, gates = _transform(n_qubits, False, offset).gates, gates[len(forward) :]
-    backward = _TRANSFORMS.get((n_qubits, True, 0))
-    cut = len(gates) - len(backward) if backward is not None else -1
-    if cut >= 0 and gates[cut:] == backward.gates:
-        tail, gates = _transform(n_qubits, True, offset).gates, gates[:cut]
-    return Circuit(n_qubits_total, head + _moved(gates, offset) + tail)
-
-
-def _moved(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
-    return tuple(
+    if n_qubits_total < circuit.n_qubits + offset:
+        raise ValueError(
+            f"a register of {n_qubits_total} qubit(s) cannot hold {circuit.n_qubits} qubit(s) "
+            f"moved up by {offset}"
+        )
+    moved = tuple(
         Gate(
             gate.kind,
             gate.target + offset,
@@ -470,8 +453,9 @@ def _moved(gates: tuple[Gate, ...], offset: int) -> tuple[Gate, ...]:
             None if gate.other is None else gate.other + offset,
             gate.angle,
         )
-        for gate in gates
+        for gate in circuit.gates
     )
+    return Circuit(n_qubits_total, moved)
 
 
 def circuit_to_dict(circuit: Circuit) -> dict:

@@ -94,7 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
     p_verify.add_argument("--n-max", type=_positive_int, default=4, help="largest width to sweep")
-    p_verify.add_argument("--seed", type=int, default=0, help="seed for randomized constants")
+    p_verify.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for randomized constants")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_counts = sub.add_parser("counts", help="operation-count table for both adders")

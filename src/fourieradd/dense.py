@@ -125,13 +125,6 @@ def _row_chunks(rows: int, dim: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def check_phase_adder_equivalence(
-    n_qubits: int, constant: int, tol: float = DEFAULT_TOL
-) -> CheckReport:
-    """phase_adder_equivalence_reports for one constant."""
-    return phase_adder_equivalence_reports(n_qubits, [constant], tol=tol)[0]
-
-
 def phase_adder_equivalence_reports(
     n_qubits: int, constants: Iterable[int], tol: float = DEFAULT_TOL
 ) -> list[CheckReport]:
@@ -188,11 +181,6 @@ def phase_adder_equivalence_reports(
         CheckReport("phase-adder-equivalence", n_qubits, constant, max_error, max_error < tol)
         for constant, max_error in zip(constants, max_errors.tolist())
     ]
-
-
-def check_modularity(n_qubits: int, x: int, tol: float = DEFAULT_TOL) -> CheckReport:
-    """modularity_reports for one column."""
-    return modularity_reports(n_qubits, [x], tol=tol)[0]
 
 
 def modularity_reports(n_qubits: int, xs: Iterable[int], tol: float = DEFAULT_TOL) -> list[CheckReport]:

@@ -45,6 +45,10 @@ class StateVector:
                 f"expected 2**{self.n_qubits} = {1 << self.n_qubits} amplitudes, "
                 f"got shape {self.amplitudes.shape}"
             )
+        # a NaN reaches min and max, an infinity one of them; neither allocates a state-sized temporary
+        parts = self.amplitudes.view(np.float64)
+        if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+            raise ValueError("amplitudes must be finite")
 
     @property
     def dim(self) -> int:

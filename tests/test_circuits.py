@@ -288,6 +288,29 @@ class TestRunOnBasis:
         sizes = [len(outputs) for _, outputs in run_on_basis(Circuit(n, ()), np.arange(1000) % 512)]
         assert sizes == [BATCH_AMPLITUDES >> n] * 7 + [64, 32, 8]
 
+    @pytest.mark.parametrize(
+        "circuit",
+        [
+            const_adder_circuit(ConstAdderSpec(2, 3)),
+            const_adder_circuit(ConstAdderSpec(6, 5)),
+            draper_adder_circuit(DraperAdderSpec(3)),
+        ],
+        ids=["const-2", "const-6", "register-3"],
+    )
+    def test_builds_no_circuit(self, circuit, monkeypatch):
+        # every block applies the circuit's own gates, moved up past its input qubits as they run
+        built = []
+        original = Circuit.__post_init__
+
+        def counted(self):
+            built.append(self.n_qubits)
+            original(self)
+
+        monkeypatch.setattr(Circuit, "__post_init__", counted)
+        blocks = list(run_on_basis(circuit, range(1 << circuit.n_qubits)))
+        assert sum(len(outputs) for _, outputs in blocks) == 1 << circuit.n_qubits
+        assert built == []
+
     def test_no_inputs_yield_no_blocks(self):
         assert list(run_on_basis(qft_circuit(3), [])) == []
 
@@ -465,6 +488,21 @@ class TestBlockedRun:
             tracemalloc.stop()
         assert peak <= state.amplitudes.nbytes + (2 << 20)
 
+    def test_each_block_is_wrapped_once_per_run(self, monkeypatch):
+        circuit = const_adder_circuit(ConstAdderSpec(18, 77))
+        state = basis_state(18, 5)
+        built = []
+        original = StateVector.__post_init__
+
+        def counted(self):
+            built.append(self.n_qubits)
+            original(self)
+
+        monkeypatch.setattr(StateVector, "__post_init__", counted)
+        run_circuit(circuit, state)
+        block_qubits = BATCH_AMPLITUDES.bit_length() - 1
+        assert built == [block_qubits] * (1 << (18 - block_qubits))
+
     def test_a_nan_kernel_reaches_every_block(self, monkeypatch):
         original = circuits_module.apply_hadamard
 
@@ -545,9 +583,7 @@ class TestCombinators:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 6])
     @pytest.mark.parametrize("offset", [0, 1, 4])
-    def test_shift_takes_the_transforms_from_the_cache(self, n, offset):
-        # a leading transform and a trailing inverse come from the moved copies;
-        # the result must equal a gate-by-gate shift of every gate
+    def test_shift_moves_every_gate_of_adders_and_transforms(self, n, offset):
         def moved(circuit):
             return tuple(
                 Gate(
@@ -575,9 +611,6 @@ class TestCombinators:
             shifted = shift_qubits(circuit, offset, n + offset + 1)
             assert shifted.n_qubits == n + offset + 1
             assert shifted.gates == moved(circuit)
-        # the moved transform is reused, not rebuilt: its gates are the same objects
-        head = shift_qubits(transform, offset, n + offset).gates
-        assert all(ours is cached for ours, cached in zip(shift_qubits(adder, offset, n + offset).gates, head))
 
     def test_concat_joins_any_number_of_circuits(self):
         parts = [Circuit(2, (hadamard(1),)), Circuit(2, ()), Circuit(2, (swap(1, 2), phase(2, 0.5)))]
@@ -589,6 +622,11 @@ class TestCombinators:
     def test_shift_rejects_negative_offset(self):
         with pytest.raises(ValueError):
             shift_qubits(qft_circuit(2), -1, 2)
+
+    @pytest.mark.parametrize("offset, n_qubits_total", [(0, 1), (0, 2), (1, 3), (2, 4)])
+    def test_shift_refuses_a_register_too_narrow_for_the_moved_circuit(self, offset, n_qubits_total):
+        with pytest.raises(ValueError, match="cannot hold 3 qubit"):
+            shift_qubits(Circuit(3, (hadamard(1),)), offset, n_qubits_total)
 
 
 # one gate of every kind

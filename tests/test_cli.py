@@ -227,8 +227,9 @@ def dense_state(n_qubits, seed):
 def nan_state():
     amplitudes = np.zeros(8, dtype=np.complex128)
     amplitudes[[1, 6]] = math.sqrt(0.5)
-    amplitudes[3] = complex(math.nan, 0.0)
-    return StateVector(3, amplitudes)
+    state = StateVector(3, amplitudes)
+    state.amplitudes[3] = complex(math.nan, 0.0)  # set after construction, which refuses NaN
+    return state
 
 
 class TestStateTable:
@@ -292,6 +293,13 @@ class TestVerify:
     def test_rejects_unknown_suite(self, capsys):
         assert run_cli(["verify", "--suite", "everything"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("suite", ["const", "draper", "equivalence", "modularity", "all"])
+    def test_rejects_negative_seed(self, suite, capsys):
+        assert run_cli(["verify", "--suite", suite, "--n-max", "2", "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "expected a non-negative integer, got -1" in captured.err
 
     def test_rejects_zero_width_bound(self, capsys):
         assert run_cli(["verify", "--suite", "const", "--n-max", "0"]) == 2

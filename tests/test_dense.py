@@ -14,8 +14,6 @@ from fourieradd import (
     ConstAdderSpec,
     DraperAdderSpec,
     basis_state,
-    check_modularity,
-    check_phase_adder_equivalence,
     circuit_to_matrix,
     const_adder_circuit,
     dft_matrix,
@@ -174,14 +172,14 @@ class TestOracleChain:
 class TestEquivalenceCheck:
     @pytest.mark.parametrize("n,c", [(1, 0), (1, 1), (2, 3), (4, 9), (6, 41), (8, 200)])
     def test_passes_for_valid_inputs(self, n, c):
-        report = check_phase_adder_equivalence(n, c)
+        report = phase_adder_equivalence_reports(n, [c])[0]
         assert report.passed
         assert report.max_error < 1e-10
         assert report.check == "phase-adder-equivalence"
         assert (report.n_qubits, report.c) == (n, c)
 
     def test_constant_beyond_range_passes(self):
-        assert check_phase_adder_equivalence(3, 8 + 5).passed
+        assert phase_adder_equivalence_reports(3, [8 + 5])[0].passed
 
     def test_factor_order_matters(self):
         # building the product with the most significant factor on the wrong
@@ -194,7 +192,7 @@ class TestEquivalenceCheck:
 
     def test_respects_dense_cap(self):
         with pytest.raises(ValueError, match="1..12"):
-            check_phase_adder_equivalence(13, 1)
+            phase_adder_equivalence_reports(13, [1])[0]
 
     @staticmethod
     def dense_reference(n, c):
@@ -219,13 +217,13 @@ class TestEquivalenceCheck:
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bitwise_equal_to_the_dense_matrix_check(self, n):
         for c in range(4 << n):
-            assert check_phase_adder_equivalence(n, c) == self.dense_reference(n, c)
+            assert phase_adder_equivalence_reports(n, [c])[0] == self.dense_reference(n, c)
 
     def test_peak_memory_at_the_dense_cap(self):
         # one 4096 by 4096 complex matrix alone is 256 MiB; the diagonals are 64 KiB
         tracemalloc.start()
         try:
-            report = check_phase_adder_equivalence(12, 2**11 + 3)
+            report = phase_adder_equivalence_reports(12, [2**11 + 3])[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -246,7 +244,7 @@ class TestEquivalenceCheck:
                 return rotation(theta)
 
             monkeypatch.setattr(fourieradd.dense, "_rotation", shifted)
-            report = check_phase_adder_equivalence(n, c)
+            report = phase_adder_equivalence_reports(n, [c])[0]
             assert len(calls) == n
             assert not report.passed
             assert report.max_error > 1e-4
@@ -261,7 +259,7 @@ class TestEquivalenceCheck:
             lambda spec: build(ConstAdderSpec(spec.n_qubits, spec.constant + 1)),
         )
         for c in (0, 5, (1 << n) - 1, 3 << n):
-            report = check_phase_adder_equivalence(n, c)
+            report = phase_adder_equivalence_reports(n, [c])[0]
             assert not report.passed
             assert report.max_error > 1e-4
 
@@ -269,7 +267,7 @@ class TestEquivalenceCheck:
         monkeypatch.setattr(
             fourieradd.dense, "_rotation", lambda theta: np.array([1.0, complex("nan")])
         )
-        report = check_phase_adder_equivalence(4, 9)
+        report = phase_adder_equivalence_reports(4, [9])[0]
         assert math.isnan(report.max_error)
         assert not report.passed
 
@@ -279,7 +277,7 @@ class TestEquivalenceCheck:
             "_phase_adder_diagonal",
             lambda dim, reduced: np.full(dim, complex("nan")),
         )
-        report = check_phase_adder_equivalence(4, 9)
+        report = phase_adder_equivalence_reports(4, [9])[0]
         assert math.isnan(report.max_error)
         assert not report.passed
 
@@ -292,7 +290,7 @@ class TestBatchedChecks:
         for seed in range(10):
             constants = np.random.default_rng(seed).integers(0, 4 << n, size=20).tolist()
             batched = phase_adder_equivalence_reports(n, constants)
-            single = [check_phase_adder_equivalence(n, c) for c in constants]
+            single = [phase_adder_equivalence_reports(n, [c])[0] for c in constants]
             assert [(r.c, r.max_error.hex(), r.passed) for r in batched] == [
                 (r.c, r.max_error.hex(), r.passed) for r in single
             ]
@@ -301,7 +299,7 @@ class TestBatchedChecks:
     def test_modularity_batch_equals_one_column_calls(self, n):
         xs = list(range(1 << n))
         batched = modularity_reports(n, xs)
-        single = [check_modularity(n, x) for x in xs]
+        single = [modularity_reports(n, [x])[0] for x in xs]
         assert [(r.c, r.max_error.hex(), r.passed) for r in batched] == [
             (r.c, r.max_error.hex(), r.passed) for r in single
         ]
@@ -342,17 +340,17 @@ class TestModularityCheck:
         [(2, 5, 1), (3, 8, 0), (2, 2, 2), (3, 29, 5), (1, 7, 1)],
     )
     def test_lands_on_wrapped_value(self, n, x, target):
-        report = check_modularity(n, x)
+        report = modularity_reports(n, [x])[0]
         assert report.passed
         assert report.c == x
         assert x % (1 << n) == target
 
     def test_huge_column_index(self):
-        assert check_modularity(4, 10**30 + 7).passed
+        assert modularity_reports(4, [10**30 + 7])[0].passed
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError, match=">= 0"):
-            check_modularity(2, -1)
+            modularity_reports(2, [-1])[0]
 
     @pytest.mark.parametrize("n", [1, 3, 6, 9])
     def test_agrees_with_the_full_inverse_transform(self, n):
@@ -362,12 +360,12 @@ class TestModularityCheck:
         for x in range(0, 4 * dim, max(1, dim // 8)):
             column = np.exp(2j * np.pi * ((np.arange(dim) * x) % dim) / dim) / math.sqrt(dim)
             expected = 1.0 - abs((adjoint @ column)[x % dim]) ** 2
-            assert abs(check_modularity(n, x).max_error - expected) < 1e-15
+            assert abs(modularity_reports(n, [x])[0].max_error - expected) < 1e-15
 
 
 class TestCheckReport:
     def test_json_shape(self):
-        report = check_modularity(2, 5)
+        report = modularity_reports(2, [5])[0]
         doc = json.loads(json.dumps(report.to_dict()))
         assert set(doc) == {"check", "n", "c", "max_error", "pass"}
         assert doc["n"] == 2

@@ -28,6 +28,17 @@ def random_state(n_qubits, seed):
     return StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
+class TestStateVector:
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [[math.nan, 0], [0, complex(0.0, math.nan)], [math.inf, 0], [0, complex(0.0, -math.inf)]],
+        ids=["nan", "nan-imag", "inf", "-inf-imag"],
+    )
+    def test_refuses_amplitudes_that_are_not_finite(self, amplitudes):
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            StateVector(1, amplitudes)
+
+
 class TestBasisState:
     def test_single_qubit_zero(self):
         assert np.array_equal(basis_state(1, 0).amplitudes, [1, 0])
@@ -202,7 +213,8 @@ def awkward_amplitudes(n_qubits, seed):
 def assert_kernel_matches_reference(n_qubits, seed, kernel, reference, *args):
     # compared as integers, so the sign of a zero and the bits of a NaN count too
     expected = awkward_amplitudes(n_qubits, seed)
-    state = StateVector(n_qubits, expected.copy())
+    state = StateVector(n_qubits, np.zeros_like(expected))
+    state.amplitudes[:] = expected  # after construction, which refuses the NaN
     reference(expected, *args)
     kernel(state, *args)
     assert np.array_equal(state.amplitudes.view(np.uint64), expected.view(np.uint64)), args

@@ -13,9 +13,9 @@ from fourieradd import (
     ConstAdderSpec,
     DraperAdderSpec,
     basis_state,
-    check_modularity,
     const_adder_circuit,
     draper_adder_circuit,
+    modularity_reports,
     run_circuit,
     verify_const_adder,
     verify_draper,
@@ -91,14 +91,18 @@ def test_batched_sweep_reports_equal_a_run_per_input(sweep, reference, n_max):
 
 
 def test_no_run_of_the_draper_sweep_exceeds_the_batch_cap(monkeypatch, capsys):
-    widths = []
-    original = fourieradd.circuits.run_circuit
+    # a run applies every kernel to one state, and runs follow one another, so
+    # the width of each run is recorded where the state first changes
+    widths, last = [], [None]
+    original = fourieradd.circuits.apply_hadamard
 
-    def recording_run_circuit(circuit, state):
-        widths.append(state.n_qubits)
-        original(circuit, state)
+    def recording_hadamard(state, target):
+        if state is not last[0]:
+            widths.append(state.n_qubits)
+            last[0] = state
+        original(state, target)
 
-    monkeypatch.setattr(fourieradd.circuits, "run_circuit", recording_run_circuit)
+    monkeypatch.setattr(fourieradd.circuits, "apply_hadamard", recording_hadamard)
     assert run_cli(["verify", "--suite", "draper", "--n-max", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"
     assert max(1 << n for n in widths) <= BATCH_AMPLITUDES
@@ -151,7 +155,7 @@ def reference_modularity_report(n):
     """The first worst of the columns x in [0, 4 * 2**N): a strictly greater error wins."""
     worst = None
     for x in range(4 << n):
-        report = check_modularity(n, x)
+        report = modularity_reports(n, [x])[0]
         if worst is None or report.max_error > worst.max_error:
             worst = report
     return worst
