@@ -31,6 +31,7 @@ from .statevector import (
     apply_hadamard,
     apply_phase,
     apply_swap,
+    require_finite,
 )
 
 HADAMARD = "h"
@@ -189,12 +190,21 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
     cache-sized block before the next is loaded. Qubits still out of place at
     the end are put back with apply_swap. The plan multiplies its phases in
     another order than the gates do, so its output is within DEFAULT_TOL of
-    the per-gate loop rather than bitwise the same.
+    the per-gate loop rather than bitwise the same. A state holding a
+    non-finite amplitude is refused at every width: the per-gate path checks
+    at entry, the plan when it wraps its blocks.
     """
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit is over {circuit.n_qubits} qubit(s), state has {state.n_qubits}"
         )
+    if state.dim <= BATCH_AMPLITUDES:
+        require_finite(state.amplitudes)
+    _run(circuit, state)
+
+
+def _run(circuit: Circuit, state: StateVector) -> None:
+    """run_circuit without the finiteness check on the per-gate path."""
     if state.dim <= BATCH_AMPLITUDES:
         _apply_gates(circuit.gates, state)
         return
@@ -380,18 +390,11 @@ def _run_blocked(stretch: list, blocks: list[StateVector]) -> None:
 
 
 def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
-    """Run the circuit on each basis input, yielding (start, outputs) blocks.
+    """Run the circuit on each basis input, yielding run_on_states's (start, outputs) blocks.
 
-    Row j of outputs is the output state for inputs[start + j]. A block of
-    2**k inputs runs as one state of N + k qubits whose low k qubits index
-    the input: the circuit's own gates are applied with every qubit index
-    moved up by k. No gate touches the low k qubits, so every amplitude goes
-    through the same arithmetic as in a run per input and the rows are
-    bitwise equal to those runs. Keeping the input index lowest gives every
-    gate inner runs of at least 2**k contiguous amplitudes. A block holds at
-    most BATCH_AMPLITUDES amplitudes, or a single input, which run_circuit
-    runs, when one state is larger than that or the circuit is narrower
-    than BATCH_MIN_QUBITS.
+    The one-hot case of run_on_states: row j of outputs is the output state
+    for inputs[start + j], and each block's one-hot rows are written into the
+    batch state as it is filled, so no (inputs, 2**N) array is built.
     """
     n_qubits, dim = circuit.n_qubits, 1 << circuit.n_qubits
     inputs = np.asarray(inputs, dtype=np.int64)
@@ -399,21 +402,71 @@ def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
         raise ValueError(f"inputs must be a flat sequence of basis values, got shape {inputs.shape}")
     if inputs.size and not (0 <= inputs.min() and inputs.max() < dim):
         raise ValueError(f"inputs out of range: expected 0 <= value < 2**{n_qubits} = {dim}")
+
+    def one_hot(start: int, block: np.ndarray) -> None:
+        block[...] = 0.0
+        rows = block.shape[1]
+        block[inputs[start : start + rows], np.arange(rows)] = 1.0
+
+    return run_filled(circuit, inputs.size, one_hot)
+
+
+def run_on_states(circuit: Circuit, rows) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the circuit on each row of a (R, 2**N) array of input states, yielding (start, outputs) blocks.
+
+    Row j of outputs is the output state for rows[start + j]. The rows are
+    copied into the batch state and never changed; they are not checked for
+    finiteness, so a row holding NaN runs through the kernels like any other.
+    """
+    rows = np.asarray(rows, dtype=np.complex128)
+    if rows.ndim != 2 or rows.shape[1] != 1 << circuit.n_qubits:
+        raise ValueError(f"rows must have shape (R, 2**{circuit.n_qubits}), got {rows.shape}")
+
+    def copy(start: int, block: np.ndarray) -> None:
+        block[...] = rows[start : start + block.shape[1]].T
+
+    return run_filled(circuit, len(rows), copy)
+
+
+def run_filled(circuit: Circuit, count: int, fill) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the circuit on count inputs that fill writes into each block, yielding (start, outputs) blocks.
+
+    fill(start, block) writes inputs start, start + 1, ... as the columns of
+    block, a (2**N, rows) view of the batch state: one column per input, so
+    the input index sits on the low qubits. A block of 2**k inputs runs as
+    one state of N + k qubits: the circuit's own gates are applied with every
+    qubit index moved up by k. No gate touches the low k qubits, so every
+    amplitude goes through the same arithmetic as in a run per input and the
+    rows are bitwise equal to those runs. Keeping the input index lowest
+    gives every gate inner runs of at least 2**k contiguous amplitudes. A
+    block holds at most BATCH_AMPLITUDES amplitudes, or a single input, which
+    runs as run_circuit runs it but unchecked for finiteness, when one state
+    is larger than that or the circuit is narrower than BATCH_MIN_QUBITS.
+    Every block is filled into one work state, wrapped once per call, and
+    outputs is a copy of it.
+    """
+    if not count:
+        return
+    n_qubits, dim = circuit.n_qubits, 1 << circuit.n_qubits
     widest = 0
     if n_qubits >= BATCH_MIN_QUBITS:
         widest = max(BATCH_AMPLITUDES.bit_length() - 1 - n_qubits, 0)
+    # blocks only shrink, so the first one sizes the work state
+    k = min(widest, count.bit_length() - 1)
+    work = StateVector(n_qubits + k, np.zeros(dim << k, dtype=np.complex128))
+    buffer = work.amplitudes
     start = 0
-    while start < inputs.size:
-        k = min(widest, (inputs.size - start).bit_length() - 1)
+    while start < count:
+        k = min(widest, (count - start).bit_length() - 1)
         rows = 1 << k
-        amplitudes = np.zeros((dim, rows), dtype=np.complex128)
-        amplitudes[inputs[start : start + rows], np.arange(rows)] = 1.0
-        state = StateVector(n_qubits + k, amplitudes.reshape(-1))
+        work.n_qubits, work.amplitudes = n_qubits + k, buffer[: dim << k]
+        block = work.amplitudes.reshape(dim, rows)
+        fill(start, block)
         if k:
-            _apply_gates(circuit.gates, state, k)
+            _apply_gates(circuit.gates, work, k)
         else:
-            run_circuit(circuit, state)
-        yield start, np.ascontiguousarray(state.amplitudes.reshape(dim, rows).T)
+            _run(circuit, work)
+        yield start, block.T.copy()
         start += rows
 
 

@@ -45,10 +45,7 @@ class StateVector:
                 f"expected 2**{self.n_qubits} = {1 << self.n_qubits} amplitudes, "
                 f"got shape {self.amplitudes.shape}"
             )
-        # a NaN reaches min and max, an infinity one of them; neither allocates a state-sized temporary
-        parts = self.amplitudes.view(np.float64)
-        if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
-            raise ValueError("amplitudes must be finite")
+        require_finite(self.amplitudes)
 
     @property
     def dim(self) -> int:
@@ -62,6 +59,14 @@ class StateVector:
 
     def copy(self) -> StateVector:
         return StateVector(self.n_qubits, self.amplitudes.copy())
+
+
+def require_finite(amplitudes: np.ndarray) -> None:
+    """Refuse an amplitude array that holds a NaN or an infinity."""
+    # a NaN reaches min and max, an infinity one of them; neither allocates a state-sized temporary
+    parts = amplitudes.view(np.float64)
+    if not (math.isfinite(parts.min()) and math.isfinite(parts.max())):
+        raise ValueError("amplitudes must be finite")
 
 
 def basis_state(n_qubits: int, value: int) -> StateVector:

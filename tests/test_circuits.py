@@ -39,6 +39,7 @@ from fourieradd import (
     qft_circuit,
     run_circuit,
     run_on_basis,
+    run_on_states,
     shift_qubits,
     swap,
 )
@@ -218,6 +219,15 @@ class TestRunCircuit:
         with pytest.raises(ValueError, match="qubit"):
             run_circuit(qft_circuit(2), basis_state(3, 0))
 
+    @pytest.mark.parametrize("n", [3, 16, 17])
+    def test_refuses_a_non_finite_amplitude_at_every_width(self, n):
+        # 16 qubits is the widest state run gate by gate, 17 the narrowest run as a plan
+        state = basis_state(n, 0)
+        state.amplitudes[1] = np.nan
+        with pytest.raises(ValueError, match="amplitudes must be finite"):
+            run_circuit(qft_circuit(n), state)
+        assert state.amplitudes[0] == 1.0  # refused before any gate ran
+
     def test_gates_apply_left_to_right(self):
         # phase after hadamard differs from hadamard after phase on |0>
         order_a = Circuit(1, (hadamard(1), phase(1, math.pi / 2)))
@@ -318,6 +328,82 @@ class TestRunOnBasis:
     def test_rejects_bad_inputs(self, inputs):
         with pytest.raises(ValueError):
             list(run_on_basis(qft_circuit(3), inputs))
+
+
+def random_rows(n_qubits, count, seed):
+    """count unnormalized complex rows of 2**n_qubits amplitudes; the runner takes rows as given."""
+    rng = np.random.default_rng(seed)
+    shape = (count, 1 << n_qubits)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def run_each_row(circuit, rows):
+    """Reference for run_on_states: every gate on a state of its own per row, NaN rows included."""
+    outputs = []
+    for row in rows:
+        state = StateVector(circuit.n_qubits, np.zeros(len(row), dtype=np.complex128))
+        state.amplitudes[:] = row  # after construction, which refuses a NaN
+        run_gate_by_gate(circuit, state)
+        outputs.append(state.amplitudes)
+    return np.array(outputs)
+
+
+def joined(blocks):
+    blocks = list(blocks)
+    sizes = [len(outputs) for _, outputs in blocks]
+    assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(blocks))]
+    assert all(outputs.size <= BATCH_AMPLITUDES for _, outputs in blocks)
+    return np.concatenate([outputs for _, outputs in blocks])
+
+
+class TestRunOnStates:
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_one_hot_rows_give_the_run_on_basis_blocks_bitwise(self, n):
+        circuit = random_circuit(n, seed=200 + n)
+        inputs = np.random.default_rng(n).integers(0, 1 << n, size=(1 << n) + 3)
+        rows = np.zeros((len(inputs), 1 << n), dtype=np.complex128)
+        rows[np.arange(len(inputs)), inputs] = 1.0
+        from_rows = list(run_on_states(circuit, rows))
+        from_inputs = list(run_on_basis(circuit, inputs))
+        assert [start for start, _ in from_rows] == [start for start, _ in from_inputs]
+        for (_, outputs), (_, expected) in zip(from_rows, from_inputs):
+            assert np.array_equal(outputs.view(np.float64), expected.view(np.float64))
+
+    @pytest.mark.parametrize("n,count", [(1, 3), (2, 4), (4, 13), (6, 1000)])
+    def test_rows_are_unchanged_and_each_output_is_a_run_of_its_own(self, n, count):
+        # 1 and 2 qubits run one row a block; 13 rows of 4 qubits end in blocks of 4 and 1
+        circuit = random_circuit(n, seed=300 + n, n_gates=30)
+        rows = random_rows(n, count, seed=n)
+        before = rows.tobytes()
+        outputs = joined(run_on_states(circuit, rows))
+        assert rows.tobytes() == before
+        assert np.array_equal(outputs.view(np.float64), run_each_row(circuit, rows).view(np.float64))
+
+    @pytest.mark.parametrize("n", [2, 5])
+    def test_a_row_holding_nan_runs_like_any_other(self, n):
+        circuit = random_circuit(n, seed=400 + n, n_gates=30)
+        rows = random_rows(n, 8, seed=n)
+        rows[3, 1] = np.nan
+        outputs = joined(run_on_states(circuit, rows))
+        assert np.isnan(outputs[3]).any()
+        assert np.array_equal(outputs, run_each_row(circuit, rows), equal_nan=True)
+
+    def test_the_transform_rows_give_the_adders_outputs_bitwise(self):
+        # the const sweep's sharing: the transform once, then the rest of each adder on its rows
+        n = 5
+        transform = qft_circuit(n)
+        transformed = joined(run_on_basis(transform, range(1 << n)))
+        for c in (0, 7, 31):
+            adder = const_adder_circuit(ConstAdderSpec(n, c))
+            rest = Circuit(n, adder.gates[len(transform) :])
+            outputs = joined(run_on_states(rest, transformed))
+            expected = run_batched(adder, range(1 << n))
+            assert np.array_equal(outputs.view(np.float64), expected.view(np.float64))
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 16, 1)])
+    def test_rejects_rows_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match="rows must have shape"):
+            list(run_on_states(qft_circuit(3), np.zeros(shape)))
 
 
 BLOCK_QUBITS = 4  # the block width the tests below patch in, so that 5-9 qubits cross it

@@ -17,7 +17,7 @@ import fourieradd.arithmetic
 import fourieradd.circuits
 import fourieradd.dense
 import fourieradd.verify
-from fourieradd import Circuit, ConstAdderSpec, phase, run_suite
+from fourieradd import Circuit, ConstAdderSpec, cphase, phase, run_suite
 
 WIDTHS = {"const": 3, "draper": 3, "equivalence": 4, "modularity": 4}
 
@@ -76,6 +76,22 @@ def trailing_phase(monkeypatch):
         monkeypatch.setattr(module, "const_adder_circuit", patched)
 
 
+def transform_cphase_off(monkeypatch):
+    # only the adders' transform is wrong: verify's own shared transform stays correct,
+    # so an adder that does not begin with it must run whole
+    original = fourieradd.arithmetic.qft_circuit
+
+    def patched(n_qubits):
+        gates = list(original(n_qubits).gates)
+        first = next((i for i, gate in enumerate(gates) if gate.kind == "cphase"), None)
+        if first is not None:
+            gate = gates[first]
+            gates[first] = cphase(gate.control, gate.target, gate.angle + 0.01)
+        return Circuit(n_qubits, tuple(gates))
+
+    monkeypatch.setattr(fourieradd.arithmetic, "qft_circuit", patched)
+
+
 FAULTS = {
     "nan": nan_hadamard,
     "phase": phase_off_by_one_unit,
@@ -83,19 +99,21 @@ FAULTS = {
     "swap": swap_dropped,
     "c+1": stage_for_next_constant,
     "trailing-phase": trailing_phase,
+    "transform": transform_cphase_off,
 }
 
 COVERS = {
-    "const": {"phase", "cphase", "swap", "c+1"},
-    "draper": {"cphase", "swap"},
+    "const": {"phase", "cphase", "swap", "c+1", "transform"},
+    "draper": {"cphase", "swap", "transform"},
     "equivalence": {"c+1"},
-    "modularity": {"nan", "phase", "cphase", "swap", "c+1"},
+    "modularity": {"nan", "phase", "cphase", "swap", "c+1", "transform"},
 }
 
 NAN_BLIND = "the sweeps never pick a NaN score (perfbench test_nan_kernel_passes_the_programs_own_sweep)"
 PHASE_BLIND = "scoring basis inputs by probability cannot see a relative phase"
 NO_CONST_ADDER = "draper runs no phase kernel and builds no constant adder"
 NO_KERNEL = "the equivalence check calls no kernel"
+READS_THE_STAGE = "the equivalence check reads the phase stage, not the whole adder"
 
 GAPS = {
     ("nan", "const"): NAN_BLIND,
@@ -108,8 +126,9 @@ GAPS = {
     ("c+1", "draper"): NO_CONST_ADDER,
     ("trailing-phase", "const"): PHASE_BLIND,
     ("trailing-phase", "draper"): NO_CONST_ADDER,
-    ("trailing-phase", "equivalence"): "the equivalence check reads the phase stage, not the whole adder",
+    ("trailing-phase", "equivalence"): READS_THE_STAGE,
     ("trailing-phase", "modularity"): PHASE_BLIND,
+    ("transform", "equivalence"): READS_THE_STAGE,
 }
 
 PAIRS = list(itertools.product(FAULTS, WIDTHS))
@@ -119,7 +138,7 @@ def test_covers_and_gaps_partition_every_pair():
     covered = {(fault, suite) for suite, faults in COVERS.items() for fault in faults}
     assert covered.isdisjoint(GAPS)
     assert covered | set(GAPS) == set(PAIRS)
-    assert len(PAIRS) == 24
+    assert len(PAIRS) == 28
 
 
 def test_every_suite_passes_on_the_clean_program():

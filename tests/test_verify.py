@@ -1,6 +1,7 @@
 """The exhaustive sweeps run their inputs in batches; their reports must not change."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -91,23 +92,33 @@ def test_batched_sweep_reports_equal_a_run_per_input(sweep, reference, n_max):
 
 
 def test_no_run_of_the_draper_sweep_exceeds_the_batch_cap(monkeypatch, capsys):
-    # a run applies every kernel to one state, and runs follow one another, so
-    # the width of each run is recorded where the state first changes
-    widths, last = [], [None]
+    # every block is filled into one work state, so runs are told apart by width alone
+    widths = set()
     original = fourieradd.circuits.apply_hadamard
 
     def recording_hadamard(state, target):
-        if state is not last[0]:
-            widths.append(state.n_qubits)
-            last[0] = state
+        widths.add(state.n_qubits)
         original(state, target)
 
     monkeypatch.setattr(fourieradd.circuits, "apply_hadamard", recording_hadamard)
     assert run_cli(["verify", "--suite", "draper", "--n-max", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"
-    assert max(1 << n for n in widths) <= BATCH_AMPLITUDES
-    # 4 + 16 + 64 + 256 + 1024 inputs take 23 runs: only widths 1 and 5 need more than one
-    assert len(widths) == 4 + 1 + 1 + 1 + 16
+    assert max(1 << n for n in widths) == BATCH_AMPLITUDES  # width 5's 2**10 inputs fill the cap
+
+
+def test_draper_sweep_peak_memory_stays_below_three_batches():
+    # a batch is BATCH_AMPLITUDES amplitudes (1 MiB): the work state is one, and beside it run
+    # either the Hadamard's two half-state temporaries or the block's output copy; a sweep that
+    # kept each block's copy alive while the next ran peaked at 3.46 MB, and building all
+    # 4**5 rows of 4**5 amplitudes at once would take 16 MiB
+    verify_draper(5)
+    tracemalloc.start()
+    try:
+        assert all(report.passed for report in verify_draper(5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * 16 * BATCH_AMPLITUDES
 
 
 def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
@@ -236,12 +247,12 @@ def test_const_sweep_reports_the_constant_of_the_first_worst_entry(monkeypatch):
     # c-major errors at n = 2: equal errors at (c=1, a=3) and (c=2, a=0); c=1 comes first
     per_constant = {1: [0.0, 0.1, 0.0, 0.5], 2: [0.5, 0.0, float("nan"), 0.0]}
 
-    def scored(circuit, inputs, targets):
-        if circuit.n_qubits == 1:
-            return np.zeros(len(inputs))
+    def scored(blocks, targets):
+        if len(targets) == 2:
+            return np.zeros(2)
         return np.array(per_constant.get(int(targets[0]), [0.0] * 4))  # targets[0] = 0 + c
 
-    monkeypatch.setattr(fourieradd.verify, "_basis_errors", scored)
+    monkeypatch.setattr(fourieradd.verify, "_errors", scored)
     report = verify_const_adder(2)[1]
     assert (report.c, report.max_error, report.passed) == (1, 0.5, False)
 
@@ -257,18 +268,20 @@ QUBIT_ARGS = {"apply_hadamard": 1, "apply_phase": 1, "apply_controlled_phase": 2
 def record_batched_calls(monkeypatch):
     """Per kernel call of a sweep: its state width and how many index qubits sit below the circuit.
 
-    The circuit width comes from the sweep's run_on_basis call; each call also records the
-    lowest qubit the kernel addresses.
+    The circuit width comes from the run_filled call that the sweep's run_on_basis,
+    run_on_states or own fill goes through; each call also records the lowest qubit the
+    kernel addresses.
     """
     calls = []
     circuit_width = []
-    run_on_basis = fourieradd.verify.run_on_basis
+    run_filled = fourieradd.circuits.run_filled
 
-    def recorded_run_on_basis(circuit, inputs):
+    def recorded_run_filled(circuit, count, fill):
         circuit_width.append(circuit.n_qubits)
-        return run_on_basis(circuit, inputs)
+        return run_filled(circuit, count, fill)
 
-    monkeypatch.setattr(fourieradd.verify, "run_on_basis", recorded_run_on_basis)
+    for module in (fourieradd.circuits, fourieradd.verify):
+        monkeypatch.setattr(module, "run_filled", recorded_run_filled)
     for name, count in QUBIT_ARGS.items():
         original = getattr(fourieradd.circuits, name)
 
@@ -281,19 +294,29 @@ def record_batched_calls(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "sweep, n_max, gates, shift",
+    "sweep, n_max, gates",
     [
-        # 2**n constants x 2**n inputs, each on 2**n amplitudes
-        (verify_const_adder, 4, lambda n: 2 * transform_gates(n) + n, 3),
-        # 4**n inputs, each on 4**n amplitudes
-        (verify_draper, 3, lambda n: 2 * transform_gates(n) + n * (n + 1) // 2, 4),
+        # the transform once on 2**n inputs of 2**n amplitudes, then for each of 2**n
+        # constants the n rotations and the inverse on the same inputs
+        (
+            verify_const_adder,
+            4,
+            lambda n: (transform_gates(n) << 2 * n) + ((transform_gates(n) + n) << 3 * n),
+        ),
+        # the transform once on 2**n inputs of 2**n amplitudes, then the n(n+1)/2 controlled
+        # rotations and the inverse on 4**n inputs of 4**n amplitudes
+        (
+            verify_draper,
+            3,
+            lambda n: (transform_gates(n) << 2 * n) + ((transform_gates(n) + n * (n + 1) // 2) << 4 * n),
+        ),
     ],
     ids=["const", "draper"],
 )
-def test_batches_do_the_unbatched_work_above_their_index_qubits(monkeypatch, sweep, n_max, gates, shift):
+def test_batches_do_the_unbatched_work_above_their_index_qubits(monkeypatch, sweep, n_max, gates):
     calls = record_batched_calls(monkeypatch)
     assert all(report.passed for report in sweep(n_max))
-    assert sum(1 << width for width, _, _ in calls) == sum(gates(n) << (shift * n) for n in range(1, n_max + 1))
+    assert sum(1 << width for width, _, _ in calls) == sum(gates(n) for n in range(1, n_max + 1))
     batched = [(index_qubits, lowest) for _, index_qubits, lowest in calls if index_qubits >= 1]
     assert batched  # every width from BATCH_MIN_QUBITS up runs in batches
     assert all(lowest > index_qubits for index_qubits, lowest in batched)
