@@ -4,6 +4,7 @@ from .statevector import (
     DEFAULT_TOL,
     StateVector,
     apply_controlled_phase,
+    apply_dense,
     apply_diagonal,
     apply_hadamard,
     apply_phase,

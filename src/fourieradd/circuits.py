@@ -27,6 +27,7 @@ import numpy as np
 from .statevector import (
     StateVector,
     apply_controlled_phase,
+    apply_dense,
     apply_diagonal,
     apply_hadamard,
     apply_phase,
@@ -60,6 +61,10 @@ BATCH_AMPLITUDES = 1 << 16
 # which numpy multiplies on another path than the run of amplitudes it becomes
 # in a batch; the two round differently, so such circuits run one input at a time.
 BATCH_MIN_QUBITS = 3
+# Widest window of consecutive qubit positions that one dense step of a wide
+# run covers: a 32 x 32 matrix costs about as much per amplitude as one
+# Hadamard pass, and applies up to five Hadamards and the phases between them.
+FUSE_QUBITS = 5
 
 
 @dataclass(frozen=True)
@@ -183,16 +188,18 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
 
     A state of at most BATCH_AMPLITUDES = 2**b amplitudes takes one apply_*
     kernel call per gate over the whole state. A wider state runs the plan
-    that _plan compiles from the same gate list: swaps relabel qubits,
-    consecutive diagonal gates become phase-vector multiplies, and every step
-    but a Hadamard above qubit b runs block by block over the aligned
-    2**b-amplitude blocks, so a stretch of steps is applied to one
-    cache-sized block before the next is loaded. Qubits still out of place at
-    the end are put back with apply_swap. The plan multiplies its phases in
-    another order than the gates do, so its output is within DEFAULT_TOL of
-    the per-gate loop rather than bitwise the same. A state holding a
-    non-finite amplitude is refused at every width: the per-gate path checks
-    at entry, the plan when it wraps its blocks.
+    that _plan compiles from the same gate list: swaps relabel qubits, the
+    Hadamards and the phases among them within FUSE_QUBITS consecutive
+    qubits become one dense matrix step, built by running those gates
+    through their kernels, and the other diagonal gates become phase-vector
+    multiplies. Every step but a dense step reaching above qubit b runs block
+    by block over the aligned 2**b-amplitude blocks, so a stretch of steps is
+    applied to one cache-sized block before the next is loaded. Qubits still
+    out of place at the end are put back with apply_swap. The plan multiplies
+    and sums in another order than the gates do, so its output is within
+    DEFAULT_TOL of the per-gate loop rather than bitwise the same. A state
+    holding a non-finite amplitude is refused at every width: the per-gate
+    path checks at entry, the plan when it wraps its blocks.
     """
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
@@ -249,25 +256,96 @@ class _Diagonal:
 def _plan(circuit: Circuit) -> tuple[list, list[int]]:
     """The steps of a wide run, and where[q], the position that holds qubit q after them.
 
-    A step is a Hadamard's position (an int) or a _Diagonal. A swap only
-    exchanges two entries of where, and every later gate is read through it.
+    A step is a _Dense or a _Diagonal. A swap only exchanges two entries of
+    where, and every later gate is read through it. The other gates are read
+    as (positions, angle), angle None for a Hadamard. Diagonal gates wait
+    until a Hadamard on one of their positions needs them placed, or the run
+    ends. A Hadamard joins the open cluster while the cluster's Hadamard
+    positions still fit in FUSE_QUBITS consecutive positions, its window;
+    otherwise the cluster closes and a new one opens with it. Each waiting
+    diagonal gate on the Hadamard's position joins the cluster before it when
+    its positions lie inside the window, and otherwise becomes a _Diagonal:
+    ahead of the open cluster if the cluster holds no Hadamard on that
+    position (they commute), after it, closed, if it does. A closing cluster
+    takes in every waiting diagonal gate inside its window.
     """
     where = list(range(circuit.n_qubits + 1))
     steps: list = []
-    run: list[tuple[tuple[int, ...], float]] = []  # diagonal gates since the last Hadamard
+    cluster: list[tuple[tuple[int, ...], float | None]] = []  # the open cluster's gates, in order
+    hadamards: set[int] = set()  # the positions of its Hadamards
+    waiting: list[tuple[tuple[int, ...], float]] = []  # diagonal gates not yet placed
+
+    def close() -> None:
+        nonlocal waiting
+        if hadamards:
+            low, top = min(hadamards), max(hadamards)
+            inside = [entry for entry in waiting if _within(entry[0], low, top)]
+            waiting = [entry for entry in waiting if not _within(entry[0], low, top)]
+            steps.append(_dense(cluster + inside, low, top))
+        cluster.clear()
+        hadamards.clear()
+
     for gate in circuit.gates:
         if gate.kind == SWAP:
             where[gate.target], where[gate.other] = where[gate.other], where[gate.target]
         elif gate.kind == HADAMARD:
-            steps.extend(_group_diagonals(run))
-            run = []
-            steps.append(where[gate.target])
+            position = where[gate.target]
+            window = hadamards | {position}
+            if max(window) - min(window) >= FUSE_QUBITS:
+                close()
+                window = {position}
+            low, top = min(window), max(window)
+            needed = [entry for entry in waiting if position in entry[0]]
+            waiting = [entry for entry in waiting if position not in entry[0]]
+            outside = [entry for entry in needed if not _within(entry[0], low, top)]
+            cluster.extend(entry for entry in needed if _within(entry[0], low, top))
+            if outside and position in hadamards:
+                close()
+            steps.extend(_group_diagonals(outside))
+            cluster.append(((position,), None))
+            hadamards.add(position)
         elif gate.kind == PHASE:
-            run.append(((where[gate.target],), gate.angle))
+            waiting.append(((where[gate.target],), gate.angle))
         else:
-            run.append(((where[gate.control], where[gate.target]), gate.angle))
-    steps.extend(_group_diagonals(run))
+            waiting.append(((where[gate.control], where[gate.target]), gate.angle))
+    close()
+    steps.extend(_group_diagonals(waiting))
     return steps, where
+
+
+def _within(positions: tuple[int, ...], low: int, top: int) -> bool:
+    return all(low <= position <= top for position in positions)
+
+
+@dataclass(frozen=True)
+class _Dense:
+    """A cluster of gates as one 2**K x 2**K matrix over the positions low..top."""
+
+    matrix: np.ndarray
+    low: int
+    top: int
+
+
+def _dense(cluster, low: int, top: int) -> _Dense:
+    """The cluster's matrix, from running its gates, moved to qubits 1..K, on every basis column.
+
+    The gates run through _apply_gates, so each reaches its apply_* kernel,
+    with offset K over a 2K-qubit state whose amplitudes are the flattened
+    identity: the low K qubits index the columns and are never touched.
+    """
+    k = top - low + 1
+    gates = []
+    for positions, angle in cluster:
+        moved = [position - low + 1 for position in positions]
+        if angle is None:
+            gates.append(hadamard(*moved))
+        elif len(moved) == 1:
+            gates.append(phase(*moved, angle))
+        else:
+            gates.append(cphase(*moved, angle))
+    work = StateVector(2 * k, np.eye(1 << k, dtype=np.complex128).reshape(-1))
+    _apply_gates(gates, work, k)
+    return _Dense(work.amplitudes.reshape(1 << k, 1 << k), low, top)
 
 
 def _group_diagonals(run) -> list[_Diagonal]:
@@ -350,20 +428,21 @@ def _phase_vector(rotations: dict[int, complex], low: int, top: int, first: comp
 
 
 def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
-    """Run the steps, block by block between Hadamards above the block.
+    """Run the steps, block by block between dense steps that reach above the block.
 
     The phase vectors of a stretch add up to at most one block of amplitudes:
     a step that would pass that starts a new stretch. The blocks are wrapped
-    as states once, before any step runs.
+    as states once, before any step runs. A dense step above the block runs
+    over the whole state, into a state-sized output of its own.
     """
     blocks = [StateVector(block_qubits, block) for block in state.amplitudes.reshape(-1, 1 << block_qubits)]
     stretch: list = []
     held = 0
     for step in steps:
-        if isinstance(step, int) and step > block_qubits:
+        if isinstance(step, _Dense) and step.top > block_qubits:
             _run_blocked(stretch, blocks)
             stretch, held = [], 0
-            apply_hadamard(state, step)
+            apply_dense(state, step.matrix, step.low)
             continue
         if isinstance(step, _Diagonal):
             step = _multiply(step, state.n_qubits, block_qubits)
@@ -378,10 +457,11 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
 def _run_blocked(stretch: list, blocks: list[StateVector]) -> None:
     if not stretch:
         return
+    scratch = np.empty_like(blocks[0].amplitudes)
     for index, block_state in enumerate(blocks):
         for step in stretch:
-            if isinstance(step, int):
-                apply_hadamard(block_state, step)
+            if isinstance(step, _Dense):
+                apply_dense(block_state, step.matrix, step.low, scratch)
                 continue
             scale = step.scales[index]
             if scale is not None:

@@ -27,7 +27,7 @@ PROB_DISPLAY_CUTOFF = 1e-12
 BASIS_OUTPUT_MIN_PROB = 1.0 - 1e-9
 QFT_DUMP_MAX_QUBITS = 6
 # Peak memory of a run, checked before anything is allocated. A state of 2**N
-# 16-byte amplitudes runs beside the Hadamard's two half-state temporaries.
+# 16-byte amplitudes runs beside the state-sized output of a wide dense step.
 # Per entry of its 4**N inputs, the const sweep holds its 8-byte scores twice
 # (per constant and joined); the draper sweep holds five 8-byte arrays (inputs,
 # operands, targets, scores) and runs each input as a 4**N-amplitude state,

@@ -27,6 +27,7 @@ import numpy as np
 DEFAULT_TOL = 1e-10  # normalization bound of states, and the default pass bound of checks
 SQRT1_2 = math.sqrt(0.5)
 SPLIT_BELOW = 16  # kernels split a view whose last axis is shorter than this; see _parts
+MATMUL_ROWS = 256  # rows per matrix product when apply_dense acts on the lowest qubits
 
 
 @dataclass
@@ -224,6 +225,39 @@ def apply_diagonal(state: StateVector, factors: np.ndarray, low: int, control: i
             axis = 2
     for part in _parts(view):
         part *= operand.reshape(operand.shape + (1,) * (part.ndim - axis - operand.ndim))
+
+
+def apply_dense(state: StateVector, matrix: np.ndarray, low: int, out: np.ndarray | None = None) -> None:
+    """Apply a 2**K x 2**K matrix, K >= 1, to the qubits low..low+K-1.
+
+    Row and column k of the matrix are the value k of those qubits after and
+    before, with qubit low as bit 0. The product is written into out, a
+    scratch of as many amplitudes as the state (a new one when out is None),
+    and then copied back into the state.
+    """
+    matrix = np.asarray(matrix, dtype=np.complex128)
+    size = matrix.shape[0] if matrix.ndim == 2 else 0
+    span = size.bit_length() - 1
+    if span < 1 or matrix.shape != (1 << span, 1 << span):
+        raise ValueError(f"matrix must be 2**K x 2**K with K >= 1, got shape {matrix.shape}")
+    _check_qubit(state.n_qubits, low, "low")
+    _check_qubit(state.n_qubits, low + span - 1, "top")
+    if out is None:
+        out = np.empty_like(state.amplitudes)
+    elif out.shape != state.amplitudes.shape:
+        raise ValueError(f"out must hold {state.dim} amplitudes, got shape {out.shape}")
+    # axes: (top bits, the K matrix bits, lower bits)
+    view = state.amplitudes.reshape(-1, size, 1 << (low - 1))
+    product = out.reshape(view.shape)
+    if low == 1:
+        # rows times the transposed matrix, in groups of at most MATMUL_ROWS rows: a stack of
+        # (K, 1) products would run one row at a time, and one product over every row packs
+        # all of them into BLAS buffers on each of its threads
+        group = min(MATMUL_ROWS, view.shape[0])
+        np.matmul(view.reshape(-1, group, size), matrix.T, out=product.reshape(-1, group, size))
+    else:
+        np.matmul(matrix, view, out=product)
+    state.amplitudes[...] = out
 
 
 def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> None:

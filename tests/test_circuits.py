@@ -18,6 +18,7 @@ from fourieradd import (
     StateVector,
     apply_const_add,
     apply_controlled_phase,
+    apply_dense,
     apply_hadamard,
     apply_phase,
     apply_swap,
@@ -407,7 +408,11 @@ class TestRunOnStates:
 
 
 BLOCK_QUBITS = 4  # the block width the tests below patch in, so that 5-9 qubits cross it
-KERNEL_NAMES = ("apply_hadamard", "apply_phase", "apply_controlled_phase", "apply_swap", "apply_diagonal")
+KERNEL_NAMES = (
+    "apply_hadamard", "apply_phase", "apply_controlled_phase", "apply_swap", "apply_diagonal", "apply_dense"
+)
+# the widths of the states that build a dense step's matrix: 2K qubits for K = 1..FUSE_QUBITS
+MATRIX_WIDTHS = set(range(2, 2 * circuits_module.FUSE_QUBITS + 1, 2))
 
 
 def run_gate_by_gate(circuit, state):
@@ -500,6 +505,25 @@ def has_an_unshared_diagonal_run(circuit):
     return any(len(run) > 1 and not set.intersection(*run) for run in runs)
 
 
+def dense_steps(circuit):
+    return [step for step in circuits_module._plan(circuit)[0] if isinstance(step, circuits_module._Dense)]
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("out", [False, True], ids=["fresh-output", "scratch"])
+    @pytest.mark.parametrize("n", [8, 9, 10])
+    def test_every_low_applies_the_circuit_matrix(self, n, out):
+        for k in range(1, circuits_module.FUSE_QUBITS + 1):
+            circuit = random_circuit(k, seed=100 * n + k, n_gates=8 * k)
+            matrix = circuit_to_matrix(circuit)
+            for low in range(1, n - k + 2):
+                expected = random_state(n, seed=low)
+                actual = expected.copy()
+                run_circuit(shift_qubits(circuit, low - 1, n), expected)
+                apply_dense(actual, matrix, low, np.empty_like(actual.amplitudes) if out else None)
+                assert np.max(np.abs(actual.amplitudes - expected.amplitudes)) < 1e-14
+
+
 class TestBlockedRun:
     @pytest.mark.parametrize("n", [17, 18, 20])
     def test_constant_adder_is_the_roll(self, n):
@@ -528,9 +552,10 @@ class TestBlockedRun:
         for seed, circuit in enumerate(circuits):
             assert gate_path_error(circuit, seed) < DEFAULT_TOL
         assert set(widths["apply_diagonal"]) == {BLOCK_QUBITS}
-        assert set(widths["apply_hadamard"]) == {BLOCK_QUBITS, n}
+        assert set(widths["apply_dense"]) == {BLOCK_QUBITS, n}
         assert set(widths["apply_swap"]) == {n}
-        assert widths["apply_phase"] == widths["apply_controlled_phase"] == []
+        for name in ("apply_hadamard", "apply_phase", "apply_controlled_phase"):
+            assert widths[name] and set(widths[name]) <= MATRIX_WIDTHS
 
     def test_states_up_to_the_block_run_gate_by_gate_bitwise(self, monkeypatch):
         circuit = const_adder_circuit(ConstAdderSpec(16, 12345))
@@ -554,9 +579,11 @@ class TestBlockedRun:
         ids=["const-18", "register-9"],
     )
     def test_hadamard_work_is_the_unfused_count_and_no_swap_runs(self, circuit, monkeypatch):
+        # each Hadamard of the list runs once, on the state that builds its dense step's matrix
         widths = record_kernel_widths(monkeypatch)
         run_circuit(circuit, basis_state(circuit.n_qubits, 5))
-        assert sum(1 << width for width in widths["apply_hadamard"]) == count_gates(circuit).hadamard << circuit.n_qubits
+        assert len(widths["apply_hadamard"]) == count_gates(circuit).hadamard
+        assert set(widths["apply_hadamard"]) <= MATRIX_WIDTHS
         assert widths["apply_swap"] == []
 
     @pytest.mark.parametrize(
@@ -575,8 +602,10 @@ class TestBlockedRun:
         assert peak <= state.amplitudes.nbytes + (2 << 20)
 
     def test_each_block_is_wrapped_once_per_run(self, monkeypatch):
+        # plus one work state of 2K qubits per dense step, which builds its 2**K x 2**K matrix
         circuit = const_adder_circuit(ConstAdderSpec(18, 77))
         state = basis_state(18, 5)
+        matrix_widths = [2 * (step.top - step.low + 1) for step in dense_steps(circuit)]
         built = []
         original = StateVector.__post_init__
 
@@ -587,7 +616,7 @@ class TestBlockedRun:
         monkeypatch.setattr(StateVector, "__post_init__", counted)
         run_circuit(circuit, state)
         block_qubits = BATCH_AMPLITUDES.bit_length() - 1
-        assert built == [block_qubits] * (1 << (18 - block_qubits))
+        assert built == matrix_widths + [block_qubits] * (1 << (18 - block_qubits))
 
     def test_a_nan_kernel_reaches_every_block(self, monkeypatch):
         original = circuits_module.apply_hadamard
@@ -612,6 +641,60 @@ class TestBlockedRun:
 
         monkeypatch.setattr(circuits_module, "apply_diagonal", apply_diagonal_off)
         assert not roll_error(n, 6, seed=n) < DEFAULT_TOL
+
+    def test_a_nan_dense_kernel_reaches_every_block(self, monkeypatch):
+        n = 17
+        original = circuits_module.apply_dense
+
+        def apply_dense_nan(state, matrix, low, out=None):
+            original(state, matrix, low, out)
+            state.amplitudes[:] = np.nan
+
+        monkeypatch.setattr(circuits_module, "apply_dense", apply_dense_nan)
+        assert math.isnan(roll_error(n, 6, seed=n))
+        state = basis_state(n, 12345)
+        apply_const_add(state, 6)
+        assert not np.isfinite(state.amplitudes).any()
+
+    def test_a_dense_kernel_one_angle_unit_off_fails_the_roll(self, monkeypatch):
+        n = 17
+        assert roll_error(n, 6, seed=n) < DEFAULT_TOL
+        original = circuits_module.apply_dense
+        unit = cmath.exp(2j * math.pi / (1 << n))
+
+        def apply_dense_off(state, matrix, low, out=None):
+            original(state, matrix * unit, low, out)
+
+        monkeypatch.setattr(circuits_module, "apply_dense", apply_dense_off)
+        assert not roll_error(n, 6, seed=n) < DEFAULT_TOL
+
+    @pytest.mark.parametrize(
+        "circuit, dense, multiplies",
+        [(const_adder_circuit(ConstAdderSpec(20, 77)), 7, 30), (draper_adder_circuit(DraperAdderSpec(10)), 4, 15)],
+        ids=["const-20", "register-10"],
+    )
+    def test_step_counts_of_the_readme(self, circuit, dense, multiplies):
+        steps = circuits_module._plan(circuit)[0]
+        assert len(dense_steps(circuit)) == dense
+        assert len(steps) == dense + multiplies
+
+    def test_windows_inside_across_and_above_the_block_match_the_gate_by_gate_run(self, monkeypatch):
+        circuits = [
+            const_adder_circuit(ConstAdderSpec(10, 345)),
+            draper_adder_circuit(DraperAdderSpec(5)),
+            random_circuit(10, seed=10, n_gates=150),
+        ]
+        placements = set()
+        for block_qubits in (3, 5, 7):
+            monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << block_qubits)
+            for seed, circuit in enumerate(circuits):
+                for step in dense_steps(circuit):
+                    if step.top <= block_qubits:
+                        placements.add("inside")
+                    else:
+                        placements.add("across" if step.low <= block_qubits else "above")
+                assert gate_path_error(circuit, seed) < DEFAULT_TOL
+        assert placements == {"inside", "across", "above"}
 
     def test_a_dropped_swap_breaks_a_left_permutation(self, monkeypatch):
         # the transform alone leaves its closing swaps as a permutation; the FFT is its oracle

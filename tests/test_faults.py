@@ -17,7 +17,7 @@ import fourieradd.arithmetic
 import fourieradd.circuits
 import fourieradd.dense
 import fourieradd.verify
-from fourieradd import Circuit, ConstAdderSpec, cphase, phase, run_suite
+from fourieradd import DEFAULT_TOL, Circuit, ConstAdderSpec, StateVector, apply_const_add, cphase, phase, run_suite
 
 WIDTHS = {"const": 3, "draper": 3, "equivalence": 4, "modularity": 4}
 
@@ -154,3 +154,29 @@ def test_fault_matrix(monkeypatch, fault, suite):
         assert not passed, f"{suite} passes with the {fault} fault it claims to cover"
     else:
         assert passed, f"{suite} now fails on {fault}: move the pair from GAPS to COVERS"
+
+
+# Kernel faults on a state wider than BATCH_AMPLITUDES, which runs the plan
+# rather than one kernel call per gate; every one must move the constant
+# adder's output off np.roll of its input, except those named here.
+WIDE_QUBITS = 17
+KERNEL_FAULTS = ("nan", "phase", "cphase", "swap")
+WIDE_GAPS = {
+    "swap": "the plan relabels swaps and the adder leaves none to run "
+    "(test_circuits test_a_dropped_swap_breaks_a_left_permutation covers the kernel)",
+}
+
+
+@pytest.mark.parametrize("fault", KERNEL_FAULTS)
+def test_kernel_faults_reach_a_wide_constant_adder(monkeypatch, fault):
+    rng = np.random.default_rng(WIDE_QUBITS)
+    before = rng.standard_normal(1 << WIDE_QUBITS) + 1j * rng.standard_normal(1 << WIDE_QUBITS)
+    before /= np.linalg.norm(before)
+    state = StateVector(WIDE_QUBITS, before.copy())
+    FAULTS[fault](monkeypatch)
+    apply_const_add(state, 6)
+    error = float(np.max(np.abs(state.amplitudes - np.roll(before, 6))))
+    if fault in WIDE_GAPS:
+        assert error < DEFAULT_TOL
+    else:
+        assert not error < DEFAULT_TOL, f"the {fault} fault misses a {WIDE_QUBITS}-qubit run by only {error}"

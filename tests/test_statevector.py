@@ -7,6 +7,7 @@ import pytest
 from fourieradd import (
     StateVector,
     apply_controlled_phase,
+    apply_dense,
     apply_diagonal,
     apply_hadamard,
     apply_phase,
@@ -299,6 +300,32 @@ class TestDiagonal:
     def test_rejects_bad_arguments(self, factors, low, control):
         with pytest.raises(ValueError):
             apply_diagonal(basis_state(3, 0), factors, low, control)
+
+
+class TestDense:
+    def test_writes_through_the_given_scratch_and_back(self):
+        # the matrix on qubits 2..3 sends value k to k + 1 mod 4
+        state = basis_state(3, 0b011)
+        scratch = np.full(8, np.nan, dtype=np.complex128)
+        apply_dense(state, np.roll(np.eye(4), 1, axis=0), 2, scratch)
+        assert np.array_equal(state.amplitudes, basis_state(3, 0b101).amplitudes)
+        assert np.array_equal(scratch, state.amplitudes)
+
+    @pytest.mark.parametrize(
+        "matrix, low, out",
+        [
+            (np.eye(1), 1, None),
+            (np.eye(3), 1, None),
+            (np.ones((2, 4)), 1, None),
+            (np.ones(4), 1, None),
+            (np.eye(4), 0, None),
+            (np.eye(4), 3, None),
+            (np.eye(2), 1, np.empty(4, dtype=np.complex128)),
+        ],
+    )
+    def test_rejects_bad_arguments(self, matrix, low, out):
+        with pytest.raises(ValueError):
+            apply_dense(basis_state(3, 0), matrix, low, out)
 
 
 class TestSwap:
