@@ -50,17 +50,17 @@ from .arithmetic import (
 )
 from .dense import (
     DENSE_MAX_QUBITS,
-    CheckReport,
     circuit_to_matrix,
     dft_matrix,
-    modularity_reports,
+    modularity_errors,
     permutation_add_matrix,
-    phase_adder_equivalence_reports,
+    phase_adder_equivalence_errors,
     phase_adder_matrix,
 )
 from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates
 from .verify import (
     SUITES,
+    CheckReport,
     run_suite,
     verify_const_adder,
     verify_draper,

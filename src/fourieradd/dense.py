@@ -18,13 +18,11 @@ from __future__ import annotations
 import cmath
 import math
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 
 from .arithmetic import ConstAdderSpec, phase_adder_circuit
 from .circuits import Circuit, run_on_basis
-from .statevector import DEFAULT_TOL
 
 DENSE_MAX_QUBITS = 12
 # Entries per array pass of the batched checks (256 KiB of complex128), so that a
@@ -89,31 +87,6 @@ def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     return matrix
 
 
-@dataclass(frozen=True)
-class CheckReport:
-    """Outcome of one numeric check.
-
-    The c field holds whichever parameter was swept: the adder constant,
-    the modularity column x, or the basis input where the worst
-    error occurred.
-    """
-
-    check: str
-    n_qubits: int
-    c: int
-    max_error: float
-    passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n_qubits,
-            "c": self.c,
-            "max_error": self.max_error,
-            "pass": self.passed,
-        }
-
-
 def _rotation(theta: float) -> np.ndarray:
     """Diagonal of the phase gate diag(1, exp(i*theta))."""
     return np.array([1.0, cmath.exp(1j * theta)], dtype=np.complex128)
@@ -125,9 +98,7 @@ def _row_chunks(rows: int, dim: int) -> Iterator[slice]:
     return (slice(start, start + step) for start in range(0, rows, step))
 
 
-def phase_adder_equivalence_reports(
-    n_qubits: int, constants: Iterable[int], tol: float = DEFAULT_TOL
-) -> list[CheckReport]:
+def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> np.ndarray:
     """Tensor-product form of the built phase stage against its diagonal form, per constant.
 
     The stage is phase_adder_circuit's, one rotation per qubit from qubit 1
@@ -140,12 +111,12 @@ def phase_adder_equivalence_reports(
     overhead per call. While accumulating, the entries where the newly
     absorbed qubit m is set must equal those where it is clear times
     omega**(c * 2**(m-1)), the phase that qubit contributes; that per-step
-    error is folded into the reported max_error. A NaN in any error makes
-    max_error NaN, which fails.
+    error is folded into the constant's error. A NaN in any error makes
+    that error NaN.
 
     The constants are checked together, one row of 2**N entries each and at
     most DENSE_BATCH_ENTRIES entries per array pass. Each row sees the same
-    elementwise products as a check of its constant alone, so every report
+    elementwise products as a check of its constant alone, so every error
     is bitwise that of a one-constant call.
     """
     _require_dense(n_qubits)
@@ -177,20 +148,18 @@ def phase_adder_equivalence_reports(
             worst = np.maximum(worst, np.max(step_error, axis=1))
         closed_form = _phase_adder_diagonal(dim, np.array(reduced[rows], dtype=np.int64)[:, None])
         max_errors[rows] = np.maximum(worst, np.max(np.abs(tensor - closed_form), axis=1))
-    return [
-        CheckReport("phase-adder-equivalence", n_qubits, constant, max_error, max_error < tol)
-        for constant, max_error in zip(constants, max_errors.tolist())
-    ]
+    return max_errors
 
 
-def modularity_reports(n_qubits: int, xs: Iterable[int], tol: float = DEFAULT_TOL) -> list[CheckReport]:
-    """The inverse transform of the Fourier column for each x >= 0 lands on |x mod 2**N>.
+def modularity_errors(n_qubits: int, xs: Iterable[int]) -> np.ndarray:
+    """Per x >= 0, the infidelity of the inverse transform of its Fourier column with |x mod 2**N>.
 
     x may exceed 2**N by any amount; the column only depends on x mod 2**N
     because integer omega exponents wrap exactly. The columns are built
     together, one row of 2**N entries each and at most DENSE_BATCH_ENTRIES
-    entries per array pass, and each is dotted with np.vdot on its own, so
-    every report is bitwise that of a one-column call.
+    entries per array pass, and each pass dots its rows in one np.einsum,
+    which sums each row alone, so every error is bitwise that of a
+    one-column call.
     """
     _require_dense(n_qubits)
     xs = list(xs)
@@ -206,7 +175,7 @@ def modularity_reports(n_qubits: int, xs: Iterable[int], tol: float = DEFAULT_TO
     distinct = np.flatnonzero(np.bincount(exponents.ravel(), minlength=dim))
     phases = np.zeros(dim, dtype=np.complex128)
     phases[distinct] = [cmath.exp(2j * math.pi * e / dim) for e in distinct.tolist()]
-    infidelities = []
+    infidelities = np.empty(len(xs))
     for rows in _row_chunks(len(xs), dim):
         factors = phases[exponents[rows]]
         columns = np.ones((len(factors), 1), dtype=np.complex128)
@@ -217,9 +186,5 @@ def modularity_reports(n_qubits: int, xs: Iterable[int], tol: float = DEFAULT_TO
         # that column of dft_matrix is needed, conjugated and dotted with it
         transform_columns = _omega_powers(ks[rows, None] * np.arange(dim, dtype=np.int64), dim)
         transform_columns /= math.sqrt(dim)
-        for transform_column, column in zip(transform_columns, columns):
-            infidelities.append(1.0 - float(abs(np.vdot(transform_column, column)) ** 2))
-    return [
-        CheckReport("modularity", n_qubits, x, infidelity, infidelity < tol)
-        for x, infidelity in zip(xs, infidelities)
-    ]
+        infidelities[rows] = 1.0 - np.abs(np.einsum("ij,ij->i", transform_columns.conj(), columns)) ** 2
+    return infidelities

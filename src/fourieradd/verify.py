@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -13,30 +14,67 @@ from .arithmetic import (
     draper_adder_circuit,
 )
 from .circuits import Circuit, qft_circuit, run_filled, run_on_basis, run_on_states, shift_qubits
-from .dense import CheckReport, modularity_reports, phase_adder_equivalence_reports
+from .dense import modularity_errors, phase_adder_equivalence_errors
 from .statevector import DEFAULT_TOL
 
 SUITES = ("const", "draper", "equivalence", "modularity", "all")
 DENSE_SUITES = ("equivalence", "modularity", "all")  # held to DENSE_MAX_QUBITS; none builds a matrix
 
 
+@dataclass(frozen=True)
+class CheckReport:
+    """Outcome of one numeric check at one width.
+
+    The c field holds whichever parameter was swept: the adder constant,
+    the modularity column x, or the basis input where the worst
+    error occurred.
+    """
+
+    check: str
+    n_qubits: int
+    c: int
+    max_error: float
+    passed: bool
+
+    def to_dict(self) -> dict:
+        return {
+            "check": self.check,
+            "n": self.n_qubits,
+            "c": self.c,
+            "max_error": self.max_error,
+            "pass": self.passed,
+        }
+
+
+def _report(check: str, n: int, values: Sequence[int], errors: np.ndarray, tol: float) -> CheckReport:
+    """A width's report: its worst error, the value that has it, and whether it passes.
+
+    errors holds an equal run of entries for each of the values, in their
+    order. The worst is np.argmax's pick: the first NaN, else the first of
+    the equal largest errors. A check passes only when that error is below
+    tol, so a NaN fails it.
+    """
+    at = int(np.argmax(errors))
+    error = float(errors[at])
+    return CheckReport(check, n, values[at * len(values) // len(errors)], error, error < tol)
+
+
 def _errors(blocks, targets: np.ndarray) -> np.ndarray:
-    """Per input: the larger of its output's infidelity with |target> and its mass off target.
+    """Per input: the distance ||out - e_target||_2 of its output from the one-hot target state.
 
     blocks are the (start, outputs) blocks of a run over the inputs, in
-    order. Taking the larger means norm drift cannot hide; np.fmax keeps the
-    infidelity when the mass is NaN, as Python's max does. Each block is
-    scored by array calls. On every output of the const sweep to 8 qubits and
-    the draper sweep to 5 they give bit for bit the scalar abs(z) ** 2 and
-    np.vdot scores of a run per input.
+    order. 1 is subtracted from the target amplitude in the block's own
+    copy, so each row becomes out - e_target and its norm is
+    sqrt(|z - 1|**2 + the mass off target), summed without the cancellation
+    of subtracting |z|**2 from the whole norm. A relative phase on z, norm
+    drift and NaN all show in it. Each block is scored by array calls.
     """
     errors = np.empty(len(targets))
     for start, outputs in blocks:
         block = slice(start, start + len(outputs))
-        on_target = np.abs(outputs[np.arange(len(outputs)), targets[block]]) ** 2
+        outputs[np.arange(len(outputs)), targets[block]] -= 1.0
         parts = outputs.view(np.float64)
-        off_target = np.einsum("ij,ij->i", parts, parts) - on_target
-        errors[block] = np.fmax(1.0 - on_target, off_target)
+        errors[block] = np.sqrt(np.einsum("ij,ij->i", parts, parts))
         del outputs, parts  # let the next block run without this one's copy alive
     return errors
 
@@ -68,38 +106,30 @@ def _register_inputs(transformed: np.ndarray, a: np.ndarray, b: np.ndarray):
     return fill
 
 
-def _first_worst(errors: np.ndarray) -> tuple[float, int]:
-    """The largest error above 0.0 and the first index holding it, or (0.0, 0) when none is.
-
-    NaN is never above 0.0, so it is never picked: the sweeps are NaN-blind.
-    """
-    above = np.where(errors > 0.0, errors, 0.0)
-    index = int(np.argmax(above))
-    return float(above[index]), index
-
-
 def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     """c-major _errors of the built adders: entry i * 2**N + a scores |a> + constants[i].
 
     The width's transform runs once on every basis input; an adder that
     begins with its gates runs only the rest, on those rows. Any other adder
-    runs whole.
+    runs whole. An adder whose gates and target residue c mod 2**N repeat an
+    earlier one's runs only once: the adders for c and c + 2**N build the
+    same gate list, because the constant is reduced before its angles are.
     """
-    inputs = np.arange(1 << n)
+    dim = 1 << n
+    inputs = np.arange(dim)
     transform = qft_circuit(n)
     transformed = _transformed(transform)
+    scored = {}
     errors = []
     for c in constants:
         adder = const_adder_circuit(ConstAdderSpec(n, c))
-        rest = _after(adder, transform)
-        blocks = run_on_basis(adder, inputs) if rest is None else run_on_states(rest, transformed)
-        errors.append(_errors(blocks, (inputs + c) % (1 << n)))
+        key = (adder.gates, c % dim)
+        if key not in scored:
+            rest = _after(adder, transform)
+            blocks = run_on_basis(adder, inputs) if rest is None else run_on_states(rest, transformed)
+            scored[key] = _errors(blocks, (inputs + c) % dim)
+        errors.append(scored[key])
     return np.concatenate(errors)
-
-
-def _worst(reports: list[CheckReport]) -> CheckReport:
-    """The report with the largest error: the first of equal errors, or the first NaN."""
-    return reports[int(np.argmax([report.max_error for report in reports]))]
 
 
 def verify_const_adder(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
@@ -107,11 +137,10 @@ def verify_const_adder(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport
 
     The c field of each report holds the constant where the worst error occurred.
     """
-    reports = []
-    for n in range(1, n_max + 1):
-        worst, at = _first_worst(_const_errors(n, range(1 << n)))
-        reports.append(CheckReport("const-adder-exhaustive", n, at >> n, worst, worst < tol))
-    return reports
+    return [
+        _report("const-adder-exhaustive", n, range(1 << n), _const_errors(n, range(1 << n)), tol)
+        for n in range(1, n_max + 1)
+    ]
 
 
 def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
@@ -135,8 +164,8 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
             blocks = run_on_basis(circuit, packed)
         else:
             blocks = run_filled(rest, len(packed), _register_inputs(_transformed(transform), a, b))
-        worst, at = _first_worst(_errors(blocks, a + dim * ((a + b) % dim)))
-        reports.append(CheckReport("register-adder-exhaustive", n, at, worst, worst < tol))
+        errors = _errors(blocks, a + dim * ((a + b) % dim))
+        reports.append(_report("register-adder-exhaustive", n, range(dim * dim), errors, tol))
     return reports
 
 
@@ -152,8 +181,9 @@ def verify_equivalence(
     rng = np.random.default_rng(seed)
     reports = []
     for n in range(1, n_max + 1):
-        constants = rng.integers(0, 4 * (1 << n), size=samples)
-        reports.append(_worst(phase_adder_equivalence_reports(n, constants.tolist(), tol=tol)))
+        constants = rng.integers(0, 4 * (1 << n), size=samples).tolist()
+        errors = phase_adder_equivalence_errors(n, constants)
+        reports.append(_report("phase-adder-equivalence", n, constants, errors, tol))
     return reports
 
 
@@ -163,20 +193,16 @@ def verify_modularity(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]
     The columns of a width are checked in one batched call. The check reduces x mod 2**N,
     so a larger x would repeat a column bit for bit.
     For c in (0, 1, 2**N / 2, 2**N - 1), the built adders for c and for c + 2**N must both
-    add c mod 2**N on every basis input; that error is floored at 0.0, and NaN fails it.
+    add c mod 2**N on every basis input, scored as the const sweep scores them.
     A width's eight adders are scored in one _const_errors call, so its transform runs once.
     """
     reports = []
     for n in range(1, n_max + 1):
         dim = 1 << n
-        reports.append(_worst(modularity_reports(n, range(dim), tol=tol)))
+        reports.append(_report("modularity", n, range(dim), modularity_errors(n, range(dim)), tol))
         shifted = (0, 1, dim // 2, dim - 1)
-        errors = _const_errors(n, [c + turn for c in shifted for turn in (0, dim)]).reshape(len(shifted), -1)
-        shifts = []
-        for c, row in zip(shifted, errors):
-            error = float(np.maximum(np.max(row), 0.0))
-            shifts.append(CheckReport("modular-constant-shift", n, c, error, error < tol))
-        reports.append(_worst(shifts))
+        errors = _const_errors(n, [c + turn for c in shifted for turn in (0, dim)])
+        reports.append(_report("modular-constant-shift", n, shifted, errors, tol))
     return reports
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 import fourieradd.circuits as circuits_module
 import fourieradd.cli as cli_module
 from fourieradd import (
+    DEFAULT_TOL,
     StateVector,
     apply_const_add,
     basis_state,
@@ -283,6 +285,24 @@ class TestVerify:
         ):
             assert name in out
         assert "all 10 checks passed" in out
+
+    def test_every_report_row_is_well_formed_finite_and_below_the_tolerance(self, capsys):
+        # the documented row format; clean rows print their error, not a floor of 0
+        row = re.compile(r"^(\S+)  n=(\d+)  c=(\d+)  max_error=(\S+)  pass$")
+        assert run_cli(["verify", "--suite", "all", "--n-max", "5"]) == 0
+        *rows, summary = capsys.readouterr().out.splitlines()
+        assert summary == "all 25 checks passed"
+        seen = []
+        for line in rows:
+            match = row.match(line)
+            assert match is not None, line
+            name, n, _, error = match.groups()
+            seen.append((name, int(n)))
+            assert math.isfinite(float(error)) and 0.0 <= float(error) < DEFAULT_TOL, line
+        names = ("const-adder-exhaustive", "register-adder-exhaustive", "phase-adder-equivalence")
+        expected = [(name, n) for name in names for n in range(1, 6)]
+        expected += [(name, n) for n in range(1, 6) for name in ("modularity", "modular-constant-shift")]
+        assert seen == expected
 
     def test_equivalence_suite_is_deterministic_per_seed(self, capsys):
         assert run_cli(["verify", "--suite", "equivalence", "--n-max", "4", "--seed", "5"]) == 0

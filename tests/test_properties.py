@@ -1,10 +1,14 @@
-"""Property-based checks for the gate kernels and both adders."""
+"""Property-based checks for the gate kernels, the wide-state plan and both adders."""
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fourieradd.circuits
 from fourieradd import (
+    DEFAULT_TOL,
     Circuit,
     ConstAdderSpec,
     StateVector,
@@ -38,10 +42,10 @@ def random_state(n_qubits, seed):
 
 
 @st.composite
-def gate_sequences(draw):
-    n = draw(st.integers(min_value=2, max_value=6))
+def gate_sequences(draw, min_qubits=2, max_qubits=6, min_gates=0, max_gates=20):
+    n = draw(st.integers(min_value=min_qubits, max_value=max_qubits))
     gates = []
-    for _ in range(draw(st.integers(min_value=0, max_value=20))):
+    for _ in range(draw(st.integers(min_value=min_gates, max_value=max_gates))):
         kind = draw(st.sampled_from(("h", "phase", "cphase", "swap")))
         target = draw(st.integers(min_value=1, max_value=n))
         if kind == "h":
@@ -110,6 +114,31 @@ class TestKernelProperties:
         for index in range(state.dim):
             if index & mask == 0:
                 assert state.amplitudes[index] == reference[index]
+
+
+class TestPlanProperties:
+    @given(
+        gate_sequences(min_qubits=3, max_qubits=8, min_gates=1, max_gates=39),
+        st.data(),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_plan_matches_the_circuit_matrix(self, circuit, data, seed):
+        # any circuit, block size and fusion window: the plan that runs states wider than
+        # BATCH_AMPLITUDES gives the matrix's output; the matrix is built before the patch,
+        # gate by gate, so that the reference does not run the plan too
+        n = circuit.n_qubits
+        matrix = circuit_to_matrix(circuit)
+        state = random_state(n, seed)
+        expected = matrix @ state.amplitudes
+        block_qubits = data.draw(st.integers(min_value=1, max_value=n - 1), label="block qubits")
+        fuse_qubits = data.draw(st.integers(min_value=1, max_value=5), label="fuse qubits")
+        with (
+            mock.patch.object(fourieradd.circuits, "BATCH_AMPLITUDES", 1 << block_qubits),
+            mock.patch.object(fourieradd.circuits, "FUSE_QUBITS", fuse_qubits),
+        ):
+            run_circuit(circuit, state)
+        assert np.max(np.abs(state.amplitudes - expected)) < DEFAULT_TOL
 
 
 class TestAdderProperties:

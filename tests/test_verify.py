@@ -11,12 +11,14 @@ import fourieradd.verify
 from fourieradd import (
     BATCH_AMPLITUDES,
     CheckReport,
+    Circuit,
     ConstAdderSpec,
     DraperAdderSpec,
     basis_state,
     const_adder_circuit,
     draper_adder_circuit,
-    modularity_reports,
+    modularity_errors,
+    phase,
     run_circuit,
     verify_const_adder,
     verify_draper,
@@ -34,26 +36,31 @@ def run_cli(argv):
 
 
 def basis_error(circuit, value, target):
-    """Larger of the infidelity with |target> and the mass off it, from one run on |value>."""
+    """The distance ||out - e_target||_2 of one run on |value> from |target>."""
     state = basis_state(circuit.n_qubits, value)
     run_circuit(circuit, state)
-    amplitudes = state.amplitudes
-    on_target = abs(amplitudes[target]) ** 2
-    off_target = float(np.vdot(amplitudes, amplitudes).real) - on_target
-    return max(1.0 - on_target, off_target)
+    difference = state.amplitudes.copy()
+    difference[target] -= 1.0
+    parts = difference.view(np.float64)
+    return float(np.sqrt(np.einsum("i,i->", parts, parts)))
+
+
+def worse(error, worst):
+    """The pick rule, one comparison at a time: a first NaN stays, else a NaN or a larger error wins."""
+    return not math.isnan(worst) and (math.isnan(error) or error > worst)
 
 
 def reference_const_reports(n_max, tol=1e-10):
-    """One run per (a, c); a strictly greater error wins, so the first of equal errors is kept."""
+    """One run per (a, c), the worst picked one error at a time."""
     reports = []
     for n in range(1, n_max + 1):
         dim = 1 << n
-        worst, worst_c = 0.0, 0
+        worst, worst_c = -np.inf, 0
         for c in range(dim):
             circuit = const_adder_circuit(ConstAdderSpec(n, c))
             for a in range(dim):
                 error = basis_error(circuit, a, (a + c) % dim)
-                if error > worst:
+                if worse(error, worst):
                     worst, worst_c = error, c
         reports.append(CheckReport("const-adder-exhaustive", n, worst_c, worst, worst < tol))
     return reports
@@ -64,11 +71,11 @@ def reference_draper_reports(n_max, tol=1e-10):
     for n in range(1, n_max + 1):
         dim = 1 << n
         circuit = draper_adder_circuit(DraperAdderSpec(n))
-        worst, worst_input = 0.0, 0
+        worst, worst_input = -np.inf, 0
         for b in range(dim):
             for a in range(dim):
                 error = basis_error(circuit, a + dim * b, a + dim * ((a + b) % dim))
-                if error > worst:
+                if worse(error, worst):
                     worst, worst_input = error, a + dim * b
         reports.append(CheckReport("register-adder-exhaustive", n, worst_input, worst, worst < tol))
     return reports
@@ -138,38 +145,37 @@ def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
 
 
 def nan_at(check, bad_index):
-    """Wrap a batched dense check so that the report it returns at bad_index carries a NaN error."""
+    """Wrap a batched dense check so that the error it returns at bad_index is NaN."""
     swept = []
 
-    def patched(n_qubits, values, tol):
+    def patched(n_qubits, values):
         values = list(values)
         swept.extend(values)
-        reports = check(n_qubits, values, tol=tol)
-        if bad_index < len(reports):
-            report = reports[bad_index]
-            reports[bad_index] = CheckReport(report.check, n_qubits, report.c, float("nan"), False)
-        return reports
+        errors = check(n_qubits, values)
+        if bad_index < len(errors):
+            errors[bad_index] = np.nan
+        return errors
 
     return patched, swept
 
 
 def test_nan_modularity_report_is_the_worst(monkeypatch):
     # x = 1 is the second column checked at n = 1; every other column is near 0
-    patched, _ = nan_at(fourieradd.verify.modularity_reports, bad_index=1)
-    monkeypatch.setattr(fourieradd.verify, "modularity_reports", patched)
+    patched, _ = nan_at(fourieradd.verify.modularity_errors, bad_index=1)
+    monkeypatch.setattr(fourieradd.verify, "modularity_errors", patched)
     report = verify_modularity(1)[0]
     assert (report.check, report.c, report.passed) == ("modularity", 1, False)
     assert np.isnan(report.max_error)
 
 
 def reference_modularity_report(n):
-    """The first worst of the columns x in [0, 4 * 2**N): a strictly greater error wins."""
-    worst = None
+    """The worst of the columns x in [0, 4 * 2**N), checked one at a time and picked one at a time."""
+    worst, worst_x = -np.inf, 0
     for x in range(4 << n):
-        report = modularity_reports(n, [x])[0]
-        if worst is None or report.max_error > worst.max_error:
-            worst = report
-    return worst
+        error = float(modularity_errors(n, [x])[0])
+        if worse(error, worst):
+            worst, worst_x = error, x
+    return CheckReport("modularity", n, worst_x, worst, worst < 1e-10)
 
 
 def test_modularity_reports_equal_the_four_fold_column_sweep():
@@ -181,21 +187,21 @@ def test_modularity_reports_equal_the_four_fold_column_sweep():
 
 def test_modularity_checks_each_column_below_two_to_the_n_once(monkeypatch):
     calls = []
-    check = fourieradd.verify.modularity_reports
+    check = fourieradd.verify.modularity_errors
 
-    def recording_check(n_qubits, xs, tol):
+    def recording_check(n_qubits, xs):
         calls.append((n_qubits, list(xs)))
-        return check(n_qubits, xs, tol=tol)
+        return check(n_qubits, xs)
 
-    monkeypatch.setattr(fourieradd.verify, "modularity_reports", recording_check)
+    monkeypatch.setattr(fourieradd.verify, "modularity_errors", recording_check)
     verify_modularity(5)
     # one batched call per width, over every column below 2**N in order
     assert calls == [(n, list(range(1 << n))) for n in range(1, 6)]
 
 
 def test_nan_equivalence_report_is_the_worst(monkeypatch):
-    patched, constants = nan_at(fourieradd.verify.phase_adder_equivalence_reports, bad_index=1)
-    monkeypatch.setattr(fourieradd.verify, "phase_adder_equivalence_reports", patched)
+    patched, constants = nan_at(fourieradd.verify.phase_adder_equivalence_errors, bad_index=1)
+    monkeypatch.setattr(fourieradd.verify, "phase_adder_equivalence_errors", patched)
     report = verify_equivalence(1)[0]
     assert (report.check, report.c, report.passed) == ("phase-adder-equivalence", constants[1], False)
     assert np.isnan(report.max_error)
@@ -203,12 +209,40 @@ def test_nan_equivalence_report_is_the_worst(monkeypatch):
 
 def test_worst_report_is_the_first_of_equal_errors(monkeypatch):
     # every x gives the same error, so the report is the one for x = 0
-    monkeypatch.setattr(
-        fourieradd.verify,
-        "modularity_reports",
-        lambda n_qubits, xs, tol: [CheckReport("modularity", n_qubits, x, 0.5, False) for x in xs],
-    )
+    monkeypatch.setattr(fourieradd.verify, "modularity_errors", lambda n_qubits, xs: np.full(len(xs), 0.5))
     assert verify_modularity(2)[0].c == 0
+
+
+def test_constant_shift_scores_each_distinct_adder_once(monkeypatch):
+    # the adders for c and c + 2**N build the same gate list, so only c's runs
+    scored = []
+    errors = fourieradd.verify._errors
+
+    def recording_errors(blocks, targets):
+        scored.append(targets[0])
+        return errors(blocks, targets)
+
+    monkeypatch.setattr(fourieradd.verify, "_errors", recording_errors)
+    reports = verify_modularity(4)
+    assert all(report.passed for report in reports)
+    # targets[0] = 0 + c: at n = 1 the constants 0, 1, 1, 1 repeat, at n = 2 none does
+    assert scored == [0, 1, 0, 1, 2, 3, 0, 1, 4, 7, 0, 1, 8, 15]
+
+
+def test_constant_shift_runs_an_adder_whose_gates_differ(monkeypatch):
+    # an adder for c + 2**N that does not repeat c's gates is run and scored on its own
+    original = fourieradd.verify.const_adder_circuit
+
+    def wrong_when_shifted(spec):
+        circuit = original(spec)
+        if spec.constant >= 1 << spec.n_qubits:
+            return Circuit(circuit.n_qubits, circuit.gates + (phase(1, 0.3),))
+        return circuit
+
+    monkeypatch.setattr(fourieradd.verify, "const_adder_circuit", wrong_when_shifted)
+    report = verify_modularity(3)[-1]
+    assert (report.check, report.c, report.passed) == ("modular-constant-shift", 0, False)
+    assert report.max_error > 0.1
 
 
 def test_the_const_sweep_builds_each_width_transform_once(monkeypatch, capsys):
@@ -231,20 +265,29 @@ def test_the_const_sweep_builds_each_width_transform_once(monkeypatch, capsys):
     "errors, expected",
     [
         ([0.1, 0.3, 0.2, 0.3], (0.3, 1)),  # the first of equal errors wins
-        ([float("nan"), 0.2, float("nan")], (0.2, 1)),  # NaN is never picked
-        ([float("nan"), float("nan")], (0.0, 0)),
-        ([-1.0, 0.0, -0.0], (0.0, 0)),  # nothing above 0.0
-        ([-0.5, 0.0, 1e-300], (1e-300, 2)),
+        ([0.2, float("nan"), 0.5, float("nan")], (float("nan"), 1)),  # the first NaN wins
+        ([float("nan"), float("nan")], (float("nan"), 0)),
+        ([-1.0, -0.5, -0.5], (-0.5, 1)),  # no floor: a negative worst is reported as it is
+        ([0.0, 0.0, 1e-300], (1e-300, 2)),
     ],
 )
 def test_first_worst_selection_rule(errors, expected):
-    worst, index = fourieradd.verify._first_worst(np.array(errors))
-    assert (worst, index) == expected
-    assert math.copysign(1.0, worst) == 1.0
+    # each error is the value's own, so the report's c is the picked index
+    report = fourieradd.verify._report("check", 1, range(len(errors)), np.array(errors), 1e-10)
+    worst, index = expected
+    assert report.c == index
+    assert report.max_error == worst or math.isnan(report.max_error) and math.isnan(worst)
+    assert report.passed == (worst < 1e-10)
+
+
+def test_report_maps_an_error_to_the_value_that_owns_its_run():
+    # two entries per value: entry 5 belongs to the third value
+    errors = np.array([0.0, 0.1, 0.2, 0.0, 0.0, 0.4, 0.4, 0.0])
+    assert fourieradd.verify._report("check", 1, [10, 20, 30, 40], errors, 1.0).c == 30
 
 
 def test_const_sweep_reports_the_constant_of_the_first_worst_entry(monkeypatch):
-    # c-major errors at n = 2: equal errors at (c=1, a=3) and (c=2, a=0); c=1 comes first
+    # c-major errors at n = 2: equal errors at (c=1, a=3) and (c=2, a=0), but a NaN at (c=2, a=2)
     per_constant = {1: [0.0, 0.1, 0.0, 0.5], 2: [0.5, 0.0, float("nan"), 0.0]}
 
     def scored(blocks, targets):
@@ -253,6 +296,10 @@ def test_const_sweep_reports_the_constant_of_the_first_worst_entry(monkeypatch):
         return np.array(per_constant.get(int(targets[0]), [0.0] * 4))  # targets[0] = 0 + c
 
     monkeypatch.setattr(fourieradd.verify, "_errors", scored)
+    report = verify_const_adder(2)[1]
+    assert (report.c, report.passed) == (2, False)
+    assert math.isnan(report.max_error)
+    per_constant[2][2] = 0.0  # without the NaN, c=1 comes first
     report = verify_const_adder(2)[1]
     assert (report.c, report.max_error, report.passed) == (1, 0.5, False)
 
