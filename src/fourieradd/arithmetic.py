@@ -2,10 +2,10 @@
 
 Constant adder: transform, N single-qubit rotations, inverse transform.
 After the transform, basis value j lives entirely in phases; the rotation
-on qubit t has angle c * pi / 2**(N - t), and since qubit t carries basis
-weight 2**(t - 1) the register as a whole picks up exp(2*pi*i*c*j / 2**N),
-which the inverse transform turns back into the shifted basis state
-|j + c mod 2**N>.
+on qubit t has angle c * pi / 2**(N - t) up to whole turns, and since
+qubit t carries basis weight 2**(t - 1) the register as a whole picks up
+exp(2*pi*i*c*j / 2**N), which the inverse transform turns back into the
+shifted basis state |j + c mod 2**N>.
 
 Register adder: the same idea with the rotations controlled by the qubits
 of a second register, mapping |a, b> to |a, a + b mod 2**N>. Register a
@@ -72,13 +72,14 @@ class DraperAdderSpec:
 def phase_adder_circuit(spec: ConstAdderSpec) -> Circuit:
     """The N parallel rotations that add the constant in the Fourier basis.
 
-    Exactly one phase gate per qubit, angle c * pi / 2**(N - t) on qubit t.
-    Angles that happen to be multiples of 2*pi are kept; the gate count is
-    part of the contract.
+    Exactly one phase gate per qubit: qubit t gets c * pi / 2**(N - t) with
+    the whole turns taken off in integers first, pi * (c mod 2**(N-t+1)) /
+    2**(N - t), so every angle is below 2*pi and rounds no worse for a large
+    c. Angles that become 0 are kept; the gate count is part of the contract.
     """
     n = spec.n_qubits
     c = spec.canonical_constant
-    gates = tuple(phase(t, c * math.pi / (1 << (n - t))) for t in range(1, n + 1))
+    gates = tuple(phase(t, math.pi * (c % (2 << (n - t))) / (1 << (n - t))) for t in range(1, n + 1))
     return Circuit(n, gates)
 
 

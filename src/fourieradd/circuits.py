@@ -53,16 +53,12 @@ _SETS_OPTIONAL = {
     for kind, fields in GATE_FIELDS.items()
 }
 
-# Largest state that run_circuit runs gate by gate and that one run_on_basis
-# batch uses (1 MiB); a wider state runs run_circuit's plan over blocks of this
-# many amplitudes. Read at call time, and a power of two.
+# Amplitudes in one block of a plan run and in one run_on_basis batch (1 MiB):
+# a wider state runs block by block, and a batch of narrow inputs fills one
+# block. Read at call time, and a power of two.
 BATCH_AMPLITUDES = 1 << 16
-# Below three qubits a phase or controlled phase can act on one amplitude,
-# which numpy multiplies on another path than the run of amplitudes it becomes
-# in a batch; the two round differently, so such circuits run one input at a time.
-BATCH_MIN_QUBITS = 3
-# Widest window of consecutive qubit positions that one dense step of a wide
-# run covers: a 32 x 32 matrix costs about as much per amplitude as one
+# Widest window of consecutive qubit positions that one dense step of a plan
+# covers: a 32 x 32 matrix costs about as much per amplitude as one
 # Hadamard pass, and applies up to five Hadamards and the phases between them.
 FUSE_QUBITS = 5
 
@@ -186,38 +182,34 @@ def _build_qft(n_qubits: int) -> Circuit:
 def run_circuit(circuit: Circuit, state: StateVector) -> None:
     """Apply the gates in list order, mutating the state in place.
 
-    A state of at most BATCH_AMPLITUDES = 2**b amplitudes takes one apply_*
-    kernel call per gate over the whole state. A wider state runs the plan
-    that _plan compiles from the same gate list: swaps relabel qubits, the
-    Hadamards and the phases among them within FUSE_QUBITS consecutive
+    A state holding a non-finite amplitude is refused. The state then runs
+    the plan that _plan compiles from the gate list: swaps relabel qubits,
+    the Hadamards and the phases among them within FUSE_QUBITS consecutive
     qubits become one dense matrix step, built by running those gates
     through their kernels, and the other diagonal gates become phase-vector
-    multiplies. Every step but a dense step reaching above qubit b runs block
-    by block over the aligned 2**b-amplitude blocks, so a stretch of steps is
-    applied to one cache-sized block before the next is loaded. Qubits still
-    out of place at the end are put back with apply_swap. The plan multiplies
-    and sums in another order than the gates do, so its output is within
-    DEFAULT_TOL of the per-gate loop rather than bitwise the same. A state
-    holding a non-finite amplitude is refused at every width: the per-gate
-    path checks at entry, the plan when it wraps its blocks.
+    multiplies. With BATCH_AMPLITUDES = 2**b, every step but a dense step
+    reaching above qubit b runs block by block over the aligned
+    2**b-amplitude blocks (one block when the state is no wider), so a
+    stretch of steps is applied to one cache-sized block before the next is
+    loaded. Qubits still out of place at the end are put back with
+    apply_swap. The plan multiplies and sums in another order than the gates
+    do one by one, so its output is within DEFAULT_TOL of such a run rather
+    than bitwise the same.
     """
     if circuit.n_qubits != state.n_qubits:
         raise ValueError(
             f"circuit is over {circuit.n_qubits} qubit(s), state has {state.n_qubits}"
         )
-    if state.dim <= BATCH_AMPLITUDES:
-        require_finite(state.amplitudes)
-    _run(circuit, state)
+    require_finite(state.amplitudes)
+    _run(_plan(circuit), state)
 
 
-def _run(circuit: Circuit, state: StateVector) -> None:
-    """run_circuit without the finiteness check on the per-gate path."""
-    if state.dim <= BATCH_AMPLITUDES:
-        _apply_gates(circuit.gates, state)
-        return
-    steps, where = _plan(circuit)
-    _run_plan(steps, state, BATCH_AMPLITUDES.bit_length() - 1)
+def _run(plan: tuple[list, list[int]], state: StateVector) -> None:
+    """Run a compiled plan on the state, unchecked for finiteness, and put every qubit back."""
+    steps, where = plan
+    _run_plan(steps, state, min(BATCH_AMPLITUDES.bit_length() - 1, state.n_qubits))
     # where[q] is the position that holds qubit q; put each qubit back in its place
+    where = list(where)
     for qubit in range(1, len(where)):
         position = where[qubit]
         if position != qubit:
@@ -226,18 +218,18 @@ def _run(circuit: Circuit, state: StateVector) -> None:
             where[displaced], where[qubit] = position, qubit
 
 
-def _apply_gates(gates, state: StateVector, offset: int = 0) -> None:
-    # every qubit index is moved up by offset; the kernels are looked up by name
-    # on every call, here and in the plan, so a patched circuits.apply_* reaches every call
-    for gate in gates:
-        if gate.kind == HADAMARD:
-            apply_hadamard(state, gate.target + offset)
-        elif gate.kind == PHASE:
-            apply_phase(state, gate.target + offset, gate.angle)
-        elif gate.kind == CONTROLLED_PHASE:
-            apply_controlled_phase(state, gate.control + offset, gate.target + offset, gate.angle)
+def _apply_gates(gates, state: StateVector, offset: int) -> None:
+    # gates are the plan's (positions, angle) entries, angle None for a Hadamard, each position
+    # moved by offset; the kernels are looked up by name on every call, here and in the plan,
+    # so a patched circuits.apply_* reaches every call
+    for positions, angle in gates:
+        moved = [position + offset for position in positions]
+        if angle is None:
+            apply_hadamard(state, *moved)
+        elif len(moved) == 1:
+            apply_phase(state, *moved, angle)
         else:
-            apply_swap(state, gate.target + offset, gate.other + offset)
+            apply_controlled_phase(state, *moved, angle)
 
 
 @dataclass(frozen=True)
@@ -253,10 +245,12 @@ class _Diagonal:
     terms: tuple[tuple[int | None, float], ...]
 
 
-def _plan(circuit: Circuit) -> tuple[list, list[int]]:
-    """The steps of a wide run, and where[q], the position that holds qubit q after them.
+def _plan(circuit: Circuit, offset: int = 0) -> tuple[list, list[int]]:
+    """The steps of a run, and where[q], the position that holds qubit q after them.
 
-    A step is a _Dense or a _Diagonal. A swap only exchanges two entries of
+    Every qubit of the circuit is read as moved up by offset, onto a register
+    of N + offset qubits whose low offset qubits no step touches. A step is a
+    _Dense or a _Diagonal. A swap only exchanges two entries of
     where, and every later gate is read through it. The other gates are read
     as (positions, angle), angle None for a Hadamard. Diagonal gates wait
     until a Hadamard on one of their positions needs them placed, or the run
@@ -269,7 +263,7 @@ def _plan(circuit: Circuit) -> tuple[list, list[int]]:
     position (they commute), after it, closed, if it does. A closing cluster
     takes in every waiting diagonal gate inside its window.
     """
-    where = list(range(circuit.n_qubits + 1))
+    where = list(range(circuit.n_qubits + offset + 1))
     steps: list = []
     cluster: list[tuple[tuple[int, ...], float | None]] = []  # the open cluster's gates, in order
     hadamards: set[int] = set()  # the positions of its Hadamards
@@ -287,9 +281,10 @@ def _plan(circuit: Circuit) -> tuple[list, list[int]]:
 
     for gate in circuit.gates:
         if gate.kind == SWAP:
-            where[gate.target], where[gate.other] = where[gate.other], where[gate.target]
+            a, b = gate.target + offset, gate.other + offset
+            where[a], where[b] = where[b], where[a]
         elif gate.kind == HADAMARD:
-            position = where[gate.target]
+            position = where[gate.target + offset]
             window = hadamards | {position}
             if max(window) - min(window) >= FUSE_QUBITS:
                 close()
@@ -305,9 +300,9 @@ def _plan(circuit: Circuit) -> tuple[list, list[int]]:
             cluster.append(((position,), None))
             hadamards.add(position)
         elif gate.kind == PHASE:
-            waiting.append(((where[gate.target],), gate.angle))
+            waiting.append(((where[gate.target + offset],), gate.angle))
         else:
-            waiting.append(((where[gate.control], where[gate.target]), gate.angle))
+            waiting.append(((where[gate.control + offset], where[gate.target + offset]), gate.angle))
     close()
     steps.extend(_group_diagonals(waiting))
     return steps, where
@@ -327,24 +322,16 @@ class _Dense:
 
 
 def _dense(cluster, low: int, top: int) -> _Dense:
-    """The cluster's matrix, from running its gates, moved to qubits 1..K, on every basis column.
+    """The cluster's matrix, from running its gates on every basis column.
 
     The gates run through _apply_gates, so each reaches its apply_* kernel,
-    with offset K over a 2K-qubit state whose amplitudes are the flattened
-    identity: the low K qubits index the columns and are never touched.
+    moved from positions low..top to qubits K+1..2K of a 2K-qubit state
+    whose amplitudes are the flattened identity: the low K qubits index the
+    columns and are never touched.
     """
     k = top - low + 1
-    gates = []
-    for positions, angle in cluster:
-        moved = [position - low + 1 for position in positions]
-        if angle is None:
-            gates.append(hadamard(*moved))
-        elif len(moved) == 1:
-            gates.append(phase(*moved, angle))
-        else:
-            gates.append(cphase(*moved, angle))
     work = StateVector(2 * k, np.eye(1 << k, dtype=np.complex128).reshape(-1))
-    _apply_gates(gates, work, k)
+    _apply_gates(cluster, work, k + 1 - low)
     return _Dense(work.amplitudes.reshape(1 << k, 1 << k), low, top)
 
 
@@ -432,10 +419,11 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
 
     The phase vectors of a stretch add up to at most one block of amplitudes:
     a step that would pass that starts a new stretch. The blocks are wrapped
-    as states once, before any step runs. A dense step above the block runs
-    over the whole state, into a state-sized output of its own.
+    as states once, before any step runs, and not checked for finiteness
+    again. A dense step above the block runs over the whole state, into a
+    state-sized output of its own.
     """
-    blocks = [StateVector(block_qubits, block) for block in state.amplitudes.reshape(-1, 1 << block_qubits)]
+    blocks = [_view(block_qubits, block) for block in state.amplitudes.reshape(-1, 1 << block_qubits)]
     stretch: list = []
     held = 0
     for step in steps:
@@ -452,6 +440,13 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
             held += step.factors.size
         stretch.append(step)
     _run_blocked(stretch, blocks)
+
+
+def _view(n_qubits: int, amplitudes: np.ndarray) -> StateVector:
+    """A StateVector over the amplitudes as they are: not copied, and not checked for finiteness."""
+    state = object.__new__(StateVector)
+    state.n_qubits, state.amplitudes = n_qubits, amplitudes
+    return state
 
 
 def _run_blocked(stretch: list, blocks: list[StateVector]) -> None:
@@ -514,38 +509,33 @@ def run_filled(circuit: Circuit, count: int, fill) -> Iterator[tuple[int, np.nda
     fill(start, block) writes inputs start, start + 1, ... as the columns of
     block, a (2**N, rows) view of the batch state: one column per input, so
     the input index sits on the low qubits. A block of 2**k inputs runs as
-    one state of N + k qubits: the circuit's own gates are applied with every
-    qubit index moved up by k. No gate touches the low k qubits, so every
-    amplitude goes through the same arithmetic as in a run per input and the
-    rows are bitwise equal to those runs. Keeping the input index lowest
-    gives every gate inner runs of at least 2**k contiguous amplitudes. A
-    block holds at most BATCH_AMPLITUDES amplitudes, or a single input, which
-    runs as run_circuit runs it but unchecked for finiteness, when one state
-    is larger than that or the circuit is narrower than BATCH_MIN_QUBITS.
-    Every block is filled into one work state, wrapped once per call, and
-    outputs is a copy of it.
+    one state of N + k qubits through the plan of the circuit with every
+    qubit moved up by k. No step touches the low k qubits, so each row is
+    the circuit's output on its input, and keeping the input index lowest
+    gives every step inner runs of at least 2**k contiguous amplitudes. A
+    block holds at most BATCH_AMPLITUDES amplitudes, or a single input when
+    one state is larger than that. Each block width's plan is compiled once
+    per call and kept no longer, so a kernel patched between calls always
+    builds the matrices. The inputs are not checked for finiteness. Every
+    block is filled into one work buffer, and outputs is a copy of it.
     """
     if not count:
         return
     n_qubits, dim = circuit.n_qubits, 1 << circuit.n_qubits
-    widest = 0
-    if n_qubits >= BATCH_MIN_QUBITS:
-        widest = max(BATCH_AMPLITUDES.bit_length() - 1 - n_qubits, 0)
-    # blocks only shrink, so the first one sizes the work state
-    k = min(widest, count.bit_length() - 1)
-    work = StateVector(n_qubits + k, np.zeros(dim << k, dtype=np.complex128))
-    buffer = work.amplitudes
+    widest = max(BATCH_AMPLITUDES.bit_length() - 1 - n_qubits, 0)
+    # blocks only shrink, so the first one sizes the work buffer
+    buffer = np.empty(dim << min(widest, count.bit_length() - 1), dtype=np.complex128)
+    plans: dict[int, tuple[list, list[int]]] = {}
     start = 0
     while start < count:
         k = min(widest, (count - start).bit_length() - 1)
         rows = 1 << k
-        work.n_qubits, work.amplitudes = n_qubits + k, buffer[: dim << k]
+        work = _view(n_qubits + k, buffer[: dim << k])
         block = work.amplitudes.reshape(dim, rows)
         fill(start, block)
-        if k:
-            _apply_gates(circuit.gates, work, k)
-        else:
-            _run(circuit, work)
+        if k not in plans:
+            plans[k] = _plan(circuit, k)
+        _run(plans[k], work)
         yield start, block.T.copy()
         start += rows
 

@@ -54,8 +54,9 @@ class TestPhaseAdderStructure:
         assert all(gate.kind == "phase" for gate in circuit.gates)
 
     def test_angles_follow_the_weight_ladder(self):
+        # 5 * pi / 2**(4 - t) less its whole turns: 5 pi / 2 becomes pi / 2 and 5 pi becomes pi
         circuit = phase_adder_circuit(ConstAdderSpec(4, 5))
-        expected = [5 * math.pi / 8, 5 * math.pi / 4, 5 * math.pi / 2, 5 * math.pi]
+        expected = [5 * math.pi / 8, 5 * math.pi / 4, math.pi / 2, math.pi]
         assert [gate.angle for gate in circuit.gates] == expected
 
     def test_zero_constant_still_emits_all_rotations(self):

@@ -200,10 +200,14 @@ class TestEquivalenceCheck:
         def rotation(theta):
             return np.array([[1.0, 0.0], [0.0, cmath.exp(1j * theta)]], dtype=np.complex128)
 
-        tensor = rotation(reduced * math.pi / (1 << (n - 1)))
+        def angle(t):
+            # the program's synthesis: c * pi / 2**(N - t) less its whole turns, in integers
+            return math.pi * (reduced % (2 << (n - t))) / (1 << (n - t))
+
+        tensor = rotation(angle(1))
         max_error = 0.0
         for t in range(2, n + 1):
-            tensor = np.kron(rotation(reduced * math.pi / (1 << (n - t))), tensor)
+            tensor = np.kron(rotation(angle(t)), tensor)
             half = tensor.shape[0] // 2
             step_phase = cmath.exp(2j * math.pi * ((reduced * (1 << (t - 1))) % dim) / dim)
             block_error = np.max(np.abs(tensor[half:, half:] - step_phase * tensor[:half, :half]))

@@ -19,7 +19,9 @@ import fourieradd.dense
 import fourieradd.verify
 from fourieradd import DEFAULT_TOL, Circuit, ConstAdderSpec, StateVector, apply_const_add, cphase, phase, run_suite
 
-WIDTHS = {"const": 3, "draper": 3, "equivalence": 4, "modularity": 4}
+# const and modularity run 6 qubits: below that the whole constant adder fuses into dense
+# steps, and only from 6 qubits up does the plan leave a phase-vector step for apply_diagonal
+WIDTHS = {"const": 6, "draper": 3, "equivalence": 4, "modularity": 6}
 
 
 def nan_hadamard(monkeypatch):
@@ -92,65 +94,6 @@ def transform_cphase_off(monkeypatch):
     monkeypatch.setattr(fourieradd.arithmetic, "qft_circuit", patched)
 
 
-FAULTS = {
-    "nan": nan_hadamard,
-    "phase": phase_off_by_one_unit,
-    "cphase": cphase_off,
-    "swap": swap_dropped,
-    "c+1": stage_for_next_constant,
-    "trailing-phase": trailing_phase,
-    "transform": transform_cphase_off,
-}
-
-COVERS = {
-    "const": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform"},
-    "draper": {"nan", "cphase", "swap", "transform"},
-    "equivalence": {"c+1"},
-    "modularity": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform"},
-}
-
-NO_CONST_ADDER = "draper runs no phase kernel and builds no constant adder"
-NO_KERNEL = "the equivalence check calls no kernel"
-READS_THE_STAGE = "the equivalence check reads the phase stage, not the whole adder"
-
-GAPS = {
-    ("nan", "equivalence"): NO_KERNEL,
-    ("phase", "draper"): NO_CONST_ADDER,
-    ("phase", "equivalence"): NO_KERNEL,
-    ("cphase", "equivalence"): NO_KERNEL,
-    ("swap", "equivalence"): NO_KERNEL,
-    ("c+1", "draper"): NO_CONST_ADDER,
-    ("trailing-phase", "draper"): NO_CONST_ADDER,
-    ("trailing-phase", "equivalence"): READS_THE_STAGE,
-    ("transform", "equivalence"): READS_THE_STAGE,
-}
-
-PAIRS = list(itertools.product(FAULTS, WIDTHS))
-
-
-def test_covers_and_gaps_partition_every_pair():
-    covered = {(fault, suite) for suite, faults in COVERS.items() for fault in faults}
-    assert covered.isdisjoint(GAPS)
-    assert covered | set(GAPS) == set(PAIRS)
-    assert len(PAIRS) == 28
-    assert len(GAPS) == 9  # all structural: the suite builds no constant adder or calls no kernel
-
-
-def test_every_suite_passes_on_the_clean_program():
-    for suite, n_max in WIDTHS.items():
-        assert all(report.passed for report in run_suite(suite, n_max))
-
-
-@pytest.mark.parametrize("fault, suite", PAIRS, ids=[f"{fault}-{suite}" for fault, suite in PAIRS])
-def test_fault_matrix(monkeypatch, fault, suite):
-    FAULTS[fault](monkeypatch)
-    passed = all(report.passed for report in run_suite(suite, WIDTHS[suite]))
-    if fault in COVERS[suite]:
-        assert not passed, f"{suite} passes with the {fault} fault it claims to cover"
-    else:
-        assert passed, f"{suite} now fails on {fault}: move the pair from GAPS to COVERS"
-
-
 def nan_diagonal(monkeypatch):
     original = fourieradd.circuits.apply_diagonal
 
@@ -179,19 +122,76 @@ def dense_dropped(monkeypatch):
     monkeypatch.setattr(fourieradd.circuits, "apply_dense", lambda state, *args: None)
 
 
-# Kernel faults on a state wider than BATCH_AMPLITUDES, which runs the plan
-# rather than one kernel call per gate; every one must move the constant
-# adder's output off np.roll of its input, except those named here. The
-# plan's own kernels, apply_diagonal and apply_dense, are faulted here only:
-# no verify suite runs a state that wide.
-WIDE_QUBITS = 17
-KERNEL_FAULTS = {
-    **{name: FAULTS[name] for name in ("nan", "phase", "cphase", "swap")},
+FAULTS = {
+    "nan": nan_hadamard,
+    "phase": phase_off_by_one_unit,
+    "cphase": cphase_off,
+    "swap": swap_dropped,
+    "c+1": stage_for_next_constant,
+    "trailing-phase": trailing_phase,
+    "transform": transform_cphase_off,
     "nan-diagonal": nan_diagonal,
     "diagonal-dropped": diagonal_dropped,
     "nan-dense": nan_dense,
     "dense-dropped": dense_dropped,
 }
+
+PLAN_FAULTS = {"nan-diagonal", "diagonal-dropped", "nan-dense", "dense-dropped"}
+COVERS = {
+    "const": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform", *PLAN_FAULTS},
+    "draper": {"nan", "cphase", "swap", "transform", *PLAN_FAULTS},
+    "equivalence": {"c+1"},
+    "modularity": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform", *PLAN_FAULTS},
+}
+
+NO_CONST_ADDER = "draper runs no phase kernel and builds no constant adder"
+NO_KERNEL = "the equivalence check calls no kernel"
+READS_THE_STAGE = "the equivalence check reads the phase stage, not the whole adder"
+
+GAPS = {
+    ("nan", "equivalence"): NO_KERNEL,
+    ("phase", "draper"): NO_CONST_ADDER,
+    ("phase", "equivalence"): NO_KERNEL,
+    ("cphase", "equivalence"): NO_KERNEL,
+    ("swap", "equivalence"): NO_KERNEL,
+    ("c+1", "draper"): NO_CONST_ADDER,
+    ("trailing-phase", "draper"): NO_CONST_ADDER,
+    ("trailing-phase", "equivalence"): READS_THE_STAGE,
+    ("transform", "equivalence"): READS_THE_STAGE,
+    **{(fault, "equivalence"): NO_KERNEL for fault in PLAN_FAULTS},
+}
+
+PAIRS = list(itertools.product(FAULTS, WIDTHS))
+
+
+def test_covers_and_gaps_partition_every_pair():
+    covered = {(fault, suite) for suite, faults in COVERS.items() for fault in faults}
+    assert covered.isdisjoint(GAPS)
+    assert covered | set(GAPS) == set(PAIRS)
+    assert len(PAIRS) == 44
+    assert len(GAPS) == 13  # all structural: the suite builds no constant adder or calls no kernel
+
+
+def test_every_suite_passes_on_the_clean_program():
+    for suite, n_max in WIDTHS.items():
+        assert all(report.passed for report in run_suite(suite, n_max))
+
+
+@pytest.mark.parametrize("fault, suite", PAIRS, ids=[f"{fault}-{suite}" for fault, suite in PAIRS])
+def test_fault_matrix(monkeypatch, fault, suite):
+    FAULTS[fault](monkeypatch)
+    passed = all(report.passed for report in run_suite(suite, WIDTHS[suite]))
+    if fault in COVERS[suite]:
+        assert not passed, f"{suite} passes with the {fault} fault it claims to cover"
+    else:
+        assert passed, f"{suite} now fails on {fault}: move the pair from GAPS to COVERS"
+
+
+# Kernel faults on a state wider than BATCH_AMPLITUDES, which the plan runs
+# block by block; every one must move the constant adder's output off np.roll
+# of its input, except those named here.
+WIDE_QUBITS = 17
+KERNEL_FAULTS = {name: FAULTS[name] for name in ("nan", "phase", "cphase", "swap", *sorted(PLAN_FAULTS))}
 WIDE_GAPS = {
     "swap": "the plan relabels swaps and the adder leaves none to run "
     "(test_circuits test_a_dropped_swap_breaks_a_left_permutation covers the kernel)",

@@ -1,4 +1,4 @@
-"""Property-based checks for the gate kernels, the wide-state plan and both adders."""
+"""Property-based checks for the gate kernels, the plan that runs every circuit and both adders."""
 
 from unittest import mock
 
@@ -16,6 +16,7 @@ from fourieradd import (
     apply_controlled_phase,
     apply_hadamard,
     apply_phase,
+    apply_swap,
     basis_state,
     cphase,
     circuit_to_matrix,
@@ -28,6 +29,7 @@ from fourieradd import (
     phase_adder_circuit,
     qft_circuit,
     run_circuit,
+    run_on_states,
     swap,
 )
 
@@ -45,8 +47,9 @@ def random_state(n_qubits, seed):
 def gate_sequences(draw, min_qubits=2, max_qubits=6, min_gates=0, max_gates=20):
     n = draw(st.integers(min_value=min_qubits, max_value=max_qubits))
     gates = []
+    kinds = ("h", "phase", "cphase", "swap") if n > 1 else ("h", "phase")
     for _ in range(draw(st.integers(min_value=min_gates, max_value=max_gates))):
-        kind = draw(st.sampled_from(("h", "phase", "cphase", "swap")))
+        kind = draw(st.sampled_from(kinds))
         target = draw(st.integers(min_value=1, max_value=n))
         if kind == "h":
             gates.append(hadamard(target))
@@ -116,29 +119,72 @@ class TestKernelProperties:
                 assert state.amplitudes[index] == reference[index]
 
 
+def run_gate_by_gate(circuit, amplitudes):
+    """The reference that runs no plan: every gate's kernel on the whole state, in list order.
+
+    The amplitudes are copied and taken as given, unnormalized and unchecked.
+    """
+    state = StateVector(circuit.n_qubits, np.zeros(len(amplitudes), dtype=np.complex128))
+    state.amplitudes[:] = amplitudes
+    for gate in circuit.gates:
+        if gate.kind == "h":
+            apply_hadamard(state, gate.target)
+        elif gate.kind == "phase":
+            apply_phase(state, gate.target, gate.angle)
+        elif gate.kind == "cphase":
+            apply_controlled_phase(state, gate.control, gate.target, gate.angle)
+        else:
+            apply_swap(state, gate.target, gate.other)
+    return state.amplitudes
+
+
+def plan_settings(data, widest):
+    """Patches of BATCH_AMPLITUDES (2 to 2**widest amplitudes a block) and FUSE_QUBITS (1 to 5)."""
+    block_qubits = data.draw(st.integers(min_value=1, max_value=widest), label="block qubits")
+    fuse_qubits = data.draw(st.integers(min_value=1, max_value=5), label="fuse qubits")
+    return (
+        mock.patch.object(fourieradd.circuits, "BATCH_AMPLITUDES", 1 << block_qubits),
+        mock.patch.object(fourieradd.circuits, "FUSE_QUBITS", fuse_qubits),
+    )
+
+
 class TestPlanProperties:
     @given(
-        gate_sequences(min_qubits=3, max_qubits=8, min_gates=1, max_gates=39),
+        gate_sequences(min_qubits=1, max_qubits=8, min_gates=1, max_gates=39),
         st.data(),
         st.integers(min_value=0, max_value=2**31),
     )
     @settings(max_examples=150, deadline=None)
     def test_plan_matches_the_circuit_matrix(self, circuit, data, seed):
-        # any circuit, block size and fusion window: the plan that runs states wider than
-        # BATCH_AMPLITUDES gives the matrix's output; the matrix is built before the patch,
-        # gate by gate, so that the reference does not run the plan too
+        # any circuit, block size and fusion window: run_circuit's plan gives the circuit
+        # matrix's output, taken from the gates run one by one through their kernels and not
+        # from circuit_to_matrix, which runs the plan too; the state is one block or many
         n = circuit.n_qubits
-        matrix = circuit_to_matrix(circuit)
         state = random_state(n, seed)
-        expected = matrix @ state.amplitudes
-        block_qubits = data.draw(st.integers(min_value=1, max_value=n - 1), label="block qubits")
-        fuse_qubits = data.draw(st.integers(min_value=1, max_value=5), label="fuse qubits")
-        with (
-            mock.patch.object(fourieradd.circuits, "BATCH_AMPLITUDES", 1 << block_qubits),
-            mock.patch.object(fourieradd.circuits, "FUSE_QUBITS", fuse_qubits),
-        ):
+        expected = run_gate_by_gate(circuit, state.amplitudes)
+        block, fuse = plan_settings(data, n)
+        with block, fuse:
             run_circuit(circuit, state)
         assert np.max(np.abs(state.amplitudes - expected)) < DEFAULT_TOL
+
+    @given(
+        gate_sequences(min_qubits=1, max_qubits=6, min_gates=1, max_gates=39),
+        st.data(),
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=0, max_value=2**31),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_batches_match_the_gate_by_gate_run_of_each_row(self, circuit, data, count, seed):
+        # rows of any count in batches of any size: each output row is its own gate-by-gate run
+        n = circuit.n_qubits
+        rng = np.random.default_rng(seed)
+        rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
+        rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+        block, fuse = plan_settings(data, n + 6)
+        with block, fuse:
+            outputs = np.concatenate([outputs for _, outputs in run_on_states(circuit, rows)])
+        expected = np.array([run_gate_by_gate(circuit, row) for row in rows])
+        assert np.max(np.abs(outputs - expected)) < DEFAULT_TOL
 
 
 class TestAdderProperties:
