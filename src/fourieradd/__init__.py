@@ -51,11 +51,8 @@ from .arithmetic import (
 from .dense import (
     DENSE_MAX_QUBITS,
     circuit_to_matrix,
-    dft_matrix,
     modularity_errors,
-    permutation_add_matrix,
     phase_adder_equivalence_errors,
-    phase_adder_matrix,
 )
 from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates
 from .verify import (

@@ -53,7 +53,7 @@ _SETS_OPTIONAL = {
     for kind, fields in GATE_FIELDS.items()
 }
 
-# Amplitudes in one block of a plan run and in one run_on_basis batch (1 MiB):
+# Amplitudes in one block of a plan run and in one run_filled batch (1 MiB):
 # a wider state runs block by block, and a batch of narrow inputs fills one
 # block. Read at call time, and a power of two.
 BATCH_AMPLITUDES = 1 << 16
@@ -464,26 +464,20 @@ def _run_blocked(stretch: list, blocks: list[StateVector]) -> None:
                 apply_diagonal(block_state, factors, step.low, step.control)
 
 
-def run_on_basis(circuit: Circuit, inputs) -> Iterator[tuple[int, np.ndarray]]:
-    """Run the circuit on each basis input, yielding run_on_states's (start, outputs) blocks.
+def run_on_basis(circuit: Circuit) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the circuit on every basis input in order, yielding run_on_states's (start, outputs) blocks.
 
     The one-hot case of run_on_states: row j of outputs is the output state
-    for inputs[start + j], and each block's one-hot rows are written into the
-    batch state as it is filled, so no (inputs, 2**N) array is built.
+    for |start + j>, and each block's one-hot rows are written into the
+    batch state as it is filled, so no (2**N, 2**N) array is built.
     """
-    n_qubits, dim = circuit.n_qubits, 1 << circuit.n_qubits
-    inputs = np.asarray(inputs, dtype=np.int64)
-    if inputs.ndim != 1:
-        raise ValueError(f"inputs must be a flat sequence of basis values, got shape {inputs.shape}")
-    if inputs.size and not (0 <= inputs.min() and inputs.max() < dim):
-        raise ValueError(f"inputs out of range: expected 0 <= value < 2**{n_qubits} = {dim}")
 
     def one_hot(start: int, block: np.ndarray) -> None:
         block[...] = 0.0
-        rows = block.shape[1]
-        block[inputs[start : start + rows], np.arange(rows)] = 1.0
+        rows = np.arange(block.shape[1])
+        block[start + rows, rows] = 1.0
 
-    return run_filled(circuit, inputs.size, one_hot)
+    return run_filled(circuit, 1 << circuit.n_qubits, one_hot)
 
 
 def run_on_states(circuit: Circuit, rows) -> Iterator[tuple[int, np.ndarray]]:

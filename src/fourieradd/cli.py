@@ -28,12 +28,13 @@ BASIS_OUTPUT_MIN_PROB = 1.0 - 1e-9
 QFT_DUMP_MAX_QUBITS = 6
 # Peak memory of a run, checked before anything is allocated. A state of 2**N
 # 16-byte amplitudes runs beside the state-sized output of a wide dense step.
-# Per entry of its 4**N inputs, the const sweep holds its 8-byte scores twice
-# (per constant and joined); the draper sweep holds five 8-byte arrays (inputs,
-# operands, targets, scores) and runs each input as a 4**N-amplitude state,
-# whose output it copies: 40 + 3 * 16 bytes. `all` is held to the larger.
+# Per entry of its 4**N inputs, the const sweep holds the width's transform
+# rows (16 bytes) and its 8-byte scores twice (per constant and joined):
+# 32 bytes. The draper sweep holds five 8-byte arrays (inputs, operands,
+# targets, scores) and runs each input as a 4**N-amplitude state, whose
+# output it copies: 40 + 3 * 16 bytes. `all` is held to the larger.
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
-SWEEP_BYTES_PER_ENTRY = {"const": 16, "draper": 88, "all": 88}
+SWEEP_BYTES_PER_ENTRY = {"const": 32, "draper": 88, "all": 88}
 
 
 def _positive_int(text: str) -> int:

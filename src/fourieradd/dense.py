@@ -1,11 +1,11 @@
-"""Dense reference layer: closed-form matrices and brute-force checks.
+"""Dense layer: a circuit's matrix and the closed-form oracle checks.
 
-Everything here is built straight from defining formulas, independent of
-the gate kernels, so circuits and matrices can be checked against each
-other; the equivalence check reads the angles of the program's phase stage.
-Matrices have 4**N entries, so the layer is capped at DENSE_MAX_QUBITS
-qubits. The equivalence and modularity checks build no matrix, only
-2**N-entry diagonals and columns, but keep the same cap.
+circuit_to_matrix runs the circuit, through the plan, on every basis
+column. The equivalence and modularity checks are built straight from
+defining formulas and call no kernel; the equivalence check reads the
+angles of the program's phase stage. A matrix has 4**N entries, so the
+layer is capped at DENSE_MAX_QUBITS qubits. The two checks build no matrix,
+only 2**N-entry diagonals and columns, but keep the same cap.
 
 Integer exponents of omega = exp(2*pi*i / 2**N) are reduced mod 2**N
 before the complex exponential is evaluated. The reduction is exact for
@@ -43,14 +43,6 @@ def _omega_powers(exponents: np.ndarray, dim: int) -> np.ndarray:
     return np.exp((2j * np.pi / dim) * (exponents % dim))
 
 
-def dft_matrix(n_qubits: int) -> np.ndarray:
-    """Unitary with entry (j, k) = omega**(j*k) / sqrt(2**N)."""
-    _require_dense(n_qubits)
-    dim = 1 << n_qubits
-    indices = np.arange(dim, dtype=np.int64)
-    return _omega_powers(np.outer(indices, indices), dim) / math.sqrt(dim)
-
-
 def _phase_adder_diagonal(dim: int, reduced) -> np.ndarray:
     """omega**(j*c) for every basis index j, along the last axis.
 
@@ -59,30 +51,12 @@ def _phase_adder_diagonal(dim: int, reduced) -> np.ndarray:
     return _omega_powers(np.arange(dim, dtype=np.int64) * reduced, dim)
 
 
-def phase_adder_matrix(n_qubits: int, constant: int) -> np.ndarray:
-    """Diagonal matrix with entry (j, j) = omega**(j*c)."""
-    _require_dense(n_qubits)
-    dim = 1 << n_qubits
-    return np.diag(_phase_adder_diagonal(dim, constant % dim))
-
-
-def permutation_add_matrix(n_qubits: int, constant: int) -> np.ndarray:
-    """Classical ground truth: entry (j, k) is 1 exactly when j = k + c mod 2**N."""
-    _require_dense(n_qubits)
-    dim = 1 << n_qubits
-    reduced = constant % dim
-    matrix = np.zeros((dim, dim), dtype=np.complex128)
-    columns = np.arange(dim)
-    matrix[(columns + reduced) % dim, columns] = 1.0
-    return matrix
-
-
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
     """Brute-force unitary of a circuit: column k is the circuit run on |k>."""
     _require_dense(circuit.n_qubits)
     dim = 1 << circuit.n_qubits
     matrix = np.empty((dim, dim), dtype=np.complex128)
-    for start, outputs in run_on_basis(circuit, np.arange(dim)):
+    for start, outputs in run_on_basis(circuit):
         matrix[:, start : start + len(outputs)] = outputs.T
     return matrix
 
@@ -183,7 +157,8 @@ def modularity_errors(n_qubits: int, xs: Iterable[int]) -> np.ndarray:
             columns = np.concatenate([columns, columns * factors[:, bit, None]], axis=1)
         columns /= math.sqrt(dim)
         # entry x mod 2**N of the inverse transform applied to the column: only
-        # that column of dft_matrix is needed, conjugated and dotted with it
+        # column x mod 2**N of the transform matrix, omega**(j*x) / sqrt(2**N),
+        # is needed, conjugated and dotted with it
         transform_columns = _omega_powers(ks[rows, None] * np.arange(dim, dtype=np.int64), dim)
         transform_columns /= math.sqrt(dim)
         infidelities[rows] = 1.0 - np.abs(np.einsum("ij,ij->i", transform_columns.conj(), columns)) ** 2

@@ -150,8 +150,8 @@ def _parts(view: np.ndarray) -> tuple[np.ndarray, ...]:
 def apply_hadamard(state: StateVector, target: int) -> None:
     """Map the target-bit pair (a0, a1) to ((a0+a1), (a0-a1)) / sqrt(2)."""
     _check_qubit(state.n_qubits, target)
-    # the sum and difference are half-state temporaries: an in-place update was
-    # faster but raised the benchmark's peak RSS past its bound (ROADMAP item 3)
+    # the sum and difference are half-state temporaries; the plan calls this kernel
+    # only on the states of at most 2**10 amplitudes that build its dense matrices
     for part in _parts(_split_view(state.amplitudes, target)):
         clear, set_ = part[:, 0], part[:, 1]
         total = clear + set_

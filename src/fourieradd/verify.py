@@ -89,8 +89,7 @@ def _after(circuit: Circuit, head: Circuit) -> Circuit | None:
 
 def _transformed(transform: Circuit) -> np.ndarray:
     """Row b: the transform run on |b>, for every b in [0, 2**N)."""
-    blocks = run_on_basis(transform, np.arange(1 << transform.n_qubits))
-    return np.concatenate([outputs for _, outputs in blocks])
+    return np.concatenate([outputs for _, outputs in run_on_basis(transform)])
 
 
 def _register_inputs(transformed: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -126,7 +125,7 @@ def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
         key = (adder.gates, c % dim)
         if key not in scored:
             rest = _after(adder, transform)
-            blocks = run_on_basis(adder, inputs) if rest is None else run_on_states(rest, transformed)
+            blocks = run_on_basis(adder) if rest is None else run_on_states(rest, transformed)
             scored[key] = _errors(blocks, (inputs + c) % dim)
         errors.append(scored[key])
     return np.concatenate(errors)
@@ -161,7 +160,7 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
         transform = qft_circuit(n)
         rest = _after(circuit, shift_qubits(transform, n, 2 * n))
         if rest is None:
-            blocks = run_on_basis(circuit, packed)
+            blocks = run_on_basis(circuit)
         else:
             blocks = run_filled(rest, len(packed), _register_inputs(_transformed(transform), a, b))
         errors = _errors(blocks, a + dim * ((a + b) % dim))
@@ -169,19 +168,15 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     return reports
 
 
-def verify_equivalence(
-    n_max: int, samples: int = 20, seed: int = 0, tol: float = DEFAULT_TOL
-) -> list[CheckReport]:
-    """Tensor-vs-diagonal equivalence for random constants, one report per width.
+def verify_equivalence(n_max: int, seed: int = 0, tol: float = DEFAULT_TOL) -> list[CheckReport]:
+    """Tensor-vs-diagonal equivalence for 20 random constants, one report per width.
 
     A width's constants are checked in one batched call.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
     rng = np.random.default_rng(seed)
     reports = []
     for n in range(1, n_max + 1):
-        constants = rng.integers(0, 4 * (1 << n), size=samples).tolist()
+        constants = rng.integers(0, 4 * (1 << n), size=20).tolist()
         errors = phase_adder_equivalence_errors(n, constants)
         reports.append(_report("phase-adder-equivalence", n, constants, errors, tol))
     return reports

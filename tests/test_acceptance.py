@@ -27,15 +27,12 @@ from fourieradd import (
     const_adder_circuit,
     count_gates,
     cphase,
-    dft_matrix,
     draper_adder_circuit,
     draper_inner_circuit,
     fidelity,
     hadamard,
-    permutation_add_matrix,
     phase,
     phase_adder_equivalence_errors,
-    phase_adder_matrix,
     qft_circuit,
     run_circuit,
     superposition_state,
@@ -44,6 +41,7 @@ from fourieradd import (
     verify_draper,
     verify_modularity,
 )
+from oracles import dft_matrix, permutation_add_matrix, phase_adder_matrix
 
 FIDELITY_TOL = 1e-10
 MATRIX_TOL = 1e-10

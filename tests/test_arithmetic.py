@@ -15,18 +15,11 @@ from fourieradd import (
     draper_adder_circuit,
     draper_inner_circuit,
     fidelity,
-    permutation_add_matrix,
     phase_adder_circuit,
-    phase_adder_matrix,
     run_circuit,
     superposition_state,
 )
-
-
-def random_state(n_qubits, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
+from oracles import permutation_add_matrix, phase_adder_matrix, random_state
 
 
 class TestConstAdderSpec:

@@ -17,11 +17,7 @@ from fourieradd import (
     Gate,
     StateVector,
     apply_const_add,
-    apply_controlled_phase,
     apply_dense,
-    apply_hadamard,
-    apply_phase,
-    apply_swap,
     basis_state,
     circuit_from_dict,
     circuit_to_dict,
@@ -30,7 +26,6 @@ from fourieradd import (
     const_adder_circuit,
     count_gates,
     cphase,
-    dft_matrix,
     draper_adder_circuit,
     fidelity,
     hadamard,
@@ -44,6 +39,7 @@ from fourieradd import (
     shift_qubits,
     swap,
 )
+from oracles import dft_matrix, random_state, run_gate_by_gate
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -57,12 +53,6 @@ QFT2_EXPECTED = 0.5 * np.array(
     ],
     dtype=np.complex128,
 )
-
-
-def random_state(n_qubits, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
 class TestGateValidation:
@@ -261,7 +251,7 @@ def random_circuit(n_qubits, seed, n_gates=60):
 
 
 def run_each(circuit, inputs):
-    """Reference for run_on_basis: every gate on a state of its own per input, one output row each."""
+    """Reference for basis inputs: every gate on a state of its own per input, one output row each."""
     rows = []
     for value in inputs:
         state = basis_state(circuit.n_qubits, int(value))
@@ -275,23 +265,31 @@ def distance(actual, expected):
     return float(np.max(np.abs(actual - expected)))
 
 
-def run_batched(circuit, inputs):
-    """run_on_basis's blocks joined in order, after checking they are contiguous and capped."""
-    blocks = list(run_on_basis(circuit, inputs))
+def joined(blocks):
+    """The (start, outputs) blocks joined in order, after checking they are contiguous and capped."""
+    blocks = list(blocks)
     sizes = [len(outputs) for _, outputs in blocks]
     assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(blocks))]
     assert all(outputs.size <= BATCH_AMPLITUDES for _, outputs in blocks)
     return np.concatenate([outputs for _, outputs in blocks])
 
 
+def one_hot(n_qubits, inputs):
+    """Row i is the basis state |inputs[i]>: basis inputs in any count and order, as run_on_states rows."""
+    rows = np.zeros((len(inputs), 1 << n_qubits), dtype=np.complex128)
+    rows[np.arange(len(inputs)), inputs] = 1.0
+    return rows
+
+
 class TestRunOnBasis:
+    """run_on_basis over the whole basis, and the block loop it shares on one-hot rows of any count."""
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_bitwise_equal_to_a_run_per_input(self, n):
         # a batch runs the plan, which sums in another order than the gates one by one:
         # each row is within DEFAULT_TOL of its gate-by-gate run, not bitwise equal to it
         circuit = random_circuit(n, seed=n)
-        inputs = np.arange(1 << n)
-        assert distance(run_batched(circuit, inputs), run_each(circuit, inputs)) < DEFAULT_TOL
+        assert distance(joined(run_on_basis(circuit)), run_each(circuit, range(1 << n))) < DEFAULT_TOL
 
     @pytest.mark.parametrize("n,count", [(3, 5), (4, 13), (7, 200), (9, 1000), (12, 7)])
     def test_counts_that_leave_the_last_block_partly_filled(self, n, count):
@@ -299,11 +297,13 @@ class TestRunOnBasis:
         # 12 qubits hold 16, so 7 inputs run as blocks of 4, 2 and 1
         circuit = random_circuit(n, seed=100 + n, n_gates=20)
         inputs = np.random.default_rng(n).integers(0, 1 << n, size=count)
-        assert distance(run_batched(circuit, inputs), run_each(circuit, inputs)) < DEFAULT_TOL
+        outputs = joined(run_on_states(circuit, one_hot(n, inputs)))
+        assert distance(outputs, run_each(circuit, inputs)) < DEFAULT_TOL
 
     def test_blocks_hold_as_many_inputs_as_the_cap_allows(self):
         n = 9
-        sizes = [len(outputs) for _, outputs in run_on_basis(Circuit(n, ()), np.arange(1000) % 512)]
+        rows = one_hot(n, np.arange(1000) % 512)
+        sizes = [len(outputs) for _, outputs in run_on_states(Circuit(n, ()), rows)]
         assert sizes == [BATCH_AMPLITUDES >> n] * 7 + [64, 32, 8]
 
     @pytest.mark.parametrize(
@@ -325,7 +325,7 @@ class TestRunOnBasis:
             original(self)
 
         monkeypatch.setattr(Circuit, "__post_init__", counted)
-        blocks = list(run_on_basis(circuit, range(1 << circuit.n_qubits)))
+        blocks = list(run_on_basis(circuit))
         assert sum(len(outputs) for _, outputs in blocks) == 1 << circuit.n_qubits
         assert built == []
 
@@ -342,18 +342,14 @@ class TestRunOnBasis:
 
         monkeypatch.setattr(circuits_module, "_plan", counted)
         circuit = const_adder_circuit(ConstAdderSpec(n, 5))
+        rows = one_hot(n, np.arange((1 << n) + 1) % (1 << n))
         for _ in range(2):
-            blocks = list(run_on_basis(circuit, np.arange((1 << n) + 1) % (1 << n)))
+            blocks = list(run_on_states(circuit, rows))
             assert [len(outputs) for _, outputs in blocks] == [4] * (1 << (n - 2)) + [1]
         assert compiled == [2, 0, 2, 0]
 
     def test_no_inputs_yield_no_blocks(self):
-        assert list(run_on_basis(qft_circuit(3), [])) == []
-
-    @pytest.mark.parametrize("inputs", [[0, 8], [-1], [[0, 1]]])
-    def test_rejects_bad_inputs(self, inputs):
-        with pytest.raises(ValueError):
-            list(run_on_basis(qft_circuit(3), inputs))
+        assert list(run_on_states(qft_circuit(3), np.zeros((0, 8)))) == []
 
 
 def random_rows(n_qubits, count, seed):
@@ -374,25 +370,14 @@ def run_each_row(circuit, rows):
     return np.array(outputs)
 
 
-def joined(blocks):
-    blocks = list(blocks)
-    sizes = [len(outputs) for _, outputs in blocks]
-    assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(blocks))]
-    assert all(outputs.size <= BATCH_AMPLITUDES for _, outputs in blocks)
-    return np.concatenate([outputs for _, outputs in blocks])
-
-
 class TestRunOnStates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_one_hot_rows_give_the_run_on_basis_blocks_bitwise(self, n):
         circuit = random_circuit(n, seed=200 + n)
-        inputs = np.random.default_rng(n).integers(0, 1 << n, size=(1 << n) + 3)
-        rows = np.zeros((len(inputs), 1 << n), dtype=np.complex128)
-        rows[np.arange(len(inputs)), inputs] = 1.0
-        from_rows = list(run_on_states(circuit, rows))
-        from_inputs = list(run_on_basis(circuit, inputs))
-        assert [start for start, _ in from_rows] == [start for start, _ in from_inputs]
-        for (_, outputs), (_, expected) in zip(from_rows, from_inputs):
+        from_rows = list(run_on_states(circuit, one_hot(n, range(1 << n))))
+        from_basis = list(run_on_basis(circuit))
+        assert [start for start, _ in from_rows] == [start for start, _ in from_basis]
+        for (_, outputs), (_, expected) in zip(from_rows, from_basis):
             assert np.array_equal(outputs.view(np.float64), expected.view(np.float64))
 
     @pytest.mark.parametrize("n,count", [(1, 3), (2, 4), (4, 13), (6, 1000)])
@@ -422,13 +407,13 @@ class TestRunOnStates:
         # rows; both that and the whole adder land on the exact one-hot |a + c mod 2**n>
         n = 5
         transform = qft_circuit(n)
-        transformed = joined(run_on_basis(transform, range(1 << n)))
+        transformed = joined(run_on_basis(transform))
         for c in (0, 7, 31):
             adder = const_adder_circuit(ConstAdderSpec(n, c))
             rest = Circuit(n, adder.gates[len(transform) :])
             exact = np.roll(np.eye(1 << n), c, axis=1)  # row a is |a + c mod 2**n>
             assert distance(joined(run_on_states(rest, transformed)), exact) < DEFAULT_TOL
-            assert distance(run_batched(adder, range(1 << n)), exact) < DEFAULT_TOL
+            assert distance(joined(run_on_basis(adder)), exact) < DEFAULT_TOL
 
     @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 16, 1)])
     def test_rejects_rows_of_another_shape(self, shape):
@@ -442,19 +427,6 @@ KERNEL_NAMES = (
 )
 # the widths of the states that build a dense step's matrix: 2K qubits for K = 1..FUSE_QUBITS
 MATRIX_WIDTHS = set(range(2, 2 * circuits_module.FUSE_QUBITS + 1, 2))
-
-
-def run_gate_by_gate(circuit, state):
-    """Reference for run_circuit's plan: every gate on the whole state, in list order."""
-    for gate in circuit.gates:
-        if gate.kind == "h":
-            apply_hadamard(state, gate.target)
-        elif gate.kind == "phase":
-            apply_phase(state, gate.target, gate.angle)
-        elif gate.kind == "cphase":
-            apply_controlled_phase(state, gate.control, gate.target, gate.angle)
-        else:
-            apply_swap(state, gate.target, gate.other)
 
 
 def gate_path_error(circuit, seed):

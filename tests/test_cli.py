@@ -16,12 +16,12 @@ from fourieradd import (
     circuit_from_dict,
     circuit_to_dict,
     circuit_to_matrix,
-    dft_matrix,
     qft_circuit,
     state_from_dict,
     state_to_dict,
 )
 from fourieradd.cli import PROB_DISPLAY_CUTOFF, _print_state_table, main
+from oracles import dft_matrix
 
 
 def run_cli(argv):
@@ -487,7 +487,7 @@ class TestWidthCap:
         [
             (["add", "--n", "10", "--const", "3", "--input", "5"], 32 << 10),
             (["add-reg", "--n", "5", "--a", "1", "--b", "2"], 32 << 10),
-            (["verify", "--suite", "const", "--n-max", "5"], 16 << 10),
+            (["verify", "--suite", "const", "--n-max", "5"], 32 << 10),
             (["verify", "--suite", "draper", "--n-max", "3"], 88 << 6),
         ],
     )

@@ -14,17 +14,15 @@ from fourieradd import (
     basis_state,
     circuit_to_matrix,
     const_adder_circuit,
-    dft_matrix,
     draper_adder_circuit,
     modularity_errors,
-    permutation_add_matrix,
     phase,
     phase_adder_equivalence_errors,
-    phase_adder_matrix,
     qft_circuit,
     run_circuit,
     verify_modularity,
 )
+from oracles import dft_matrix, permutation_add_matrix, phase_adder_matrix
 
 
 def assert_unitary(matrix, tol=1e-10):

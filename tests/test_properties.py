@@ -16,7 +16,6 @@ from fourieradd import (
     apply_controlled_phase,
     apply_hadamard,
     apply_phase,
-    apply_swap,
     basis_state,
     cphase,
     circuit_to_matrix,
@@ -32,15 +31,9 @@ from fourieradd import (
     run_on_states,
     swap,
 )
+from oracles import random_state, run_gate_by_gate
 
 ANGLES = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False, allow_infinity=False)
-
-
-def random_state(n_qubits, seed):
-    rng = np.random.default_rng(seed)
-    amplitudes = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    amplitudes /= np.linalg.norm(amplitudes)
-    return StateVector(n_qubits, amplitudes)
 
 
 @st.composite
@@ -119,22 +112,11 @@ class TestKernelProperties:
                 assert state.amplitudes[index] == reference[index]
 
 
-def run_gate_by_gate(circuit, amplitudes):
-    """The reference that runs no plan: every gate's kernel on the whole state, in list order.
-
-    The amplitudes are copied and taken as given, unnormalized and unchecked.
-    """
+def gate_by_gate_output(circuit, amplitudes):
+    """run_gate_by_gate's output on a copy of the amplitudes, taken as given, unnormalized and unchecked."""
     state = StateVector(circuit.n_qubits, np.zeros(len(amplitudes), dtype=np.complex128))
     state.amplitudes[:] = amplitudes
-    for gate in circuit.gates:
-        if gate.kind == "h":
-            apply_hadamard(state, gate.target)
-        elif gate.kind == "phase":
-            apply_phase(state, gate.target, gate.angle)
-        elif gate.kind == "cphase":
-            apply_controlled_phase(state, gate.control, gate.target, gate.angle)
-        else:
-            apply_swap(state, gate.target, gate.other)
+    run_gate_by_gate(circuit, state)
     return state.amplitudes
 
 
@@ -161,7 +143,7 @@ class TestPlanProperties:
         # from circuit_to_matrix, which runs the plan too; the state is one block or many
         n = circuit.n_qubits
         state = random_state(n, seed)
-        expected = run_gate_by_gate(circuit, state.amplitudes)
+        expected = gate_by_gate_output(circuit, state.amplitudes)
         block, fuse = plan_settings(data, n)
         with block, fuse:
             run_circuit(circuit, state)
@@ -183,7 +165,7 @@ class TestPlanProperties:
         block, fuse = plan_settings(data, n + 6)
         with block, fuse:
             outputs = np.concatenate([outputs for _, outputs in run_on_states(circuit, rows)])
-        expected = np.array([run_gate_by_gate(circuit, row) for row in rows])
+        expected = np.array([gate_by_gate_output(circuit, row) for row in rows])
         assert np.max(np.abs(outputs - expected)) < DEFAULT_TOL
 
 

@@ -19,14 +19,9 @@ from fourieradd import (
     superposition_state,
 )
 from fourieradd.statevector import _parts, _split_view
+from oracles import random_state
 
 SQRT1_2 = math.sqrt(0.5)
-
-
-def random_state(n_qubits, seed):
-    rng = np.random.default_rng(seed)
-    amps = rng.standard_normal(1 << n_qubits) + 1j * rng.standard_normal(1 << n_qubits)
-    return StateVector(n_qubits, amps / np.linalg.norm(amps))
 
 
 class TestStateVector:

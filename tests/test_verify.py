@@ -15,10 +15,6 @@ from fourieradd import (
     Circuit,
     ConstAdderSpec,
     DraperAdderSpec,
-    apply_controlled_phase,
-    apply_hadamard,
-    apply_phase,
-    apply_swap,
     basis_state,
     concat,
     const_adder_circuit,
@@ -35,7 +31,8 @@ from fourieradd import (
     verify_equivalence,
     verify_modularity,
 )
-from fourieradd.cli import main
+from fourieradd.cli import SWEEP_BYTES_PER_ENTRY, main
+from oracles import run_gate_by_gate
 
 
 def run_cli(argv):
@@ -43,19 +40,6 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:  # argparse reports usage errors by exiting
         return exc.code
-
-
-def run_gate_by_gate(circuit, state):
-    """Every gate of the list on the whole state, in order: the reference that runs no plan."""
-    for gate in circuit.gates:
-        if gate.kind == "h":
-            apply_hadamard(state, gate.target)
-        elif gate.kind == "phase":
-            apply_phase(state, gate.target, gate.angle)
-        elif gate.kind == "cphase":
-            apply_controlled_phase(state, gate.control, gate.target, gate.angle)
-        else:
-            apply_swap(state, gate.target, gate.other)
 
 
 def basis_error(circuit, value, target):
@@ -138,7 +122,7 @@ def test_no_run_of_the_draper_sweep_exceeds_the_batch_cap(monkeypatch, capsys):
 
 def test_draper_sweep_peak_memory_stays_below_three_batches():
     # a batch is BATCH_AMPLITUDES amplitudes (1 MiB): the work state is one, and beside it run
-    # either the Hadamard's two half-state temporaries or the block's output copy; a sweep that
+    # either a dense step's block-sized scratch or the block's output copy; a sweep that
     # kept each block's copy alive while the next ran peaked at 3.46 MB, and building all
     # 4**5 rows of 4**5 amplitudes at once would take 16 MiB
     verify_draper(5)
@@ -149,6 +133,20 @@ def test_draper_sweep_peak_memory_stays_below_three_batches():
     finally:
         tracemalloc.stop()
     assert peak <= 3 * 16 * BATCH_AMPLITUDES
+
+
+def test_const_sweep_peak_memory_stays_within_its_charge():
+    # per entry of its 4**8 inputs the sweep holds the width's transform rows (16 bytes) and
+    # its scores twice (8 bytes each), which the command line charges before it runs; beside
+    # them run at most three batches, as in the draper sweep; it peaks at about 4.5 MiB
+    tracemalloc.start()
+    try:
+        errors = fourieradd.verify._const_errors(8, range(256))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(errors < DEFAULT_TOL)
+    assert peak <= (SWEEP_BYTES_PER_ENTRY["const"] << 16) + 3 * 16 * BATCH_AMPLITUDES
 
 
 def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
