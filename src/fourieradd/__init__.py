@@ -51,7 +51,6 @@ from .arithmetic import (
 from .dense import (
     DENSE_MAX_QUBITS,
     circuit_to_matrix,
-    modularity_errors,
     phase_adder_equivalence_errors,
 )
 from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates

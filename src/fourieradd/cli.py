@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from .arithmetic import DraperAdderSpec, apply_const_add, draper_adder_circuit
-from .circuits import circuit_to_dict, qft_circuit, run_circuit
+from .circuits import BATCH_AMPLITUDES, circuit_to_dict, qft_circuit, run_circuit
 from .counts import complexity_table
 from .dense import DENSE_MAX_QUBITS, circuit_to_matrix
 from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_dict
@@ -32,7 +32,9 @@ QFT_DUMP_MAX_QUBITS = 6
 # rows (16 bytes) and its 8-byte scores twice (per constant and joined):
 # 32 bytes. The draper sweep holds five 8-byte arrays (inputs, operands,
 # targets, scores) and runs each input as a 4**N-amplitude state, whose
-# output it copies: 40 + 3 * 16 bytes. `all` is held to the larger.
+# output it copies: 40 + 3 * 16 bytes. `all` is held to the larger. Beside
+# these arrays, every run is charged a work batch, its output copy and a block
+# scratch of BATCH_AMPLITUDES amplitudes each.
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
 SWEEP_BYTES_PER_ENTRY = {"const": 32, "draper": 88, "all": 88}
 
@@ -127,13 +129,15 @@ def _require_memory(
 ) -> None:
     """Refuse, as a usage error and before anything is allocated, a run that would not fit in memory.
 
-    The run holds bytes_per_entry bytes for each of its 2**entry_bits entries.
-    The bit lengths are compared first, so a huge width never builds that
-    2**entry_bits-sized integer.
+    The run holds bytes_per_entry bytes for each of its 2**entry_bits entries,
+    and three batches of BATCH_AMPLITUDES 16-byte amplitudes. The bit lengths
+    are compared first, so a huge width never builds that 2**entry_bits-sized
+    integer.
     """
-    available = _physical_memory()
+    physical = _physical_memory()
+    available = physical - 3 * 16 * BATCH_AMPLITUDES
     if entry_bits >= available.bit_length() or bytes_per_entry << entry_bits > available:
-        parser.error(f"{request} needs more than the {available / 2**30:.3g} GiB of physical memory")
+        parser.error(f"{request} needs more than the {physical / 2**30:.3g} GiB of physical memory")
 
 
 def _load_state_file(path: str, n_qubits: int) -> StateVector:
@@ -235,7 +239,13 @@ def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
 
 
 def _cmd_counts(args, parser: argparse.ArgumentParser) -> int:
-    rows = complexity_table(args.n_max)
+    # The table keeps every width's transform and inverse built, N(N+1)(N+2)/3 + 2 * floor(N**2 / 4)
+    # gates after widths 1..N, at about 168 bytes each: the ru_maxrss growth of `counts --n-max`
+    # 100, 150 and 200 over `--n-max 1` (CPython 3.11, x86-64) was 166-168 bytes per gate.
+    n = args.n_max
+    held_gates = n * (n + 1) * (n + 2) // 3 + 2 * (n * n // 4)
+    _require_memory(parser, 168 * held_gates, 0, f"--n-max {n}")
+    rows = complexity_table(n)
     if args.format == "csv":
         print("N,T_const,T_draper_inner,swaps")
         for row in rows:

@@ -1,11 +1,10 @@
-"""Dense layer: a circuit's matrix and the closed-form oracle checks.
+"""Dense layer: a circuit's matrix, the closed-form omega powers and the equivalence check.
 
 circuit_to_matrix runs the circuit, through the plan, on every basis
-column. The equivalence and modularity checks are built straight from
-defining formulas and call no kernel; the equivalence check reads the
-angles of the program's phase stage. A matrix has 4**N entries, so the
-layer is capped at DENSE_MAX_QUBITS qubits. The two checks build no matrix,
-only 2**N-entry diagonals and columns, but keep the same cap.
+column. The equivalence check is built straight from defining formulas and
+calls no kernel; it reads the angles of the program's phase stage. A matrix
+has 4**N entries, so the layer is capped at DENSE_MAX_QUBITS qubits. The
+check builds no matrix, only 2**N-entry diagonals, but keeps the same cap.
 
 Integer exponents of omega = exp(2*pi*i / 2**N) are reduced mod 2**N
 before the complex exponential is evaluated. The reduction is exact for
@@ -25,9 +24,9 @@ from .arithmetic import ConstAdderSpec, phase_adder_circuit
 from .circuits import Circuit, run_on_basis
 
 DENSE_MAX_QUBITS = 12
-# Entries per array pass of the batched checks (256 KiB of complex128), so that a
-# pass and its temporaries stay in a 2 MiB L2 cache. At 12 qubits this is four
-# columns; 2**16 entries took about 1.5 times as long at 11 and 12 qubits.
+# Entries per array pass of the equivalence rows (256 KiB of complex128), so that a pass
+# stays in a 2 MiB L2 cache: in one pass verify_equivalence(12) took 1.15-1.27 times as long
+# (medians of 25 alternating runs, shared 2-core x86-64); at 9 and 10 qubits, within noise.
 DENSE_BATCH_ENTRIES = 1 << 14
 
 
@@ -123,43 +122,3 @@ def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> n
         closed_form = _phase_adder_diagonal(dim, np.array(reduced[rows], dtype=np.int64)[:, None])
         max_errors[rows] = np.maximum(worst, np.max(np.abs(tensor - closed_form), axis=1))
     return max_errors
-
-
-def modularity_errors(n_qubits: int, xs: Iterable[int]) -> np.ndarray:
-    """Per x >= 0, the infidelity of the inverse transform of its Fourier column with |x mod 2**N>.
-
-    x may exceed 2**N by any amount; the column only depends on x mod 2**N
-    because integer omega exponents wrap exactly. The columns are built
-    together, one row of 2**N entries each and at most DENSE_BATCH_ENTRIES
-    entries per array pass, and each pass dots its rows in one np.einsum,
-    which sums each row alone, so every error is bitwise that of a
-    one-column call.
-    """
-    _require_dense(n_qubits)
-    xs = list(xs)
-    if any(x < 0 for x in xs):
-        raise ValueError(f"x must be >= 0, got {min(xs)}")
-    dim = 1 << n_qubits
-    ks = np.array([x % dim for x in xs], dtype=np.int64)
-    # product form of the column omega**(j*x): qubit t contributes the factor
-    # (1, omega**(x * 2**(t-1))), so the column doubles once per qubit from one
-    # complex exponential per distinct exponent, independently of _omega_powers
-    # below (np.unique would do, but its first call adds 1.2 MB of resident memory)
-    exponents = (ks[:, None] << np.arange(n_qubits)) % dim
-    distinct = np.flatnonzero(np.bincount(exponents.ravel(), minlength=dim))
-    phases = np.zeros(dim, dtype=np.complex128)
-    phases[distinct] = [cmath.exp(2j * math.pi * e / dim) for e in distinct.tolist()]
-    infidelities = np.empty(len(xs))
-    for rows in _row_chunks(len(xs), dim):
-        factors = phases[exponents[rows]]
-        columns = np.ones((len(factors), 1), dtype=np.complex128)
-        for bit in range(n_qubits):
-            columns = np.concatenate([columns, columns * factors[:, bit, None]], axis=1)
-        columns /= math.sqrt(dim)
-        # entry x mod 2**N of the inverse transform applied to the column: only
-        # column x mod 2**N of the transform matrix, omega**(j*x) / sqrt(2**N),
-        # is needed, conjugated and dotted with it
-        transform_columns = _omega_powers(ks[rows, None] * np.arange(dim, dtype=np.int64), dim)
-        transform_columns /= math.sqrt(dim)
-        infidelities[rows] = 1.0 - np.abs(np.einsum("ij,ij->i", transform_columns.conj(), columns)) ** 2
-    return infidelities

@@ -13,8 +13,8 @@ from .arithmetic import (
     const_adder_circuit,
     draper_adder_circuit,
 )
-from .circuits import Circuit, qft_circuit, run_filled, run_on_basis, run_on_states, shift_qubits
-from .dense import modularity_errors, phase_adder_equivalence_errors
+from .circuits import Circuit, inverse_qft_circuit, qft_circuit, run_filled, run_on_basis, run_on_states, shift_qubits
+from .dense import _phase_adder_diagonal, phase_adder_equivalence_errors
 from .statevector import DEFAULT_TOL
 
 SUITES = ("const", "draper", "equivalence", "modularity", "all")
@@ -105,6 +105,21 @@ def _register_inputs(transformed: np.ndarray, a: np.ndarray, b: np.ndarray):
     return fill
 
 
+def _fourier_columns(dim: int):
+    """A run_filled fill whose input x is the closed-form Fourier column omega**(j*x) / sqrt(2**N).
+
+    Entry j is omega power j*x mod 2**N, looked up in one row, so a fill allocates only its exponents.
+    """
+    powers = _phase_adder_diagonal(dim, 1) / np.sqrt(dim)
+
+    def fill(start: int, block: np.ndarray) -> None:
+        exponents = np.outer(np.arange(dim), np.arange(start, start + block.shape[1]))
+        exponents %= dim
+        np.take(powers, exponents, out=block)
+
+    return fill
+
+
 def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     """c-major _errors of the built adders: entry i * 2**N + a scores |a> + constants[i].
 
@@ -185,8 +200,9 @@ def verify_equivalence(n_max: int, seed: int = 0, tol: float = DEFAULT_TOL) -> l
 def verify_modularity(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Wraparound behaviour: the column of each x in [0, 2**N), and constants shifted by 2**N.
 
-    The columns of a width are checked in one batched call. The check reduces x mod 2**N,
-    so a larger x would repeat a column bit for bit.
+    The built inverse transform runs on the closed-form Fourier column of
+    each x, in one run_filled call per width, and each output is scored by its
+    _errors distance from |x>.
     For c in (0, 1, 2**N / 2, 2**N - 1), the built adders for c and for c + 2**N must both
     add c mod 2**N on every basis input, scored as the const sweep scores them.
     A width's eight adders are scored in one _const_errors call, so its transform runs once.
@@ -194,7 +210,8 @@ def verify_modularity(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]
     reports = []
     for n in range(1, n_max + 1):
         dim = 1 << n
-        reports.append(_report("modularity", n, range(dim), modularity_errors(n, range(dim)), tol))
+        columns = run_filled(inverse_qft_circuit(n), dim, _fourier_columns(dim))
+        reports.append(_report("modularity", n, range(dim), _errors(columns, np.arange(dim)), tol))
         shifted = (0, 1, dim // 2, dim - 1)
         errors = _const_errors(n, [c + turn for c in shifted for turn in (0, dim)])
         reports.append(_report("modular-constant-shift", n, shifted, errors, tol))

@@ -1,6 +1,6 @@
 """References that the tests check the program against; nothing in the package calls them.
 
-The closed-form matrices are built straight from their defining formulas,
+The closed-form matrices and Fourier columns are built straight from their defining formulas,
 independent of the gate kernels, and are capped at DENSE_MAX_QUBITS like the
 package's dense layer. run_gate_by_gate runs every gate's kernel on the whole
 state, so it compiles no plan.
@@ -38,6 +38,13 @@ def permutation_add_matrix(n_qubits: int, constant: int) -> np.ndarray:
     columns = np.arange(dim)
     matrix[(columns + reduced) % dim, columns] = 1.0
     return matrix
+
+
+def fourier_column(n_qubits, x):
+    """omega**(j*x) / sqrt(2**N) for every j, each exponent reduced mod 2**N in integers, for any x >= 0."""
+    dim = 1 << n_qubits
+    exponents = np.array([(j * x) % dim for j in range(dim)])
+    return np.exp(2j * np.pi * exponents / dim) / math.sqrt(dim)
 
 
 def random_state(n_qubits, seed):

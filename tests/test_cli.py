@@ -9,6 +9,7 @@ import pytest
 import fourieradd.circuits as circuits_module
 import fourieradd.cli as cli_module
 from fourieradd import (
+    BATCH_AMPLITUDES,
     DEFAULT_TOL,
     StateVector,
     apply_const_add,
@@ -448,6 +449,7 @@ class TestWidthCap:
             ["verify", "--suite", "draper", "--n-max", "20"],
             ["add", "--n", "2000", "--const", "1", "--input", "0"],
             ["verify", "--suite", "const", "--n-max", "700"],
+            ["counts", "--n-max", "100000"],
         ],
     )
     def test_refuses_a_width_past_physical_memory(self, argv, monkeypatch, capsys):
@@ -456,6 +458,7 @@ class TestWidthCap:
 
         monkeypatch.setattr(cli_module, "basis_state", refuse_to_allocate)
         monkeypatch.setattr(cli_module, "run_suite", refuse_to_allocate)
+        monkeypatch.setattr(cli_module, "complexity_table", refuse_to_allocate)
         assert run_cli(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -468,6 +471,7 @@ class TestWidthCap:
             ["add-reg", "--n", str(10**9), "--a", "0", "--b", "1"],
             ["verify", "--suite", "const", "--n-max", str(10**9)],
             ["verify", "--suite", "draper", "--n-max", str(10**9)],
+            ["counts", "--n-max", str(10**9)],
         ],
     )
     def test_a_huge_width_is_refused_without_building_its_size(self, argv, capsys):
@@ -489,13 +493,18 @@ class TestWidthCap:
             (["add-reg", "--n", "5", "--a", "1", "--b", "2"], 32 << 10),
             (["verify", "--suite", "const", "--n-max", "5"], 32 << 10),
             (["verify", "--suite", "draper", "--n-max", "3"], 88 << 6),
+            # 168 bytes for each of the 272 transform and inverse gates of widths 1..8
+            (["counts", "--n-max", "8"], 168 * 272),
         ],
     )
     def test_the_estimate_is_the_limit(self, argv, needed, monkeypatch, capsys):
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: needed)
+        # beside its arrays every run is charged three batches: the work batch, its output
+        # copy and a block scratch
+        limit = needed + 3 * 16 * BATCH_AMPLITUDES
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit)
         assert run_cli(argv) == 0
         capsys.readouterr()
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: needed - 1)
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit - 1)
         assert run_cli(argv) == 2
         assert "of physical memory" in capsys.readouterr().err
 

@@ -6,23 +6,28 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import fourieradd.circuits
 import fourieradd.dense
 from fourieradd import (
+    BATCH_AMPLITUDES,
     Circuit,
     ConstAdderSpec,
     DraperAdderSpec,
+    StateVector,
     basis_state,
     circuit_to_matrix,
     const_adder_circuit,
     draper_adder_circuit,
-    modularity_errors,
+    inverse_qft_circuit,
     phase,
     phase_adder_equivalence_errors,
     qft_circuit,
     run_circuit,
     verify_modularity,
 )
-from oracles import dft_matrix, permutation_add_matrix, phase_adder_matrix
+from fourieradd.circuits import run_filled
+from fourieradd.verify import _errors, _fourier_columns
+from oracles import dft_matrix, fourier_column, permutation_add_matrix, phase_adder_matrix
 
 
 def assert_unitary(matrix, tol=1e-10):
@@ -273,8 +278,15 @@ class TestEquivalenceCheck:
         assert math.isnan(phase_adder_equivalence_errors(4, [9])[0])
 
 
+def inverse_transform_column_errors(n):
+    """The modularity rows' scores: the built inverse transform run on every Fourier column."""
+    dim = 1 << n
+    return _errors(run_filled(inverse_qft_circuit(n), dim, _fourier_columns(dim)), np.arange(dim))
+
+
 class TestBatchedChecks:
-    """A batch of constants or columns gives bit for bit the errors of one-element calls."""
+    """A batch of constants gives bit for bit the errors of one-element calls; a batch of columns
+    gives the errors of one-column runs up to the rounding of a wider run."""
 
     @pytest.mark.parametrize("n", range(1, 13))
     def test_equivalence_batch_equals_one_constant_calls(self, n):
@@ -286,73 +298,71 @@ class TestBatchedChecks:
 
     @pytest.mark.parametrize("n", range(1, 11))
     def test_modularity_batch_equals_one_column_calls(self, n):
-        xs = list(range(1 << n))
-        batched = modularity_errors(n, xs)
-        single = [modularity_errors(n, [x])[0] for x in xs]
-        assert [error.hex() for error in batched.tolist()] == [error.hex() for error in single]
+        dim = 1 << n
+        fill = _fourier_columns(dim)
+        single = [
+            _errors(run_filled(inverse_qft_circuit(n), 1, lambda start, block: fill(x, block)), np.array([x]))[0]
+            for x in range(dim)
+        ]
+        assert np.max(np.abs(inverse_transform_column_errors(n) - single)) < 1e-15
 
-    def test_modularity_errors_do_not_depend_on_the_chunk_size(self, monkeypatch):
-        # one row per pass, then all 2**10 rows of width 10 in one pass
-        xs = list(range(1 << 10))
-        expected = modularity_errors(10, xs)
-        for entries in (1, 1 << 20):
-            monkeypatch.setattr(fourieradd.dense, "DENSE_BATCH_ENTRIES", entries)
-            assert modularity_errors(10, xs).tobytes() == expected.tobytes()
-
-    def test_columns_past_two_to_the_n_repeat_their_residue(self):
-        errors = modularity_errors(3, [5, 13, 10**30 + 5])
-        assert len({error.hex() for error in errors.tolist()}) == 1
-
-    def test_a_negative_column_is_refused(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            modularity_errors(2, [0, 1, -3])
+    def test_column_errors_do_not_depend_on_the_batch_size(self, monkeypatch):
+        # one column per block, then all 2**10 columns of width 10 in one block
+        expected = inverse_transform_column_errors(10)
+        for amplitudes in (1 << 10, 1 << 20):
+            monkeypatch.setattr(fourieradd.circuits, "BATCH_AMPLITUDES", amplitudes)
+            assert np.max(np.abs(inverse_transform_column_errors(10) - expected)) < 1e-15
 
     def test_empty_batches(self):
         assert phase_adder_equivalence_errors(4, []).shape == (0,)
-        assert modularity_errors(4, []).shape == (0,)
 
     @pytest.mark.parametrize(
-        "check, swept",
-        [(phase_adder_equivalence_errors, range(7, 7 + 20 * 97, 97)), (modularity_errors, range(1 << 12))],
+        "check, bound",
+        [
+            (lambda: phase_adder_equivalence_errors(12, range(7, 7 + 20 * 97, 97)), 8 * 2**20),
+            (lambda: inverse_transform_column_errors(12), 3 * 16 * BATCH_AMPLITUDES + (8 << 12)),
+        ],
         ids=["equivalence", "modularity"],
     )
-    def test_peak_memory_at_the_dense_cap(self, check, swept):
-        # equivalence's 20 constants or all 4096 columns, at most DENSE_BATCH_ENTRIES entries per pass
+    def test_peak_memory_at_the_dense_cap(self, check, bound):
+        # equivalence's 20 constants, at most DENSE_BATCH_ENTRIES entries per pass; or the inverse
+        # transform on all 4096 columns, filled block by block: beside the work batch run its output
+        # copy or a dense step's scratch, and the scores
         tracemalloc.start()
         try:
-            errors = check(12, swept)
+            errors = check()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert np.all(errors < 1e-10)
-        assert peak <= 8 * 2**20
+        assert peak <= bound
 
 
 class TestModularityCheck:
+    """The built inverse transform carries the Fourier column of any x >= 0 back to |x mod 2**N>."""
+
     @pytest.mark.parametrize(
         "n,x,target",
         [(2, 5, 1), (3, 8, 0), (2, 2, 2), (3, 29, 5), (1, 7, 1)],
     )
     def test_lands_on_wrapped_value(self, n, x, target):
-        assert modularity_errors(n, [x])[0] < 1e-10
+        state = StateVector(n, fourier_column(n, x))
+        run_circuit(inverse_qft_circuit(n), state)
+        assert np.max(np.abs(state.amplitudes - np.eye(1 << n)[target])) < 1e-10
         assert x % (1 << n) == target
 
     def test_huge_column_index(self):
-        assert modularity_errors(4, [10**30 + 7])[0] < 1e-10
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError, match=">= 0"):
-            modularity_errors(2, [-1])
+        self.test_lands_on_wrapped_value(4, 10**30 + 7, 7)
 
     @pytest.mark.parametrize("n", [1, 3, 6, 9])
     def test_agrees_with_the_full_inverse_transform(self, n):
-        # the check reads one entry of dft_matrix(n).conj().T @ column; build it whole here
+        # the modularity rows run the built inverse transform on every column; apply the whole
+        # closed-form inverse to the same columns here
         dim = 1 << n
-        adjoint = dft_matrix(n).conj().T
-        for x in range(0, 4 * dim, max(1, dim // 8)):
-            column = np.exp(2j * np.pi * ((np.arange(dim) * x) % dim) / dim) / math.sqrt(dim)
-            expected = 1.0 - abs((adjoint @ column)[x % dim]) ** 2
-            assert abs(modularity_errors(n, [x])[0] - expected) < 1e-15
+        runs = run_filled(inverse_qft_circuit(n), dim, _fourier_columns(dim))
+        outputs = np.concatenate([block for _, block in runs])
+        expected = (dft_matrix(n).conj().T @ dft_matrix(n)).T
+        assert np.max(np.abs(outputs - expected)) < 1e-14
 
 
 class TestCheckReport:
@@ -362,5 +372,5 @@ class TestCheckReport:
         assert set(doc) == {"check", "n", "c", "max_error", "pass"}
         assert doc["check"] == "modularity"
         assert doc["n"] == 1
-        assert doc["c"] == 0
+        assert doc["c"] in (0, 1)  # the column x with the larger rounding error
         assert doc["pass"] is True

@@ -17,7 +17,17 @@ import fourieradd.arithmetic
 import fourieradd.circuits
 import fourieradd.dense
 import fourieradd.verify
-from fourieradd import DEFAULT_TOL, Circuit, ConstAdderSpec, StateVector, apply_const_add, cphase, phase, run_suite
+from fourieradd import (
+    DEFAULT_TOL,
+    Circuit,
+    ConstAdderSpec,
+    StateVector,
+    apply_const_add,
+    cphase,
+    phase,
+    run_suite,
+    verify_modularity,
+)
 
 # const and modularity run 6 qubits: below that the whole constant adder fuses into dense
 # steps, and only from 6 qubits up does the plan leave a phase-vector step for apply_diagonal
@@ -185,6 +195,28 @@ def test_fault_matrix(monkeypatch, fault, suite):
         assert not passed, f"{suite} passes with the {fault} fault it claims to cover"
     else:
         assert passed, f"{suite} now fails on {fault}: move the pair from GAPS to COVERS"
+
+
+# The modularity suite's column rows run only the built inverse transform on closed-form
+# columns, so they must fail under every fault that reaches that circuit's run; the suite's
+# constant-shift rows catch the faults named here.
+NO_ADDER_IN_COLUMNS = "the column rows build no constant adder"
+COLUMN_GAPS = {
+    "phase": "the inverse transform has no single-qubit phase gate",
+    "c+1": NO_ADDER_IN_COLUMNS,
+    "trailing-phase": NO_ADDER_IN_COLUMNS,
+    "transform": "only the adders' transform is wrong, not the inverse transform the column rows run",
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_modularity_column_rows_run_the_kernels(monkeypatch, fault):
+    FAULTS[fault](monkeypatch)
+    rows = [report for report in verify_modularity(WIDTHS["modularity"]) if report.check == "modularity"]
+    if fault in COLUMN_GAPS:
+        assert all(report.passed for report in rows), f"the column rows now fail on {fault}: drop it from the gaps"
+    else:
+        assert not all(report.passed for report in rows), f"the column rows pass with the {fault} fault"
 
 
 # Kernel faults on a state wider than BATCH_AMPLITUDES, which the plan runs

@@ -15,13 +15,13 @@ from fourieradd import (
     Circuit,
     ConstAdderSpec,
     DraperAdderSpec,
+    StateVector,
     basis_state,
     concat,
     const_adder_circuit,
     draper_adder_circuit,
     draper_inner_circuit,
     inverse_qft_circuit,
-    modularity_errors,
     phase,
     phase_adder_circuit,
     qft_circuit,
@@ -32,7 +32,7 @@ from fourieradd import (
     verify_modularity,
 )
 from fourieradd.cli import SWEEP_BYTES_PER_ENTRY, main
-from oracles import run_gate_by_gate
+from oracles import dft_matrix, fourier_column, run_gate_by_gate
 
 
 def run_cli(argv):
@@ -44,7 +44,11 @@ def run_cli(argv):
 
 def basis_error(circuit, value, target):
     """The distance ||out - e_target||_2 of one gate-by-gate run on |value> from |target>."""
-    state = basis_state(circuit.n_qubits, value)
+    return run_error(circuit, basis_state(circuit.n_qubits, value), target)
+
+
+def run_error(circuit, state, target):
+    """The distance ||out - e_target||_2 of one gate-by-gate run on the state from |target>."""
     run_gate_by_gate(circuit, state)
     difference = state.amplitudes.copy()
     difference[target] -= 1.0
@@ -88,9 +92,31 @@ def reference_draper_reports(n_max, tol=1e-10):
     return reports
 
 
+def reference_modularity_reports(n_max, fold=1, tol=1e-10):
+    """The inverse transform run gate by gate on the closed-form Fourier column of each x in [0, fold * 2**N)."""
+    reports = []
+    for n in range(1, n_max + 1):
+        dim = 1 << n
+        worst, worst_x = -np.inf, 0
+        for x in range(fold * dim):
+            error = run_error(inverse_qft_circuit(n), StateVector(n, fourier_column(n, x)), x % dim)
+            if worse(error, worst):
+                worst, worst_x = error, x
+        reports.append(CheckReport("modularity", n, worst_x, worst, worst < tol))
+    return reports
+
+
+def modularity_column_reports(n_max):
+    return [report for report in verify_modularity(n_max) if report.check == "modularity"]
+
+
 @pytest.mark.parametrize(
     "sweep, reference, n_max",
-    [(verify_const_adder, reference_const_reports, 6), (verify_draper, reference_draper_reports, 4)],
+    [
+        (verify_const_adder, reference_const_reports, 6),
+        (verify_draper, reference_draper_reports, 4),
+        (modularity_column_reports, reference_modularity_reports, 6),
+    ],
 )
 def test_batched_sweep_reports_equal_a_run_per_input(sweep, reference, n_max):
     # the batches run the plan and the reference the gates one by one, so the errors are
@@ -158,21 +184,20 @@ def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
 
     monkeypatch.setattr(fourieradd.circuits, "apply_hadamard", nan_hadamard)
     assert run_cli(["verify", "--suite", "modularity", "--n-max", "3"]) == 1
-    lines = capsys.readouterr().out.splitlines()
-    shift_rows = [line for line in lines if line.startswith("modular-constant-shift")]
-    assert len(shift_rows) == 3
-    assert all(line.endswith("max_error=nan  FAIL") for line in shift_rows)
-    assert lines[-1] == "3 of 6 checks FAILED"
+    *rows, summary = capsys.readouterr().out.splitlines()
+    # the column rows run the built inverse transform, so they fail as the shift rows do
+    assert [row.split()[0] for row in rows] == ["modularity", "modular-constant-shift"] * 3
+    assert all(row.endswith("max_error=nan  FAIL") for row in rows)
+    assert summary == "6 of 6 checks FAILED"
 
 
 def nan_at(check, bad_index):
-    """Wrap a batched dense check so that the error it returns at bad_index is NaN."""
+    """Wrap a batched check so that the error it returns at bad_index is NaN; record the values it scores."""
     swept = []
 
-    def patched(n_qubits, values):
-        values = list(values)
+    def patched(first, values):
         swept.extend(values)
-        errors = check(n_qubits, values)
+        errors = check(first, values)
         if bad_index < len(errors):
             errors[bad_index] = np.nan
         return errors
@@ -181,43 +206,45 @@ def nan_at(check, bad_index):
 
 
 def test_nan_modularity_report_is_the_worst(monkeypatch):
-    # x = 1 is the second column checked at n = 1; every other column is near 0
-    patched, _ = nan_at(fourieradd.verify.modularity_errors, bad_index=1)
-    monkeypatch.setattr(fourieradd.verify, "modularity_errors", patched)
-    report = verify_modularity(1)[0]
-    assert (report.check, report.c, report.passed) == ("modularity", 1, False)
+    # x = 2 is the third column scored at n = 2; every other column is near 0, the largest at x = 1
+    patched, _ = nan_at(fourieradd.verify._errors, bad_index=2)
+    monkeypatch.setattr(fourieradd.verify, "_errors", patched)
+    report = verify_modularity(2)[2]
+    assert (report.check, report.c, report.passed) == ("modularity", 2, False)
     assert np.isnan(report.max_error)
 
 
-def reference_modularity_report(n):
-    """The worst of the columns x in [0, 4 * 2**N), checked one at a time and picked one at a time."""
-    worst, worst_x = -np.inf, 0
-    for x in range(4 << n):
-        error = float(modularity_errors(n, [x])[0])
-        if worse(error, worst):
-            worst, worst_x = error, x
-    return CheckReport("modularity", n, worst_x, worst, worst < 1e-10)
-
-
 def test_modularity_reports_equal_the_four_fold_column_sweep():
-    reports = [report for report in verify_modularity(6) if report.check == "modularity"]
-    expected = [reference_modularity_report(n) for n in range(1, 7)]
-    assert reports == expected
-    assert [r.max_error.hex() for r in reports] == [r.max_error.hex() for r in expected]
+    # the columns of x and x + 2**N are the same column, so sweeping four turns of x finds
+    # no other verdict; both runs are rounding noise apart, as in the batched-sweep test
+    reports = modularity_column_reports(6)
+    expected = reference_modularity_reports(6, fold=4)
+    assert [(r.n_qubits, r.passed) for r in reports] == [(r.n_qubits, r.passed) for r in expected]
+    assert all(r.passed and r.c < 1 << r.n_qubits for r in reports)
+    assert all(abs(r.max_error - e.max_error) < 1e-13 for r, e in zip(reports, expected))
 
 
 def test_modularity_checks_each_column_below_two_to_the_n_once(monkeypatch):
-    calls = []
-    check = fourieradd.verify.modularity_errors
+    runs = []
+    run_filled = fourieradd.verify.run_filled
 
-    def recording_check(n_qubits, xs):
-        calls.append((n_qubits, list(xs)))
-        return check(n_qubits, xs)
+    def recording_run_filled(circuit, count, fill):
+        columns = []
+        runs.append((circuit, count, columns))
 
-    monkeypatch.setattr(fourieradd.verify, "modularity_errors", recording_check)
+        def recording_fill(start, block):
+            fill(start, block)
+            columns.append(block.copy())
+
+        return run_filled(circuit, count, recording_fill)
+
+    monkeypatch.setattr(fourieradd.verify, "run_filled", recording_run_filled)
     verify_modularity(5)
-    # one batched call per width, over every column below 2**N in order
-    assert calls == [(n, list(range(1 << n))) for n in range(1, 6)]
+    # one run per width, of the built inverse transform on every closed-form column below 2**N in order
+    expected = [(inverse_qft_circuit(n), 1 << n) for n in range(1, 6)]
+    assert [(circuit, count) for circuit, count, _ in runs] == expected
+    for n, (_, _, columns) in enumerate(runs, start=1):
+        np.testing.assert_allclose(np.concatenate(columns, axis=1), dft_matrix(n), rtol=0, atol=1e-15)
 
 
 def test_nan_equivalence_report_is_the_worst(monkeypatch):
@@ -230,7 +257,7 @@ def test_nan_equivalence_report_is_the_worst(monkeypatch):
 
 def test_worst_report_is_the_first_of_equal_errors(monkeypatch):
     # every x gives the same error, so the report is the one for x = 0
-    monkeypatch.setattr(fourieradd.verify, "modularity_errors", lambda n_qubits, xs: np.full(len(xs), 0.5))
+    monkeypatch.setattr(fourieradd.verify, "_errors", lambda blocks, targets: np.full(len(targets), 0.5))
     assert verify_modularity(2)[0].c == 0
 
 
@@ -246,8 +273,9 @@ def test_constant_shift_scores_each_distinct_adder_once(monkeypatch):
     monkeypatch.setattr(fourieradd.verify, "_errors", recording_errors)
     reports = verify_modularity(4)
     assert all(report.passed for report in reports)
-    # targets[0] = 0 + c: at n = 1 the constants 0, 1, 1, 1 repeat, at n = 2 none does
-    assert scored == [0, 1, 0, 1, 2, 3, 0, 1, 4, 7, 0, 1, 8, 15]
+    # each width first scores its columns (targets[0] = 0), then its adders (targets[0] = 0 + c):
+    # at n = 1 the constants 0, 1, 1, 1 repeat, at n = 2 none does
+    assert scored == [0, 0, 1, 0, 0, 1, 2, 3, 0, 0, 1, 4, 7, 0, 0, 1, 8, 15]
 
 
 def test_constant_shift_runs_an_adder_whose_gates_differ(monkeypatch):
