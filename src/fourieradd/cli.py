@@ -32,11 +32,13 @@ QFT_DUMP_MAX_QUBITS = 6
 # rows (16 bytes) and its 8-byte scores twice (per constant and joined):
 # 32 bytes. The draper sweep holds five 8-byte arrays (inputs, operands,
 # targets, scores) and runs each input as a 4**N-amplitude state, whose
-# output it copies: 40 + 3 * 16 bytes. `all` is held to the larger. Beside
-# these arrays, every run is charged a work batch, its output copy and a block
-# scratch of BATCH_AMPLITUDES amplitudes each.
+# output it copies: 40 + 3 * 16 bytes. The modularity suite's constant-shift
+# rows hold the same transform rows and scores as the const sweep: 32 bytes.
+# `all` is held to the largest. Beside these arrays, every run is charged a
+# work batch, its output copy and a block scratch of BATCH_AMPLITUDES
+# amplitudes each.
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
-SWEEP_BYTES_PER_ENTRY = {"const": 32, "draper": 88, "all": 88}
+SWEEP_BYTES_PER_ENTRY = {"const": 32, "draper": 88, "modularity": 32, "all": 88}
 
 
 def _positive_int(text: str) -> int:

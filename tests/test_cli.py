@@ -495,6 +495,7 @@ class TestWidthCap:
             (["verify", "--suite", "draper", "--n-max", "3"], 88 << 6),
             # 168 bytes for each of the 272 transform and inverse gates of widths 1..8
             (["counts", "--n-max", "8"], 168 * 272),
+            (["verify", "--suite", "modularity", "--n-max", "5"], 32 << 10),
         ],
     )
     def test_the_estimate_is_the_limit(self, argv, needed, monkeypatch, capsys):

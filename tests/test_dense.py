@@ -196,7 +196,7 @@ class TestEquivalenceCheck:
 
     @staticmethod
     def dense_reference(n, c):
-        """The check on 2**N by 2**N matrices, with Python's max over the errors."""
+        """The check on 2**N by 2**N matrices, built with np.kron."""
         dim = 1 << n
         reduced = c % dim
 
@@ -208,19 +208,16 @@ class TestEquivalenceCheck:
             return math.pi * (reduced % (2 << (n - t))) / (1 << (n - t))
 
         tensor = rotation(angle(1))
-        max_error = 0.0
         for t in range(2, n + 1):
             tensor = np.kron(rotation(angle(t)), tensor)
-            half = tensor.shape[0] // 2
-            step_phase = cmath.exp(2j * math.pi * ((reduced * (1 << (t - 1))) % dim) / dim)
-            block_error = np.max(np.abs(tensor[half:, half:] - step_phase * tensor[:half, :half]))
-            max_error = max(max_error, float(block_error))
-        return max(max_error, float(np.max(np.abs(tensor - phase_adder_matrix(n, c)))))
+        return float(np.max(np.abs(tensor - phase_adder_matrix(n, c))))
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bitwise_equal_to_the_dense_matrix_check(self, n):
+        # within 1e-15, not bitwise: the check multiplies the rotations in the plan's
+        # phase-vector order, and from 4 qubits up the last bit differs from np.kron's
         for c in range(4 << n):
-            assert phase_adder_equivalence_errors(n, [c])[0].hex() == self.dense_reference(n, c).hex()
+            assert abs(phase_adder_equivalence_errors(n, [c])[0] - self.dense_reference(n, c)) <= 1e-15
 
     def test_peak_memory_at_the_dense_cap(self):
         # one 4096 by 4096 complex matrix alone is 256 MiB; the diagonals are 64 KiB
@@ -235,21 +232,19 @@ class TestEquivalenceCheck:
 
     @pytest.mark.parametrize("n,c", [(1, 1), (3, 5), (6, 41), (12, 2**11 + 3)])
     def test_rotation_off_by_one_unit_fails(self, n, c, monkeypatch):
-        # the rotations are built qubit 1 first; shift the angle of each in turn by 2*pi/2**N
-        rotation = fourieradd.dense._rotation
+        # shift the angle of each qubit's rotation in turn by 2*pi/2**N
+        build = fourieradd.dense.phase_adder_circuit
         for qubit in range(1, n + 1):
-            calls = []
 
-            def shifted(theta, qubit=qubit, calls=calls):
-                calls.append(theta)
-                if len(calls) == qubit:
-                    theta += 2 * math.pi / (1 << n)
-                return rotation(theta)
+            def shifted(spec, qubit=qubit):
+                gates = [
+                    phase(gate.target, gate.angle + 2 * math.pi / (1 << n)) if gate.target == qubit else gate
+                    for gate in build(spec).gates
+                ]
+                return Circuit(spec.n_qubits, tuple(gates))
 
-            monkeypatch.setattr(fourieradd.dense, "_rotation", shifted)
-            error = phase_adder_equivalence_errors(n, [c])[0]
-            assert len(calls) == n
-            assert error > 1e-4
+            monkeypatch.setattr(fourieradd.dense, "phase_adder_circuit", shifted)
+            assert phase_adder_equivalence_errors(n, [c])[0] > 1e-4
 
     @pytest.mark.parametrize("n", [1, 3, 6, 12])
     def test_a_wrong_built_stage_fails(self, n, monkeypatch):
@@ -265,7 +260,9 @@ class TestEquivalenceCheck:
 
     def test_nan_rotations_fail(self, monkeypatch):
         monkeypatch.setattr(
-            fourieradd.dense, "_rotation", lambda theta: np.array([1.0, complex("nan")])
+            fourieradd.circuits,
+            "_phase_vector",
+            lambda rotations, low, top, first: np.full(1 << (top - low + 1), complex("nan")),
         )
         assert math.isnan(phase_adder_equivalence_errors(4, [9])[0])
 
@@ -325,7 +322,7 @@ class TestBatchedChecks:
         ids=["equivalence", "modularity"],
     )
     def test_peak_memory_at_the_dense_cap(self, check, bound):
-        # equivalence's 20 constants, at most DENSE_BATCH_ENTRIES entries per pass; or the inverse
+        # equivalence's 20 constants, one row of phase vector and of closed form each; or the inverse
         # transform on all 4096 columns, filled block by block: beside the work batch run its output
         # copy or a dense step's scratch, and the scores
         tracemalloc.start()

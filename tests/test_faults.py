@@ -7,6 +7,7 @@ gap is a visible decision rather than a silent one. A gap that a later change
 closes makes its pair fail here and moves to COVERS.
 """
 
+import cmath
 import itertools
 import math
 
@@ -132,6 +133,16 @@ def dense_dropped(monkeypatch):
     monkeypatch.setattr(fourieradd.circuits, "apply_dense", lambda state, *args: None)
 
 
+def phase_vector_off(monkeypatch):
+    # every phase vector the plan multiplies in, and the equivalence check's tensor product
+    original = fourieradd.circuits._phase_vector
+
+    def patched(rotations, low, top, first):
+        return original(rotations, low, top, first * cmath.exp(0.01j))
+
+    monkeypatch.setattr(fourieradd.circuits, "_phase_vector", patched)
+
+
 FAULTS = {
     "nan": nan_hadamard,
     "phase": phase_off_by_one_unit,
@@ -144,14 +155,15 @@ FAULTS = {
     "diagonal-dropped": diagonal_dropped,
     "nan-dense": nan_dense,
     "dense-dropped": dense_dropped,
+    "phase-vector": phase_vector_off,
 }
 
 PLAN_FAULTS = {"nan-diagonal", "diagonal-dropped", "nan-dense", "dense-dropped"}
 COVERS = {
-    "const": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform", *PLAN_FAULTS},
-    "draper": {"nan", "cphase", "swap", "transform", *PLAN_FAULTS},
-    "equivalence": {"c+1"},
-    "modularity": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform", *PLAN_FAULTS},
+    "const": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform", "phase-vector", *PLAN_FAULTS},
+    "draper": {"nan", "cphase", "swap", "transform", "phase-vector", *PLAN_FAULTS},
+    "equivalence": {"c+1", "phase-vector"},
+    "modularity": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform", "phase-vector", *PLAN_FAULTS},
 }
 
 NO_CONST_ADDER = "draper runs no phase kernel and builds no constant adder"
@@ -178,7 +190,7 @@ def test_covers_and_gaps_partition_every_pair():
     covered = {(fault, suite) for suite, faults in COVERS.items() for fault in faults}
     assert covered.isdisjoint(GAPS)
     assert covered | set(GAPS) == set(PAIRS)
-    assert len(PAIRS) == 44
+    assert len(PAIRS) == 48
     assert len(GAPS) == 13  # all structural: the suite builds no constant adder or calls no kernel
 
 

@@ -175,6 +175,19 @@ def test_const_sweep_peak_memory_stays_within_its_charge():
     assert peak <= (SWEEP_BYTES_PER_ENTRY["const"] << 16) + 3 * 16 * BATCH_AMPLITUDES
 
 
+def test_modularity_peak_memory_stays_within_its_charge():
+    # the constant-shift rows hold the width's transform rows and scores as the const sweep
+    # does, charged at the same 32 bytes per entry of 4**N; at 9 qubits it peaks at about 8.4 MB
+    tracemalloc.start()
+    try:
+        reports = verify_modularity(9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(report.passed for report in reports)
+    assert peak <= (SWEEP_BYTES_PER_ENTRY["modularity"] << 18) + 3 * 16 * BATCH_AMPLITUDES
+
+
 def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
     original = fourieradd.circuits.apply_hadamard
 
