@@ -3,12 +3,8 @@
 from .statevector import (
     DEFAULT_TOL,
     StateVector,
-    apply_controlled_phase,
     apply_dense,
     apply_diagonal,
-    apply_hadamard,
-    apply_phase,
-    apply_swap,
     basis_state,
     fidelity,
     state_from_dict,

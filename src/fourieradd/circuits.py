@@ -24,16 +24,7 @@ from itertools import chain
 
 import numpy as np
 
-from .statevector import (
-    StateVector,
-    apply_controlled_phase,
-    apply_dense,
-    apply_diagonal,
-    apply_hadamard,
-    apply_phase,
-    apply_swap,
-    require_finite,
-)
+from .statevector import StateVector, apply_dense, apply_diagonal, require_finite
 
 HADAMARD = "h"
 PHASE = "phase"
@@ -57,6 +48,8 @@ _SETS_OPTIONAL = {
 # a wider state runs block by block, and a batch of narrow inputs fills one
 # block. Read at call time, and a power of two.
 BATCH_AMPLITUDES = 1 << 16
+# The Hadamard as the 2 x 2 matrix that builds a dense step.
+_HADAMARD_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * math.sqrt(0.5)
 # Widest window of consecutive qubit positions that one dense step of a plan
 # covers: a 32 x 32 matrix costs about as much per amplitude as one
 # Hadamard pass, and applies up to five Hadamards and the phases between them.
@@ -186,13 +179,13 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
     the plan that _plan compiles from the gate list: swaps relabel qubits,
     the Hadamards and the phases among them within FUSE_QUBITS consecutive
     qubits become one dense matrix step, built by running those gates
-    through their kernels, and the other diagonal gates become phase-vector
-    multiplies. With BATCH_AMPLITUDES = 2**b, every step but a dense step
-    reaching above qubit b runs block by block over the aligned
-    2**b-amplitude blocks (one block when the state is no wider), so a
-    stretch of steps is applied to one cache-sized block before the next is
-    loaded. Qubits still out of place at the end are put back with
-    apply_swap. The plan multiplies and sums in another order than the gates
+    through apply_dense and apply_diagonal, and the other diagonal gates
+    become phase-vector multiplies. With BATCH_AMPLITUDES = 2**b, every step
+    but a dense step reaching above qubit b runs block by block over the
+    aligned 2**b-amplitude blocks (one block when the state is no wider), so
+    a stretch of steps is applied to one cache-sized block before the next
+    is loaded. Qubits still out of place at the end are put back with one
+    transpose. The plan multiplies and sums in another order than the gates
     do one by one, so its output is within DEFAULT_TOL of such a run rather
     than bitwise the same.
     """
@@ -205,31 +198,33 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
 
 
 def _run(plan: tuple[list, list[int]], state: StateVector) -> None:
-    """Run a compiled plan on the state, unchecked for finiteness, and put every qubit back."""
+    """Run a compiled plan on the state, unchecked for finiteness, and put every qubit back with _put_back."""
     steps, where = plan
     _run_plan(steps, state, min(BATCH_AMPLITUDES.bit_length() - 1, state.n_qubits))
-    # where[q] is the position that holds qubit q; put each qubit back in its place
-    where = list(where)
-    for qubit in range(1, len(where)):
-        position = where[qubit]
-        if position != qubit:
-            apply_swap(state, qubit, position)
-            displaced = where.index(qubit)  # the qubit that held position `qubit`
-            where[displaced], where[qubit] = position, qubit
+    _put_back(state, where)
+
+
+def _put_back(state: StateVector, where: list[int]) -> None:
+    """Move each qubit q from position where[q] back to position q, with one transpose."""
+    n = state.n_qubits
+    if where != list(range(n + 1)):
+        # axis a of the (2,)*N view is qubit N - a; numpy copies the overlapping source once
+        view = state.amplitudes.reshape((2,) * n)
+        view[...] = view.transpose([n - where[n - axis] for axis in range(n)])
 
 
 def _apply_gates(gates, state: StateVector, offset: int) -> None:
     # gates are the plan's (positions, angle) entries, angle None for a Hadamard, each position
     # moved by offset; the kernels are looked up by name on every call, here and in the plan,
-    # so a patched circuits.apply_* reaches every call
+    # so a patched circuits.apply_dense or circuits.apply_diagonal reaches every call
     for positions, angle in gates:
         moved = [position + offset for position in positions]
         if angle is None:
-            apply_hadamard(state, *moved)
-        elif len(moved) == 1:
-            apply_phase(state, *moved, angle)
+            apply_dense(state, _HADAMARD_MATRIX, *moved)
         else:
-            apply_controlled_phase(state, *moved, angle)
+            factors = np.array([1.0, cmath.exp(1j * angle)])
+            # a phase's one position, or a controlled phase's (control, target)
+            apply_diagonal(state, factors, moved[-1], *moved[:-1])
 
 
 @dataclass(frozen=True)
@@ -324,10 +319,10 @@ class _Dense:
 def _dense(cluster, low: int, top: int) -> _Dense:
     """The cluster's matrix, from running its gates on every basis column.
 
-    The gates run through _apply_gates, so each reaches its apply_* kernel,
-    moved from positions low..top to qubits K+1..2K of a 2K-qubit state
-    whose amplitudes are the flattened identity: the low K qubits index the
-    columns and are never touched.
+    The gates run through _apply_gates, one apply_dense or apply_diagonal
+    call each, moved from positions low..top to qubits K+1..2K of a 2K-qubit
+    state whose amplitudes are the flattened identity: the low K qubits
+    index the columns and are never touched.
     """
     k = top - low + 1
     work = StateVector(2 * k, np.eye(1 << k, dtype=np.complex128).reshape(-1))

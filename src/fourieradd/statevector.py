@@ -1,14 +1,18 @@
-"""In-place statevector kernel over little-endian basis indices.
+"""In-place statevector kernels over little-endian basis indices.
 
 A register of N qubits holds 2**N complex amplitudes, indexed by the
 integer value of the basis state. Qubit t (1-based) stores bit (t - 1)
 of the index, so qubit 1 is the least significant and qubit t carries
 basis weight 2**(t - 1).
 
-Gates mutate the amplitude array in place through reshaped views that
-expose the relevant bits as their own axes; no 2**N x 2**N matrix is
-ever formed here. Nothing renormalizes behind the caller's back: if an
-operation drifted the norm, that is a bug the tests must surface.
+Two kernels change a state, both in place: apply_dense applies a 2**K x
+2**K matrix to K consecutive qubits, and apply_diagonal multiplies by
+2**K factors over K consecutive qubits, optionally under a control qubit.
+Every step of a circuit's run, and every gate of the matrices its plan
+builds, is one call of one of them. They work through reshaped views that expose the qubits they act
+on as their own axes; no 2**N x 2**N matrix is ever formed here. Nothing
+renormalizes behind the caller's back: if an operation drifted the norm,
+that is a bug the tests must surface.
 
 State interchange format (JSON):
 
@@ -17,7 +21,6 @@ State interchange format (JSON):
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from itertools import chain
@@ -25,7 +28,6 @@ from itertools import chain
 import numpy as np
 
 DEFAULT_TOL = 1e-10  # normalization bound of states, and the default pass bound of checks
-SQRT1_2 = math.sqrt(0.5)
 SPLIT_BELOW = 16  # kernels split a view whose last axis is shorter than this; see _parts
 MATMUL_ROWS = 256  # rows per matrix product when apply_dense acts on the lowest qubits
 
@@ -121,17 +123,6 @@ def _check_qubit(n_qubits: int, index: int, name: str = "target") -> None:
         raise ValueError(f"{name} qubit {index} out of range [1, {n_qubits}]")
 
 
-def _split_view(amplitudes: np.ndarray, target: int) -> np.ndarray:
-    # axes: (higher bits, target bit, lower bits); slices along the middle
-    # axis are views, so writes land in the original array
-    return amplitudes.reshape(-1, 2, 1 << (target - 1))
-
-
-def _pair_view(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # axes: (top bits, hi bit, middle bits, lo bit, low bits) with lo < hi
-    return amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (lo - 1))
-
-
 def _parts(view: np.ndarray) -> tuple[np.ndarray, ...]:
     """The view, or one part per index of its last axis when that axis is short.
 
@@ -145,46 +136,6 @@ def _parts(view: np.ndarray) -> tuple[np.ndarray, ...]:
     if length >= SPLIT_BELOW or view.size < SPLIT_BELOW * length:
         return (view,)
     return tuple(view[..., index] for index in range(length))
-
-
-def apply_hadamard(state: StateVector, target: int) -> None:
-    """Map the target-bit pair (a0, a1) to ((a0+a1), (a0-a1)) / sqrt(2)."""
-    _check_qubit(state.n_qubits, target)
-    # the sum and difference are half-state temporaries; the plan calls this kernel
-    # only on the states of at most 2**10 amplitudes that build its dense matrices
-    for part in _parts(_split_view(state.amplitudes, target)):
-        clear, set_ = part[:, 0], part[:, 1]
-        total = clear + set_
-        diff = clear - set_
-        np.multiply(total, SQRT1_2, out=clear)
-        np.multiply(diff, SQRT1_2, out=set_)
-
-
-def apply_phase(state: StateVector, target: int, theta: float) -> None:
-    """Multiply every amplitude whose target bit is set by exp(i*theta)."""
-    _check_qubit(state.n_qubits, target)
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    rotation = cmath.exp(1j * theta)
-    for part in _parts(_split_view(state.amplitudes, target)):
-        part[:, 1] *= rotation
-
-
-def apply_controlled_phase(state: StateVector, control: int, target: int, theta: float) -> None:
-    """Multiply amplitudes with both the control and target bits set by exp(i*theta).
-
-    The action is symmetric in (control, target).
-    """
-    _check_qubit(state.n_qubits, control, "control")
-    _check_qubit(state.n_qubits, target, "target")
-    if control == target:
-        raise ValueError("control and target must differ")
-    if not math.isfinite(theta):
-        raise ValueError(f"theta must be finite, got {theta}")
-    lo, hi = sorted((control, target))
-    rotation = cmath.exp(1j * theta)
-    for part in _parts(_pair_view(state.amplitudes, lo, hi)):
-        part[:, 1, :, 1] *= rotation
 
 
 def apply_diagonal(state: StateVector, factors: np.ndarray, low: int, control: int | None = None) -> None:
@@ -258,19 +209,6 @@ def apply_dense(state: StateVector, matrix: np.ndarray, low: int, out: np.ndarra
     else:
         np.matmul(matrix, view, out=product)
     state.amplitudes[...] = out
-
-
-def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> None:
-    """Exchange the two qubits: amplitudes at indices differing only in those bits trade places."""
-    _check_qubit(state.n_qubits, qubit_a, "qubit_a")
-    _check_qubit(state.n_qubits, qubit_b, "qubit_b")
-    if qubit_a == qubit_b:
-        raise ValueError("swap qubits must differ")
-    lo, hi = sorted((qubit_a, qubit_b))
-    view = _pair_view(state.amplitudes, lo, hi)
-    held = view[:, 0, :, 1, :].copy()
-    view[:, 0, :, 1, :] = view[:, 1, :, 0, :]
-    view[:, 1, :, 0, :] = held
 
 
 def fidelity(state_a: StateVector, state_b: StateVector) -> float:

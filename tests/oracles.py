@@ -1,17 +1,85 @@
 """References that the tests check the program against; nothing in the package calls them.
 
 The closed-form matrices and Fourier columns are built straight from their defining formulas,
-independent of the gate kernels, and are capped at DENSE_MAX_QUBITS like the
-package's dense layer. run_gate_by_gate runs every gate's kernel on the whole
-state, so it compiles no plan.
+independent of the program's kernels, and are capped at DENSE_MAX_QUBITS like the
+package's dense layer. run_gate_by_gate runs every gate on the whole state through the
+reference's own gate kernels below, one per gate kind, so it compiles no plan and shares
+no kernel with the program, which runs every state through apply_dense and apply_diagonal.
 """
 
+import cmath
 import math
 
 import numpy as np
 
-from fourieradd import StateVector, apply_controlled_phase, apply_hadamard, apply_phase, apply_swap
+from fourieradd import StateVector
 from fourieradd.dense import _omega_powers, _phase_adder_diagonal, _require_dense
+from fourieradd.statevector import _check_qubit, _parts
+
+SQRT1_2 = math.sqrt(0.5)
+
+
+def _split_view(amplitudes: np.ndarray, target: int) -> np.ndarray:
+    # axes: (higher bits, target bit, lower bits); slices along the middle
+    # axis are views, so writes land in the original array
+    return amplitudes.reshape(-1, 2, 1 << (target - 1))
+
+
+def _pair_view(amplitudes: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # axes: (top bits, hi bit, middle bits, lo bit, low bits) with lo < hi
+    return amplitudes.reshape(-1, 2, 1 << (hi - lo - 1), 2, 1 << (lo - 1))
+
+
+def apply_hadamard(state: StateVector, target: int) -> None:
+    """Map the target-bit pair (a0, a1) to ((a0+a1), (a0-a1)) / sqrt(2)."""
+    _check_qubit(state.n_qubits, target)
+    # the sum and difference are half-state temporaries
+    for part in _parts(_split_view(state.amplitudes, target)):
+        clear, set_ = part[:, 0], part[:, 1]
+        total = clear + set_
+        diff = clear - set_
+        np.multiply(total, SQRT1_2, out=clear)
+        np.multiply(diff, SQRT1_2, out=set_)
+
+
+def apply_phase(state: StateVector, target: int, theta: float) -> None:
+    """Multiply every amplitude whose target bit is set by exp(i*theta)."""
+    _check_qubit(state.n_qubits, target)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    rotation = cmath.exp(1j * theta)
+    for part in _parts(_split_view(state.amplitudes, target)):
+        part[:, 1] *= rotation
+
+
+def apply_controlled_phase(state: StateVector, control: int, target: int, theta: float) -> None:
+    """Multiply amplitudes with both the control and target bits set by exp(i*theta).
+
+    The action is symmetric in (control, target).
+    """
+    _check_qubit(state.n_qubits, control, "control")
+    _check_qubit(state.n_qubits, target, "target")
+    if control == target:
+        raise ValueError("control and target must differ")
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    lo, hi = sorted((control, target))
+    rotation = cmath.exp(1j * theta)
+    for part in _parts(_pair_view(state.amplitudes, lo, hi)):
+        part[:, 1, :, 1] *= rotation
+
+
+def apply_swap(state: StateVector, qubit_a: int, qubit_b: int) -> None:
+    """Exchange the two qubits: amplitudes at indices differing only in those bits trade places."""
+    _check_qubit(state.n_qubits, qubit_a, "qubit_a")
+    _check_qubit(state.n_qubits, qubit_b, "qubit_b")
+    if qubit_a == qubit_b:
+        raise ValueError("swap qubits must differ")
+    lo, hi = sorted((qubit_a, qubit_b))
+    view = _pair_view(state.amplitudes, lo, hi)
+    held = view[:, 0, :, 1, :].copy()
+    view[:, 0, :, 1, :] = view[:, 1, :, 0, :]
+    view[:, 1, :, 0, :] = held
 
 
 def dft_matrix(n_qubits: int) -> np.ndarray:
@@ -55,7 +123,7 @@ def random_state(n_qubits, seed):
 
 
 def run_gate_by_gate(circuit, state):
-    """The reference that runs no plan: every gate's kernel on the whole state, in list order."""
+    """The reference that runs no plan: every gate's own kernel above on the whole state, in list order."""
     for gate in circuit.gates:
         if gate.kind == "h":
             apply_hadamard(state, gate.target)

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import inspect
 import json
 import math
 import tracemalloc
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import fourieradd.circuits as circuits_module
+import fourieradd.statevector as statevector_module
 from fourieradd import (
     BATCH_AMPLITUDES,
     DEFAULT_TOL,
@@ -402,7 +404,7 @@ class TestRunOnStates:
         others = np.arange(8) != 3
         assert distance(outputs[others], run_each_row(circuit, rows[others])) < DEFAULT_TOL
 
-    def test_the_transform_rows_give_the_adders_outputs_bitwise(self):
+    def test_the_transform_rows_give_the_adders_outputs(self):
         # the const sweep's sharing: the transform once, then the rest of each adder on its
         # rows; both that and the whole adder land on the exact one-hot |a + c mod 2**n>
         n = 5
@@ -422,9 +424,9 @@ class TestRunOnStates:
 
 
 BLOCK_QUBITS = 4  # the block width the tests below patch in, so that 5-9 qubits cross it
-KERNEL_NAMES = (
-    "apply_hadamard", "apply_phase", "apply_controlled_phase", "apply_swap", "apply_diagonal", "apply_dense"
-)
+# the plan's two kernels for its own steps; h, phase and cphase for the kernel calls that build
+# a dense step's matrix, by the gate they run; put-back for each put-back that moves a qubit
+CALL_KINDS = ("apply_dense", "apply_diagonal", "h", "phase", "cphase", "put-back")
 # the widths of the states that build a dense step's matrix: 2K qubits for K = 1..FUSE_QUBITS
 MATRIX_WIDTHS = set(range(2, 2 * circuits_module.FUSE_QUBITS + 1, 2))
 
@@ -447,16 +449,42 @@ def roll_error(n, constant, seed):
 
 
 def record_kernel_widths(monkeypatch):
-    """Wrap the kernels where run_circuit looks them up; returns the widths of each kernel's calls."""
-    widths = {name: [] for name in KERNEL_NAMES}
-    for name in KERNEL_NAMES:
+    """Wrap the kernels, _dense and _put_back where run_circuit looks them up; returns the
+    widths of the states of each CALL_KINDS kind of call.
+
+    A kernel call made while _dense runs builds a matrix and counts under the gate it runs:
+    a Hadamard is an apply_dense, a phase an apply_diagonal without control, a controlled
+    phase one with a control.
+    """
+    widths = {kind: [] for kind in CALL_KINDS}
+    building = []
+    dense, put_back = circuits_module._dense, circuits_module._put_back
+
+    def recorded_dense(cluster, low, top):
+        building.append(True)
+        try:
+            return dense(cluster, low, top)
+        finally:
+            building.pop()
+
+    def recorded_put_back(state, where):
+        if where != sorted(where):
+            widths["put-back"].append(state.n_qubits)
+        put_back(state, where)
+
+    for name in ("apply_dense", "apply_diagonal"):
         original = getattr(circuits_module, name)
 
-        def recorded(state, *args, original=original, calls=widths[name]):
-            calls.append(state.n_qubits)
-            original(state, *args)
+        def recorded(state, values, low, extra=None, original=original, name=name):
+            kind = name
+            if building:
+                kind = "h" if name == "apply_dense" else "phase" if extra is None else "cphase"
+            widths[kind].append(state.n_qubits)
+            original(state, values, low, extra)
 
         monkeypatch.setattr(circuits_module, name, recorded)
+    monkeypatch.setattr(circuits_module, "_dense", recorded_dense)
+    monkeypatch.setattr(circuits_module, "_put_back", recorded_put_back)
     return widths
 
 
@@ -526,6 +554,35 @@ class TestDenseKernel:
                 assert np.max(np.abs(actual.amplitudes - expected.amplitudes)) < 1e-14
 
 
+class TestOneKernelFamily:
+    def test_the_package_defines_two_kernels(self):
+        kernels = {
+            name
+            for name, value in inspect.getmembers(statevector_module, inspect.isfunction)
+            if name.startswith("apply_") and value.__module__ == statevector_module.__name__
+        }
+        assert kernels == {"apply_dense", "apply_diagonal"}
+
+    def test_the_reference_shares_no_kernel_with_the_program(self, monkeypatch):
+        circuit = concat(random_circuit(6, seed=6), const_adder_circuit(ConstAdderSpec(6, 13)))
+        assert {gate.kind for gate in circuit.gates} == {"h", "phase", "cphase", "swap"}
+        expected = random_state(6, seed=6)
+        run_gate_by_gate(circuit, expected)
+
+        def nan_kernel(state, *args):
+            state.amplitudes[:] = np.nan
+
+        for name in ("apply_dense", "apply_diagonal"):
+            monkeypatch.setattr(circuits_module, name, nan_kernel)
+        actual = random_state(6, seed=6)
+        run_gate_by_gate(circuit, actual)
+        assert np.array_equal(actual.amplitudes, expected.amplitudes)
+        # the patch reaches the program's own run
+        state = random_state(6, seed=6)
+        run_circuit(circuit, state)
+        assert np.isnan(state.amplitudes).all()
+
+
 class TestBlockedRun:
     @pytest.mark.parametrize("n", [17, 18, 20])
     def test_constant_adder_is_the_roll(self, n):
@@ -555,11 +612,11 @@ class TestBlockedRun:
             assert gate_path_error(circuit, seed) < DEFAULT_TOL
         assert set(widths["apply_diagonal"]) == {BLOCK_QUBITS}
         assert set(widths["apply_dense"]) == {BLOCK_QUBITS, n}
-        assert set(widths["apply_swap"]) == {n}
-        for name in ("apply_hadamard", "apply_phase", "apply_controlled_phase"):
-            assert widths[name] and set(widths[name]) <= MATRIX_WIDTHS
+        assert set(widths["put-back"]) == {n}
+        for kind in ("h", "phase", "cphase"):
+            assert widths[kind] and set(widths[kind]) <= MATRIX_WIDTHS
 
-    def test_states_up_to_the_block_run_gate_by_gate_bitwise(self, monkeypatch):
+    def test_states_up_to_the_block_match_the_gate_by_gate_run(self, monkeypatch):
         # a state of one block runs the plan too: one apply_dense or apply_diagonal call per
         # step over the whole state, within DEFAULT_TOL of the gate-by-gate run
         circuit = const_adder_circuit(ConstAdderSpec(16, 12345))
@@ -573,16 +630,16 @@ class TestBlockedRun:
         assert np.max(np.abs(actual.amplitudes - expected.amplitudes)) < DEFAULT_TOL
         assert widths["apply_dense"] == [16] * dense
         assert widths["apply_diagonal"] == [16] * (len(steps) - dense)
-        assert widths["apply_swap"] == []
+        assert widths["put-back"] == []
 
     def test_states_up_to_the_block_run_whole(self, monkeypatch):
-        # every step runs on the whole state; the gate kernels run only to build matrices
+        # every step and the put-back run on the whole state; the matrices build on their own states
         widths = record_kernel_widths(monkeypatch)
         run_circuit(qft_circuit(16), basis_state(16, 5))
-        assert set(widths["apply_dense"] + widths["apply_diagonal"] + widths["apply_swap"]) == {16}
-        for name in ("apply_hadamard", "apply_controlled_phase"):
-            assert widths[name] and set(widths[name]) <= MATRIX_WIDTHS
-        assert widths["apply_phase"] == []  # the transform has no single-qubit phase
+        assert set(widths["apply_dense"] + widths["apply_diagonal"] + widths["put-back"]) == {16}
+        for kind in ("h", "cphase"):
+            assert widths[kind] and set(widths[kind]) <= MATRIX_WIDTHS
+        assert widths["phase"] == []  # the transform has no single-qubit phase
 
     @pytest.mark.parametrize(
         "circuit",
@@ -593,9 +650,9 @@ class TestBlockedRun:
         # each Hadamard of the list runs once, on the state that builds its dense step's matrix
         widths = record_kernel_widths(monkeypatch)
         run_circuit(circuit, basis_state(circuit.n_qubits, 5))
-        assert len(widths["apply_hadamard"]) == count_gates(circuit).hadamard
-        assert set(widths["apply_hadamard"]) <= MATRIX_WIDTHS
-        assert widths["apply_swap"] == []
+        assert len(widths["h"]) == count_gates(circuit).hadamard
+        assert set(widths["h"]) <= MATRIX_WIDTHS
+        assert widths["put-back"] == []
 
     @pytest.mark.parametrize(
         "circuit",
@@ -643,13 +700,15 @@ class TestBlockedRun:
         assert checked == [1 << 18]
 
     def test_a_nan_kernel_reaches_every_block(self, monkeypatch):
-        original = circuits_module.apply_hadamard
+        # NaN from every 2 x 2 apply_dense, which is how each Hadamard of a matrix build runs
+        original = circuits_module.apply_dense
 
-        def apply_hadamard_nan(state, target):
-            original(state, target)
-            state.amplitudes[:] = np.nan
+        def nan_hadamard(state, matrix, low, out=None):
+            original(state, matrix, low, out)
+            if matrix.shape == (2, 2):
+                state.amplitudes[:] = np.nan
 
-        monkeypatch.setattr(circuits_module, "apply_hadamard", apply_hadamard_nan)
+        monkeypatch.setattr(circuits_module, "apply_dense", nan_hadamard)
         state = basis_state(18, 12345)
         apply_const_add(state, 6)
         assert not np.isfinite(state.amplitudes).any()
@@ -728,7 +787,7 @@ class TestBlockedRun:
         after = before.copy()
         run_circuit(qft_circuit(n), after)
         assert np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL
-        monkeypatch.setattr(circuits_module, "apply_swap", lambda state, qubit_a, qubit_b: None)
+        monkeypatch.setattr(circuits_module, "_put_back", lambda state, where: None)
         after = before.copy()
         run_circuit(qft_circuit(n), after)
         assert not np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL

@@ -164,13 +164,15 @@ class TestAddReg:
 
     @pytest.mark.parametrize("n", [3, 9])  # 9 makes 18 qubits, which run in blocks
     def test_nan_output_is_an_error(self, n, monkeypatch, capsys):
-        original = circuits_module.apply_hadamard
+        # NaN from every 2 x 2 apply_dense, which is how each Hadamard of a matrix build runs
+        original = circuits_module.apply_dense
 
-        def apply_hadamard_nan(state, target):
-            original(state, target)
-            state.amplitudes[:] = np.nan
+        def nan_hadamard(state, matrix, low, out=None):
+            original(state, matrix, low, out)
+            if matrix.shape == (2, 2):
+                state.amplitudes[:] = np.nan
 
-        monkeypatch.setattr(circuits_module, "apply_hadamard", apply_hadamard_nan)
+        monkeypatch.setattr(circuits_module, "apply_dense", nan_hadamard)
         assert run_cli(["add-reg", "--n", str(n), "--a", "2", "--b", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

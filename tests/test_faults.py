@@ -36,36 +36,44 @@ WIDTHS = {"const": 6, "draper": 3, "equivalence": 4, "modularity": 6}
 
 
 def nan_hadamard(monkeypatch):
-    original = fourieradd.circuits.apply_hadamard
+    # a 2 x 2 apply_dense: every Hadamard of a matrix build, and a plan step over one position
+    original = fourieradd.circuits.apply_dense
 
-    def patched(state, target):
-        original(state, target)
-        state.amplitudes[:] = np.nan
+    def patched(state, matrix, *args):
+        original(state, matrix, *args)
+        if np.shape(matrix) == (2, 2):
+            state.amplitudes[:] = np.nan
 
-    monkeypatch.setattr(fourieradd.circuits, "apply_hadamard", patched)
+    monkeypatch.setattr(fourieradd.circuits, "apply_dense", patched)
 
 
 def phase_off_by_one_unit(monkeypatch):
-    # one unit of the angle grid at that qubit: the rotation for c + 1 instead of c
-    original = fourieradd.circuits.apply_phase
+    # one unit of the angle grid at that qubit: the rotation for c + 1 instead of c, on every
+    # one-qubit apply_diagonal without a control, which is how a single-qubit phase runs
+    original = fourieradd.circuits.apply_diagonal
 
-    def patched(state, target, theta):
-        original(state, target, theta + math.pi / 2 ** (state.n_qubits - target))
+    def patched(state, factors, low, control=None):
+        if control is None and len(factors) == 2:
+            factors = factors * np.array([1.0, cmath.exp(1j * math.pi / 2 ** (state.n_qubits - low))])
+        original(state, factors, low, control)
 
-    monkeypatch.setattr(fourieradd.circuits, "apply_phase", patched)
+    monkeypatch.setattr(fourieradd.circuits, "apply_diagonal", patched)
 
 
 def cphase_off(monkeypatch):
-    original = fourieradd.circuits.apply_controlled_phase
+    # every one-qubit apply_diagonal under a control, which is how a controlled phase runs
+    original = fourieradd.circuits.apply_diagonal
 
-    def patched(state, control, target, theta):
-        original(state, control, target, theta + 0.01)
+    def patched(state, factors, low, control=None):
+        if control is not None and len(factors) == 2:
+            factors = factors * np.array([1.0, cmath.exp(0.01j)])
+        original(state, factors, low, control)
 
-    monkeypatch.setattr(fourieradd.circuits, "apply_controlled_phase", patched)
+    monkeypatch.setattr(fourieradd.circuits, "apply_diagonal", patched)
 
 
 def swap_dropped(monkeypatch):
-    monkeypatch.setattr(fourieradd.circuits, "apply_swap", lambda state, qubit_a, qubit_b: None)
+    monkeypatch.setattr(fourieradd.circuits, "_put_back", lambda state, where: None)
 
 
 def stage_for_next_constant(monkeypatch):
@@ -166,8 +174,10 @@ COVERS = {
     "modularity": {"nan", "phase", "cphase", "swap", "c+1", "trailing-phase", "transform", "phase-vector", *PLAN_FAULTS},
 }
 
-NO_CONST_ADDER = "draper runs no phase kernel and builds no constant adder"
-NO_KERNEL = "the equivalence check calls no kernel"
+NO_CONST_ADDER = (
+    "draper has no single-qubit phase, so no uncontrolled one-qubit apply_diagonal, and builds no constant adder"
+)
+NO_KERNEL = "the equivalence check runs no plan: it calls neither kernel and puts no qubit back"
 READS_THE_STAGE = "the equivalence check reads the phase stage, not the whole adder"
 
 GAPS = {
@@ -237,8 +247,8 @@ def test_modularity_column_rows_run_the_kernels(monkeypatch, fault):
 WIDE_QUBITS = 17
 KERNEL_FAULTS = {name: FAULTS[name] for name in ("nan", "phase", "cphase", "swap", *sorted(PLAN_FAULTS))}
 WIDE_GAPS = {
-    "swap": "the plan relabels swaps and the adder leaves none to run "
-    "(test_circuits test_a_dropped_swap_breaks_a_left_permutation covers the kernel)",
+    "swap": "the plan relabels swaps and the adder leaves every qubit in place, so the put-back moves none "
+    "(test_circuits test_a_dropped_swap_breaks_a_left_permutation covers the put-back)",
 }
 
 

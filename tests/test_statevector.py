@@ -6,22 +6,24 @@ import pytest
 
 from fourieradd import (
     StateVector,
-    apply_controlled_phase,
     apply_dense,
     apply_diagonal,
-    apply_hadamard,
-    apply_phase,
-    apply_swap,
     basis_state,
     fidelity,
     state_from_dict,
     state_to_dict,
     superposition_state,
 )
-from fourieradd.statevector import _parts, _split_view
-from oracles import random_state
-
-SQRT1_2 = math.sqrt(0.5)
+from fourieradd.statevector import _parts
+from oracles import (
+    SQRT1_2,
+    _split_view,
+    apply_controlled_phase,
+    apply_hadamard,
+    apply_phase,
+    apply_swap,
+    random_state,
+)
 
 
 class TestStateVector:

@@ -189,13 +189,15 @@ def test_modularity_peak_memory_stays_within_its_charge():
 
 
 def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
-    original = fourieradd.circuits.apply_hadamard
+    # NaN from every 2 x 2 apply_dense, which is how each Hadamard of a matrix build runs
+    original = fourieradd.circuits.apply_dense
 
-    def nan_hadamard(state, target):
-        original(state, target)
-        state.amplitudes[:] = np.nan
+    def nan_hadamard(state, matrix, low, out=None):
+        original(state, matrix, low, out)
+        if matrix.shape == (2, 2):
+            state.amplitudes[:] = np.nan
 
-    monkeypatch.setattr(fourieradd.circuits, "apply_hadamard", nan_hadamard)
+    monkeypatch.setattr(fourieradd.circuits, "apply_dense", nan_hadamard)
     assert run_cli(["verify", "--suite", "modularity", "--n-max", "3"]) == 1
     *rows, summary = capsys.readouterr().out.splitlines()
     # the column rows run the built inverse transform, so they fail as the shift rows do
@@ -371,24 +373,34 @@ def record_batched_calls(monkeypatch):
     the lowest qubit the call addresses; and the (circuit, count) of every run_filled call.
 
     The circuit width comes from the run_filled call that the sweep's run_on_basis,
-    run_on_states or own fill goes through.
+    run_on_states or own fill goes through. The kernel calls made while _dense builds a
+    plan's matrices are not plan steps, and are left out.
     """
-    calls, runs = [], []
-    run_filled = fourieradd.circuits.run_filled
+    calls, runs, building = [], [], []
+    run_filled, dense = fourieradd.circuits.run_filled, fourieradd.circuits._dense
 
     def recorded_run_filled(circuit, count, fill):
         runs.append((circuit, count))
         return run_filled(circuit, count, fill)
 
+    def recorded_dense(cluster, low, top):
+        building.append(True)
+        try:
+            return dense(cluster, low, top)
+        finally:
+            building.pop()
+
     for module in (fourieradd.circuits, fourieradd.verify):
         monkeypatch.setattr(module, "run_filled", recorded_run_filled)
+    monkeypatch.setattr(fourieradd.circuits, "_dense", recorded_dense)
     for name in ("apply_dense", "apply_diagonal"):
         original = getattr(fourieradd.circuits, name)
 
         def recorded(state, values, low, extra=None, original=original, name=name):
             control = extra if name == "apply_diagonal" else None
             lowest = low if control is None else min(low, control)
-            calls.append((state.n_qubits, state.n_qubits - runs[-1][0].n_qubits, lowest))
+            if not building:
+                calls.append((state.n_qubits, state.n_qubits - runs[-1][0].n_qubits, lowest))
             original(state, values, low, extra)
 
         monkeypatch.setattr(fourieradd.circuits, name, recorded)
