@@ -8,7 +8,7 @@ from .statevector import (
     basis_state,
     fidelity,
     state_from_dict,
-    state_to_dict,
+    state_to_json,
     superposition_state,
 )
 from .circuits import (

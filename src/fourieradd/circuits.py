@@ -18,8 +18,10 @@ from __future__ import annotations
 
 import cmath
 import math
+import os
 from collections.abc import Iterator
 from dataclasses import dataclass
+from functools import cache, partial
 from itertools import chain
 
 import numpy as np
@@ -54,6 +56,12 @@ _HADAMARD_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * ma
 # covers: a 32 x 32 matrix costs about as much per amplitude as one
 # Hadamard pass, and applies up to five Hadamards and the phases between them.
 FUSE_QUBITS = 5
+# A dense step above the block is cut into ranges of the values of the qubits
+# below its window, one per worker, each a multiple of this many values. BLAS
+# multiplies a few such columns at a time, so ranges cut at such multiples
+# give the bits of one product over the whole state. With OpenBLAS 0.3.31 on
+# x86-64, cuts at values that 4 does not divide gave other last bits.
+RANGE_COLUMNS = 64
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,9 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
     but a dense step reaching above qubit b runs block by block over the
     aligned 2**b-amplitude blocks (one block when the state is no wider), so
     a stretch of steps is applied to one cache-sized block before the next
-    is loaded. Qubits still out of place at the end are put back with one
+    is loaded; the blocks of a wider state, and the dense steps above them,
+    are shared among _workers() threads, with the same output bits as one
+    thread. Qubits still out of place at the end are put back with one
     transpose. The plan multiplies and sums in another order than the gates
     do one by one, so its output is within DEFAULT_TOL of such a run rather
     than bitwise the same.
@@ -213,14 +223,15 @@ def _put_back(state: StateVector, where: list[int]) -> None:
         view[...] = view.transpose([n - where[n - axis] for axis in range(n)])
 
 
-def _apply_gates(gates, state: StateVector, offset: int) -> None:
+def _apply_gates(gates, state: StateVector, offset: int, scratch: np.ndarray) -> None:
     # gates are the plan's (positions, angle) entries, angle None for a Hadamard, each position
-    # moved by offset; the kernels are looked up by name on every call, here and in the plan,
-    # so a patched circuits.apply_dense or circuits.apply_diagonal reaches every call
+    # moved by offset; every Hadamard writes through scratch, of the state's size. The kernels
+    # are looked up by name on every call, here and in the plan, so a patched
+    # circuits.apply_dense or circuits.apply_diagonal reaches every call
     for positions, angle in gates:
         moved = [position + offset for position in positions]
         if angle is None:
-            apply_dense(state, _HADAMARD_MATRIX, *moved)
+            apply_dense(state, _HADAMARD_MATRIX, *moved, scratch)
         else:
             factors = np.array([1.0, cmath.exp(1j * angle)])
             # a phase's one position, or a controlled phase's (control, target)
@@ -326,7 +337,7 @@ def _dense(cluster, low: int, top: int) -> _Dense:
     """
     k = top - low + 1
     work = StateVector(2 * k, np.eye(1 << k, dtype=np.complex128).reshape(-1))
-    _apply_gates(cluster, work, k + 1 - low)
+    _apply_gates(cluster, work, k + 1 - low, np.empty_like(work.amplitudes))
     return _Dense(work.amplitudes.reshape(1 << k, 1 << k), low, top)
 
 
@@ -416,7 +427,9 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
     a step that would pass that starts a new stretch. The blocks are wrapped
     as states once, before any step runs, and not checked for finiteness
     again. A dense step above the block runs over the whole state, into a
-    state-sized output of its own.
+    state-sized output of its own, one apply_dense call per range of the
+    values of the qubits below its window. The block runs of a stretch and
+    those ranges are shared among _workers() threads (see _run_parallel).
     """
     blocks = [_view(block_qubits, block) for block in state.amplitudes.reshape(-1, 1 << block_qubits)]
     stretch: list = []
@@ -425,7 +438,7 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
         if isinstance(step, _Dense) and step.top > block_qubits:
             _run_blocked(stretch, blocks)
             stretch, held = [], 0
-            apply_dense(state, step.matrix, step.low)
+            _run_above(state, step)
             continue
         if isinstance(step, _Diagonal):
             step = _multiply(step, state.n_qubits, block_qubits)
@@ -437,6 +450,13 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
     _run_blocked(stretch, blocks)
 
 
+def _run_above(state: StateVector, step: _Dense) -> None:
+    """Run a dense step above the block over the whole state, into one state-sized output its ranges share."""
+    out = np.empty_like(state.amplitudes)
+    parts = _split(1 << (step.low - 1), RANGE_COLUMNS)
+    _run_parallel([partial(apply_dense, state, step.matrix, step.low, out, part) for part in parts])
+
+
 def _view(n_qubits: int, amplitudes: np.ndarray) -> StateVector:
     """A StateVector over the amplitudes as they are: not copied, and not checked for finiteness."""
     state = object.__new__(StateVector)
@@ -444,11 +464,64 @@ def _view(n_qubits: int, amplitudes: np.ndarray) -> StateVector:
     return state
 
 
+def _workers() -> int:
+    """Threads that run a wide state: the CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without sched_getaffinity
+        return os.cpu_count() or 1
+
+
+@cache
+def _pool():
+    """The thread pool that runs all but the first job of _run_parallel, made on first use."""
+    from concurrent.futures import ThreadPoolExecutor
+
+    return ThreadPoolExecutor(thread_name_prefix="fourieradd")
+
+
+def _split(count: int, unit: int = 1) -> list[slice]:
+    """0..count-1 as up to _workers() contiguous slices of near-equal length, cut at multiples of unit.
+
+    count and unit are powers of two; a count below unit is one slice.
+    """
+    unit = min(unit, count)
+    units = count // unit
+    runs = min(_workers(), units)
+    return [slice(unit * (units * run // runs), unit * (units * (run + 1) // runs)) for run in range(runs)]
+
+
+def _run_parallel(jobs: list) -> None:
+    """Call every job, the first in this thread and the others in the pool, and return when all have ended.
+
+    The jobs write disjoint amplitudes, and numpy releases the GIL inside
+    the kernels, so they run at once. A single job never reaches the pool.
+    Every job has ended before this returns or raises, so none writes to a
+    state after its run is over; the error of the first job that failed, in
+    job order, is raised.
+    """
+    futures = [_pool().submit(job) for job in jobs[1:]]
+    try:
+        jobs[0]()
+    finally:
+        errors = [future.exception() for future in futures]  # each call waits for its job
+    for error in errors:
+        if error is not None:
+            raise error
+
+
 def _run_blocked(stretch: list, blocks: list[StateVector]) -> None:
+    """Run the stretch over the blocks: one contiguous run of blocks per worker, each with its own scratch."""
     if not stretch:
         return
-    scratch = np.empty_like(blocks[0].amplitudes)
-    for index, block_state in enumerate(blocks):
+    block = blocks[0].amplitudes
+    jobs = [partial(_run_blocks, stretch, blocks, part, np.empty_like(block)) for part in _split(len(blocks))]
+    _run_parallel(jobs)
+
+
+def _run_blocks(stretch: list, blocks: list[StateVector], part: slice, scratch: np.ndarray) -> None:
+    for index in range(part.start, part.stop):
+        block_state = blocks[index]
         for step in stretch:
             if isinstance(step, _Dense):
                 apply_dense(block_state, step.matrix, step.low, scratch)

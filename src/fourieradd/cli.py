@@ -12,14 +12,16 @@ import json
 import math
 import os
 import sys
+from itertools import chain
 
 import numpy as np
 
+from . import circuits
 from .arithmetic import DraperAdderSpec, apply_const_add, draper_adder_circuit
 from .circuits import BATCH_AMPLITUDES, circuit_to_dict, qft_circuit, run_circuit
 from .counts import complexity_table
 from .dense import DENSE_MAX_QUBITS, circuit_to_matrix
-from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_dict
+from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_json
 from .verify import DENSE_SUITES, SUITES, run_suite
 
 PROB_DISPLAY_CUTOFF = 1e-12
@@ -35,8 +37,8 @@ QFT_DUMP_MAX_QUBITS = 6
 # output it copies: 40 + 3 * 16 bytes. The modularity suite's constant-shift
 # rows hold the same transform rows and scores as the const sweep: 32 bytes.
 # `all` is held to the largest. Beside these arrays, every run is charged a
-# work batch, its output copy and a block scratch of BATCH_AMPLITUDES
-# amplitudes each.
+# work batch and its output copy of BATCH_AMPLITUDES amplitudes each, and a
+# block scratch of that size per worker thread (circuits._workers()).
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
 SWEEP_BYTES_PER_ENTRY = {"const": 32, "draper": 88, "modularity": 32, "all": 88}
 
@@ -132,12 +134,12 @@ def _require_memory(
     """Refuse, as a usage error and before anything is allocated, a run that would not fit in memory.
 
     The run holds bytes_per_entry bytes for each of its 2**entry_bits entries,
-    and three batches of BATCH_AMPLITUDES 16-byte amplitudes. The bit lengths
-    are compared first, so a huge width never builds that 2**entry_bits-sized
-    integer.
+    and two batches plus one block scratch per worker, each of
+    BATCH_AMPLITUDES 16-byte amplitudes. The bit lengths are compared first,
+    so a huge width never builds that 2**entry_bits-sized integer.
     """
     physical = _physical_memory()
-    available = physical - 3 * 16 * BATCH_AMPLITUDES
+    available = physical - (2 + circuits._workers()) * 16 * BATCH_AMPLITUDES
     if entry_bits >= available.bit_length() or bytes_per_entry << entry_bits > available:
         parser.error(f"{request} needs more than the {physical / 2**30:.3g} GiB of physical memory")
 
@@ -166,7 +168,7 @@ def _print_state_table(state: StateVector) -> None:
         return
     amplitudes = state.amplitudes[rows]
     columns = (rows.tolist(), amplitudes.real.tolist(), amplitudes.imag.tolist(), probabilities[rows].tolist())
-    print("\n".join(f"{index}  {re!r}  {im!r}  {probability!r}" for index, re, im, probability in zip(*columns)))
+    print(("%d  %r  %r  %r\n" * rows.size)[:-1] % tuple(chain.from_iterable(zip(*columns))))
 
 
 def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
@@ -182,7 +184,7 @@ def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
         state = basis_state(args.n, value)
     apply_const_add(state, args.const)
     if args.json:
-        print(json.dumps(state_to_dict(state)))
+        print(state_to_json(state))
     else:
         _print_state_table(state)
     return 0

@@ -178,13 +178,18 @@ def apply_diagonal(state: StateVector, factors: np.ndarray, low: int, control: i
         part *= operand.reshape(operand.shape + (1,) * (part.ndim - axis - operand.ndim))
 
 
-def apply_dense(state: StateVector, matrix: np.ndarray, low: int, out: np.ndarray | None = None) -> None:
+def apply_dense(
+    state: StateVector, matrix: np.ndarray, low: int, out: np.ndarray | None = None, part: slice | None = None
+) -> None:
     """Apply a 2**K x 2**K matrix, K >= 1, to the qubits low..low+K-1.
 
     Row and column k of the matrix are the value k of those qubits after and
     before, with qubit low as bit 0. The product is written into out, a
     scratch of as many amplitudes as the state (a new one when out is None),
-    and then copied back into the state.
+    and then copied back into the state. part, a slice of the 2**(low-1)
+    values of the qubits below low, limits both to the amplitudes whose
+    lower bits lie in it, so calls over disjoint parts may share one out and
+    run at once.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     size = matrix.shape[0] if matrix.ndim == 2 else 0
@@ -200,6 +205,8 @@ def apply_dense(state: StateVector, matrix: np.ndarray, low: int, out: np.ndarra
     # axes: (top bits, the K matrix bits, lower bits)
     view = state.amplitudes.reshape(-1, size, 1 << (low - 1))
     product = out.reshape(view.shape)
+    if part is not None:
+        view, product = view[..., part], product[..., part]
     if low == 1:
         # rows times the transposed matrix, in groups of at most MATMUL_ROWS rows: a stack of
         # (K, 1) products would run one row at a time, and one product over every row packs
@@ -208,7 +215,7 @@ def apply_dense(state: StateVector, matrix: np.ndarray, low: int, out: np.ndarra
         np.matmul(view.reshape(-1, group, size), matrix.T, out=product.reshape(-1, group, size))
     else:
         np.matmul(matrix, view, out=product)
-    state.amplitudes[...] = out
+    view[...] = product
 
 
 def fidelity(state_a: StateVector, state_b: StateVector) -> float:
@@ -220,10 +227,18 @@ def fidelity(state_a: StateVector, state_b: StateVector) -> float:
     return float(abs(np.vdot(state_a.amplitudes, state_b.amplitudes)) ** 2)
 
 
-def state_to_dict(state: StateVector) -> dict:
-    """Serializable form following the documented state schema."""
-    amplitudes = state.amplitudes
-    return {"n": state.n_qubits, "amplitudes": np.stack((amplitudes.real, amplitudes.imag), axis=1).tolist()}
+def state_to_json(state: StateVector) -> str:
+    """The state document as JSON text, the same bytes as json.dumps of its {"n", "amplitudes"} form.
+
+    A non-finite amplitude is refused, naming the first: JSON has no token
+    for it, and state_from_dict refuses one.
+    """
+    finite = np.isfinite(state.amplitudes)
+    if not finite.all():
+        raise ValueError(f"amplitude {int(np.argmin(finite))} is not finite")
+    # %r writes float.__repr__, as json.dumps does for every finite float
+    template = '{"n": %d, "amplitudes": [' + ("[%r, %r], " * state.dim)[:-2] + "]}"
+    return template % (state.n_qubits, *state.amplitudes.view(np.float64).tolist())
 
 
 def state_from_dict(data) -> StateVector:

@@ -3,6 +3,9 @@ import dataclasses
 import inspect
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -287,7 +290,7 @@ class TestRunOnBasis:
     """run_on_basis over the whole basis, and the block loop it shares on one-hot rows of any count."""
 
     @pytest.mark.parametrize("n", range(1, 9))
-    def test_bitwise_equal_to_a_run_per_input(self, n):
+    def test_within_tolerance_of_a_run_per_input(self, n):
         # a batch runs the plan, which sums in another order than the gates one by one:
         # each row is within DEFAULT_TOL of its gate-by-gate run, not bitwise equal to it
         circuit = random_circuit(n, seed=n)
@@ -475,12 +478,12 @@ def record_kernel_widths(monkeypatch):
     for name in ("apply_dense", "apply_diagonal"):
         original = getattr(circuits_module, name)
 
-        def recorded(state, values, low, extra=None, original=original, name=name):
+        def recorded(state, values, low, *rest, original=original, name=name):
             kind = name
             if building:
-                kind = "h" if name == "apply_dense" else "phase" if extra is None else "cphase"
+                kind = "h" if name == "apply_dense" else "phase" if not rest or rest[0] is None else "cphase"
             widths[kind].append(state.n_qubits)
-            original(state, values, low, extra)
+            original(state, values, low, *rest)
 
         monkeypatch.setattr(circuits_module, name, recorded)
     monkeypatch.setattr(circuits_module, "_dense", recorded_dense)
@@ -532,6 +535,16 @@ def has_an_unshared_diagonal_run(circuit):
         elif gate.kind != "swap":
             run.append({gate.target, gate.control} - {None})
     return any(len(run) > 1 and not set.intersection(*run) for run in runs)
+
+
+def run_peak(circuit, state):
+    """Peak bytes that tracemalloc sees allocated while run_circuit runs on the state."""
+    tracemalloc.start()
+    try:
+        run_circuit(circuit, state)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def dense_steps(circuit):
@@ -659,15 +672,24 @@ class TestBlockedRun:
         [const_adder_circuit(ConstAdderSpec(18, 77)), draper_adder_circuit(DraperAdderSpec(9))],
         ids=["const-18", "register-9"],
     )
-    def test_peak_memory_is_one_state_and_two_mebibytes(self, circuit):
+    def test_peak_memory_is_one_state_and_two_mebibytes(self, circuit, monkeypatch):
+        # with one worker; each further worker adds a block scratch (see the next test)
+        monkeypatch.setattr(circuits_module, "_workers", lambda: 1)
         state = basis_state(circuit.n_qubits, 5)
-        tracemalloc.start()
-        try:
-            run_circuit(circuit, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= state.amplitudes.nbytes + (2 << 20)
+        assert run_peak(circuit, state) <= state.amplitudes.nbytes + (2 << 20)
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    @pytest.mark.parametrize(
+        "circuit",
+        [const_adder_circuit(ConstAdderSpec(18, 77)), draper_adder_circuit(DraperAdderSpec(9))],
+        ids=["const-18", "register-9"],
+    )
+    def test_peak_memory_grows_by_one_block_per_worker(self, circuit, workers, monkeypatch):
+        monkeypatch.setattr(circuits_module, "_workers", lambda: workers)
+        state = basis_state(circuit.n_qubits, 5)
+        run_circuit(circuit, state.copy())  # the pool's threads start outside the measured run
+        block_bytes = 16 * BATCH_AMPLITUDES
+        assert run_peak(circuit, state) <= state.amplitudes.nbytes + (1 + workers) * block_bytes
 
     def test_each_block_is_wrapped_once_per_run(self, monkeypatch):
         # as a view, not checked again: the state is checked for finiteness once, at entry, and
@@ -703,8 +725,8 @@ class TestBlockedRun:
         # NaN from every 2 x 2 apply_dense, which is how each Hadamard of a matrix build runs
         original = circuits_module.apply_dense
 
-        def nan_hadamard(state, matrix, low, out=None):
-            original(state, matrix, low, out)
+        def nan_hadamard(state, matrix, *args):
+            original(state, matrix, *args)
             if matrix.shape == (2, 2):
                 state.amplitudes[:] = np.nan
 
@@ -729,8 +751,8 @@ class TestBlockedRun:
         n = 17
         original = circuits_module.apply_dense
 
-        def apply_dense_nan(state, matrix, low, out=None):
-            original(state, matrix, low, out)
+        def apply_dense_nan(state, *args):
+            original(state, *args)
             state.amplitudes[:] = np.nan
 
         monkeypatch.setattr(circuits_module, "apply_dense", apply_dense_nan)
@@ -745,8 +767,8 @@ class TestBlockedRun:
         original = circuits_module.apply_dense
         unit = cmath.exp(2j * math.pi / (1 << n))
 
-        def apply_dense_off(state, matrix, low, out=None):
-            original(state, matrix * unit, low, out)
+        def apply_dense_off(state, matrix, *args):
+            original(state, matrix * unit, *args)
 
         monkeypatch.setattr(circuits_module, "apply_dense", apply_dense_off)
         assert not roll_error(n, 6, seed=n) < DEFAULT_TOL
@@ -791,6 +813,135 @@ class TestBlockedRun:
         after = before.copy()
         run_circuit(qft_circuit(n), after)
         assert not np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL
+
+
+def threads_of_kernel_calls(monkeypatch):
+    """Wrap both kernels where the plan looks them up; returns the set of threads that call them."""
+    threads = set()
+    for name in ("apply_dense", "apply_diagonal"):
+        original = getattr(circuits_module, name)
+
+        def recorded(*args, original=original):
+            threads.add(threading.get_ident())
+            original(*args)
+
+        monkeypatch.setattr(circuits_module, name, recorded)
+    return threads
+
+
+class BlockFault(Exception):
+    pass
+
+
+class TestWorkerPool:
+    """The block runs and the ranges of wide dense steps that _run_parallel shares among workers."""
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize(
+        "circuit",
+        [const_adder_circuit(ConstAdderSpec(n, 3 * n + 1)) for n in (17, 18, 20)]
+        + [draper_adder_circuit(DraperAdderSpec(m)) for m in (9, 10)],
+        ids=["const-17", "const-18", "const-20", "register-9", "register-10"],
+    )
+    def test_outputs_are_bitwise_those_of_one_worker(self, circuit, workers, monkeypatch):
+        # three workers cut a wide dense step's 2**12 or more values into unequal ranges
+        outputs = {}
+        for count in (1, workers):
+            monkeypatch.setattr(circuits_module, "_workers", lambda: count)
+            threads = threads_of_kernel_calls(monkeypatch)
+            state = random_state(circuit.n_qubits, seed=circuit.n_qubits)
+            run_circuit(circuit, state)
+            outputs[count] = state.amplitudes
+            monkeypatch.undo()
+            assert len(threads) == 1 if count == 1 else len(threads) >= 2
+        assert np.array_equal(outputs[workers], outputs[1])
+
+    def test_batches_spanning_several_blocks_are_bitwise_those_of_one_worker(self, monkeypatch):
+        # a 9-qubit input is wider than a block of 2**6 amplitudes, so each batch is one input in 8 blocks
+        n = 9
+        monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << 6)
+        circuit = concat(random_circuit(n, seed=9, n_gates=80), const_adder_circuit(ConstAdderSpec(n, 77)))
+        rows = random_rows(n, 5, seed=9)
+        outputs = {}
+        for count in (1, 3):
+            monkeypatch.setattr(circuits_module, "_workers", lambda: count)
+            blocks = list(run_on_states(circuit, rows))
+            assert [len(block) for _, block in blocks] == [1] * 5
+            outputs[count] = joined(blocks)
+        assert np.array_equal(outputs[3], outputs[1])
+        assert distance(outputs[1], run_each_row(circuit, rows)) < DEFAULT_TOL
+
+    @pytest.mark.parametrize("failing", [0, 3], ids=["calling-thread", "pool-thread"])
+    def test_a_kernel_error_in_one_block_is_raised_after_every_run_has_ended(self, failing, monkeypatch):
+        # 18 qubits are four blocks, run by two workers as blocks 0-1 and 2-3
+        monkeypatch.setattr(circuits_module, "_workers", lambda: 2)
+        state = random_state(18, seed=18)
+        block_bytes = 16 * BATCH_AMPLITUDES
+        target = state.amplitudes.ctypes.data + failing * block_bytes
+        calls = []
+        original = circuits_module.apply_diagonal
+
+        def failing_diagonal(block, *args):
+            calls.append(block.n_qubits)
+            if block.amplitudes.ctypes.data == target:
+                raise BlockFault(failing)
+            original(block, *args)
+
+        monkeypatch.setattr(circuits_module, "apply_diagonal", failing_diagonal)
+        with pytest.raises(BlockFault):
+            run_circuit(const_adder_circuit(ConstAdderSpec(18, 77)), state)
+        counted = len(calls)
+        time.sleep(0.05)
+        assert len(calls) == counted
+
+    def test_more_workers_than_cpus_switching_every_microsecond_keep_the_bits(self, monkeypatch):
+        # 18 qubits run as 4 block runs and 8 ranges per wide dense step; a run or a range
+        # written twice, skipped or overlapped would change the output
+        circuit = const_adder_circuit(ConstAdderSpec(18, 55))
+        expected = random_state(18, seed=5)
+        actual = expected.copy()
+        monkeypatch.setattr(circuits_module, "_workers", lambda: 1)
+        run_circuit(circuit, expected)
+        monkeypatch.setattr(circuits_module, "_workers", lambda: 8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run_circuit, args=(circuit, actual))
+            runner.start()
+            runner.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not runner.is_alive()
+        assert np.array_equal(actual.amplitudes, expected.amplitudes)
+
+    def test_one_block_runs_in_the_calling_thread(self, monkeypatch):
+        # every verify batch is one block
+        monkeypatch.setattr(circuits_module, "_workers", lambda: 4)
+        threads = threads_of_kernel_calls(monkeypatch)
+        run_circuit(const_adder_circuit(ConstAdderSpec(16, 77)), basis_state(16, 5))
+        assert threads == {threading.get_ident()}
+
+    def test_workers_are_the_usable_cpus_whatever_blas_is_pinned_to(self, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        monkeypatch.setenv("OMP_NUM_THREADS", "1")
+        monkeypatch.setattr(circuits_module.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert circuits_module._workers() == 3
+        monkeypatch.delattr(circuits_module.os, "sched_getaffinity")
+        monkeypatch.setattr(circuits_module.os, "cpu_count", lambda: 7)
+        assert circuits_module._workers() == 7
+
+    @pytest.mark.parametrize(
+        "count, unit, workers, expected",
+        [
+            (16, 1, 2, [(0, 8), (8, 16)]),
+            (4, 1, 8, [(0, 1), (1, 2), (2, 3), (3, 4)]),
+            (4096, 64, 3, [(0, 1344), (1344, 2688), (2688, 4096)]),
+            (32, 64, 4, [(0, 32)]),
+        ],
+    )
+    def test_split_cuts_ranges_at_multiples_of_the_unit(self, count, unit, workers, expected, monkeypatch):
+        monkeypatch.setattr(circuits_module, "_workers", lambda: workers)
+        assert [(part.start, part.stop) for part in circuits_module._split(count, unit)] == expected
 
 
 class TestCombinators:

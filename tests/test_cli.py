@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,7 +23,7 @@ from fourieradd import (
     circuit_to_matrix,
     qft_circuit,
     state_from_dict,
-    state_to_dict,
+    state_to_json,
 )
 from fourieradd.cli import PROB_DISPLAY_CUTOFF, _print_state_table, main
 from oracles import dft_matrix
@@ -30,6 +34,18 @@ def run_cli(argv):
         return main(argv)
     except SystemExit as exc:  # argparse reports usage errors by exiting
         return exc.code
+
+
+def patch_nan_hadamard(monkeypatch):
+    # NaN from every 2 x 2 apply_dense, which is how each Hadamard of a matrix build runs
+    original = circuits_module.apply_dense
+
+    def nan_hadamard(state, matrix, *args):
+        original(state, matrix, *args)
+        if matrix.shape == (2, 2):
+            state.amplitudes[:] = np.nan
+
+    monkeypatch.setattr(circuits_module, "apply_dense", nan_hadamard)
 
 
 def table_rows(text):
@@ -73,8 +89,17 @@ class TestAdd:
         assert run_cli(["add", "--n", "3", "--const", "5", "--input", "6", "--json"]) == 0
         text = capsys.readouterr().out.strip()
         payload = json.loads(text)
-        again = json.dumps(state_to_dict(state_from_dict(payload)))
+        again = state_to_json(state_from_dict(payload))
         assert again == text
+
+    @pytest.mark.parametrize("n", [3, 17])  # 17 qubits run in blocks
+    def test_json_refuses_a_non_finite_output(self, n, monkeypatch, capsys):
+        # JSON has no token for NaN, and `add --input` refuses the NaN and Infinity that json.dumps writes
+        patch_nan_hadamard(monkeypatch)
+        assert run_cli(["add", "--n", str(n), "--const", "5", "--input", "3", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: amplitude 0 is not finite\n"
 
     def test_state_file_input(self, tmp_path, capsys):
         inv = 1.0 / math.sqrt(2.0)
@@ -164,15 +189,7 @@ class TestAddReg:
 
     @pytest.mark.parametrize("n", [3, 9])  # 9 makes 18 qubits, which run in blocks
     def test_nan_output_is_an_error(self, n, monkeypatch, capsys):
-        # NaN from every 2 x 2 apply_dense, which is how each Hadamard of a matrix build runs
-        original = circuits_module.apply_dense
-
-        def nan_hadamard(state, matrix, low, out=None):
-            original(state, matrix, low, out)
-            if matrix.shape == (2, 2):
-                state.amplitudes[:] = np.nan
-
-        monkeypatch.setattr(circuits_module, "apply_dense", nan_hadamard)
+        patch_nan_hadamard(monkeypatch)
         assert run_cli(["add-reg", "--n", str(n), "--a", "2", "--b", "5"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -258,7 +275,7 @@ class TestStateTable:
     def test_json_bytes_equal_a_per_entry_document(self, tmp_path, capsys):
         state = dense_state(7, seed=8)
         path = tmp_path / "state.json"
-        path.write_text(json.dumps(state_to_dict(state)))
+        path.write_text(state_to_json(state))
         assert run_cli(["add", "--n", "7", "--const", "-29", "--input", str(path), "--json"]) == 0
         apply_const_add(state, -29)
         pairs = [[float(z.real), float(z.imag)] for z in state.amplitudes]
@@ -266,6 +283,20 @@ class TestStateTable:
 
 
 class TestVerify:
+    def test_a_fresh_run_never_imports_the_worker_pool(self):
+        # every verify batch is one block, which runs in the calling thread
+        script = (
+            "import contextlib, io, sys\n"
+            "from fourieradd.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(['verify', '--suite', 'all', '--n-max', '4'])\n"
+            "print(code, 'concurrent.futures' in sys.modules)\n"
+        )
+        src = str(Path(cli_module.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env, check=True)
+        assert result.stdout == "0 False\n"
+
     def test_const_suite_passes(self, capsys):
         assert run_cli(["verify", "--suite", "const", "--n-max", "3"]) == 0
         lines = capsys.readouterr().out.strip().splitlines()
@@ -501,15 +532,17 @@ class TestWidthCap:
         ],
     )
     def test_the_estimate_is_the_limit(self, argv, needed, monkeypatch, capsys):
-        # beside its arrays every run is charged three batches: the work batch, its output
-        # copy and a block scratch
-        limit = needed + 3 * 16 * BATCH_AMPLITUDES
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit)
-        assert run_cli(argv) == 0
-        capsys.readouterr()
-        monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit - 1)
-        assert run_cli(argv) == 2
-        assert "of physical memory" in capsys.readouterr().err
+        # beside its arrays every run is charged two batches, the work batch and its output
+        # copy, and a block scratch per worker
+        for workers in (1, 3):
+            monkeypatch.setattr(circuits_module, "_workers", lambda: workers)
+            limit = needed + (2 + workers) * 16 * BATCH_AMPLITUDES
+            monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit)
+            assert run_cli(argv) == 0
+            capsys.readouterr()
+            monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit - 1)
+            assert run_cli(argv) == 2
+            assert "of physical memory" in capsys.readouterr().err
 
 
 class TestTopLevel:

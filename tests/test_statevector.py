@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from fourieradd import (
     basis_state,
     fidelity,
     state_from_dict,
-    state_to_dict,
+    state_to_json,
     superposition_state,
 )
 from fourieradd.statevector import _parts
@@ -324,6 +325,28 @@ class TestDense:
         with pytest.raises(ValueError):
             apply_dense(basis_state(3, 0), matrix, low, out)
 
+    @pytest.mark.parametrize("low", [2, 4])
+    def test_parts_sharing_one_out_give_the_whole_product_bitwise(self, low):
+        # the parts cut the values of the qubits below low, each a multiple of 4 of them
+        matrix = random_state(6, seed=low).amplitudes.reshape(8, 8)
+        whole = random_state(12, seed=12)
+        parts = whole.copy()
+        apply_dense(whole, matrix, low)
+        out = np.full(parts.dim, np.nan, dtype=np.complex128)
+        below = 1 << (low - 1)
+        for start in range(0, below, 4):
+            apply_dense(parts, matrix, low, out, slice(start, start + 4))
+        assert np.array_equal(parts.amplitudes, whole.amplitudes)
+
+    def test_a_part_leaves_the_other_amplitudes_alone(self):
+        state = random_state(8, seed=8)
+        before = state.amplitudes.copy()
+        apply_dense(state, np.eye(4)[::-1], 4, None, slice(2, 6))
+        lower = np.arange(state.dim) % 8
+        outside = (lower < 2) | (lower >= 6)
+        assert np.array_equal(state.amplitudes[outside], before[outside])
+        assert not np.array_equal(state.amplitudes[~outside], before[~outside])
+
 
 class TestSwap:
     def test_exchanges_bits(self):
@@ -405,16 +428,40 @@ class TestStateVectorType:
         assert clone.amplitudes[1] == 1.0
 
 
+def document(state):
+    """The state document as a dict of plain floats, for json.dumps."""
+    return {"n": state.n_qubits, "amplitudes": [[z.real, z.imag] for z in state.amplitudes.tolist()]}
+
+
 class TestStateJson:
     def test_round_trip_is_bitwise(self):
         state = random_state(3, seed=21)
-        back = state_from_dict(state_to_dict(state))
+        back = state_from_dict(json.loads(state_to_json(state)))
         assert back.n_qubits == 3
         assert np.array_equal(back.amplitudes, state.amplitudes)
 
     def test_shape_of_document(self):
-        doc = state_to_dict(basis_state(1, 1))
-        assert doc == {"n": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}
+        assert state_to_json(basis_state(1, 1)) == '{"n": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}'
+
+    @pytest.mark.parametrize("n, seed", [(1, 1), (5, 2), (12, 3)])
+    def test_bytes_equal_json_dumps_of_the_document(self, n, seed):
+        state = random_state(n, seed=seed)
+        assert state_to_json(state) == json.dumps(document(state))
+
+    def test_bytes_equal_json_dumps_at_the_edges_of_float_repr(self):
+        # a negative zero, the smallest subnormal, and the exponents where repr turns to e-notation
+        parts = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e-4, 1e15, -2.5e-308, 1.7976931348623157e308])
+        state = StateVector(2, parts.view(np.complex128))
+        text = state_to_json(state)
+        assert text == json.dumps(document(state))
+        assert np.array_equal(np.array(json.loads(text)["amplitudes"]).reshape(-1), parts)
+
+    @pytest.mark.parametrize("bad", [complex(math.nan, 0.0), complex(0.0, math.inf), complex(-math.inf, 1.0)])
+    def test_refuses_the_first_non_finite_amplitude(self, bad):
+        state = random_state(4, seed=4)
+        state.amplitudes[[5, 9]] = bad
+        with pytest.raises(ValueError, match="^amplitude 5 is not finite$"):
+            state_to_json(state)
 
     def test_rejects_wrong_entry_count(self):
         with pytest.raises(ValueError, match="entries"):
