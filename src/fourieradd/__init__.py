@@ -44,11 +44,7 @@ from .arithmetic import (
     draper_inner_circuit,
     phase_adder_circuit,
 )
-from .dense import (
-    DENSE_MAX_QUBITS,
-    circuit_to_matrix,
-    phase_adder_equivalence_errors,
-)
+from .dense import circuit_to_matrix, phase_adder_equivalence_errors
 from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates
 from .verify import (
     SUITES,

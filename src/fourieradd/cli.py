@@ -20,9 +20,9 @@ from . import circuits
 from .arithmetic import DraperAdderSpec, apply_const_add, draper_adder_circuit
 from .circuits import BATCH_AMPLITUDES, circuit_to_dict, qft_circuit, run_circuit
 from .counts import complexity_table
-from .dense import DENSE_MAX_QUBITS, circuit_to_matrix
+from .dense import circuit_to_matrix
 from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_json
-from .verify import DENSE_SUITES, SUITES, run_suite
+from .verify import SUITES, run_suite
 
 PROB_DISPLAY_CUTOFF = 1e-12
 # add-reg prints a=... b=... only when one basis state holds at least this probability
@@ -30,17 +30,22 @@ BASIS_OUTPUT_MIN_PROB = 1.0 - 1e-9
 QFT_DUMP_MAX_QUBITS = 6
 # Peak memory of a run, checked before anything is allocated. A state of 2**N
 # 16-byte amplitudes runs beside the state-sized output of a wide dense step.
+# A verify suite is charged (bytes, k): bytes for each of 2**(k * N) entries.
 # Per entry of its 4**N inputs, the const sweep holds the width's transform
 # rows (16 bytes) and its 8-byte scores twice (per constant and joined):
 # 32 bytes. The draper sweep holds five 8-byte arrays (inputs, operands,
 # targets, scores) and runs each input as a 4**N-amplitude state, whose
-# output it copies: 40 + 3 * 16 bytes. The modularity suite's constant-shift
-# rows hold the same transform rows and scores as the const sweep: 32 bytes.
-# `all` is held to the largest. Beside these arrays, every run is charged a
-# work batch and its output copy of BATCH_AMPLITUDES amplitudes each, and a
-# block scratch of that size per worker thread (circuits._workers()).
+# output it copies: 40 + 3 * 16 bytes. The equivalence check holds 20 rows of
+# 2**N entries, and at its peak each row has its phase vector, exponents,
+# scaled exponents and omega powers: 20 * (16 + 8 + 16 + 16) bytes. The
+# modularity suite's constant-shift rows hold the same transform rows and
+# scores as the const sweep: 32 bytes. `all` runs the four one after another,
+# each freeing its arrays, so it is charged as each in turn. Beside these
+# arrays, every run is charged a work batch and its output copy of
+# BATCH_AMPLITUDES amplitudes each, and a block scratch of that size per
+# worker thread (circuits._workers()).
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
-SWEEP_BYTES_PER_ENTRY = {"const": 32, "draper": 88, "modularity": 32, "all": 88}
+SWEEP_CHARGES = {"const": (32, 2), "draper": (88, 2), "equivalence": (1120, 1), "modularity": (32, 2)}
 
 
 def _positive_int(text: str) -> int:
@@ -221,12 +226,9 @@ def _verification_tolerance() -> float:
 
 
 def _cmd_verify(args, parser: argparse.ArgumentParser) -> int:
-    if args.suite in DENSE_SUITES and args.n_max > DENSE_MAX_QUBITS:
-        parser.error(
-            f"--suite {args.suite} is limited to {DENSE_MAX_QUBITS} qubits; got --n-max {args.n_max}"
-        )
-    if args.suite in SWEEP_BYTES_PER_ENTRY:
-        _require_memory(parser, SWEEP_BYTES_PER_ENTRY[args.suite], 2 * args.n_max, f"--n-max {args.n_max}")
+    for suite in SWEEP_CHARGES if args.suite == "all" else (args.suite,):
+        bytes_per_entry, k = SWEEP_CHARGES[suite]
+        _require_memory(parser, bytes_per_entry, k * args.n_max, f"--suite {suite} --n-max {args.n_max}")
     reports = run_suite(args.suite, args.n_max, seed=args.seed, tol=_verification_tolerance())
     for report in reports:
         status = "pass" if report.passed else "FAIL"

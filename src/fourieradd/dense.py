@@ -1,11 +1,13 @@
 """Dense layer: a circuit's matrix, the closed-form omega powers and the equivalence check.
 
 circuit_to_matrix runs the circuit, through the plan, on every basis
-column. The equivalence check calls no kernel: it builds the tensor
-product of the program's phase stage with the plan's phase-vector code and
-compares it with the closed form. A matrix has 4**N entries, so the layer
-is capped at DENSE_MAX_QUBITS qubits. The check builds no matrix, only
-2**N-entry diagonals, but keeps the same cap.
+input. Its 4**N entries are the only matrix the package builds; its one
+command-line caller, `qft-dump --matrix`, is held to 6 qubits, and the
+exhaustive sweeps take their transform rows from it. The equivalence check
+calls no kernel: it builds the tensor product of the program's phase stage
+with the plan's phase-vector code and compares it with the closed form, on
+2**N-entry diagonals. No width is capped here; the command line refuses a
+run that would not fit in physical memory.
 
 Integer exponents of omega = exp(2*pi*i / 2**N) are reduced mod 2**N
 before the complex exponential is evaluated. The reduction is exact for
@@ -24,16 +26,6 @@ from . import circuits
 from .arithmetic import ConstAdderSpec, phase_adder_circuit
 from .circuits import Circuit, run_on_basis
 
-DENSE_MAX_QUBITS = 12
-
-
-def _require_dense(n_qubits: int) -> None:
-    if not 1 <= n_qubits <= DENSE_MAX_QUBITS:
-        raise ValueError(
-            f"dense layer supports 1..{DENSE_MAX_QUBITS} qubits, got {n_qubits}"
-        )
-
-
 def _omega_powers(exponents: np.ndarray, dim: int) -> np.ndarray:
     """omega**e for each integer exponent e, reduced mod 2**N first."""
     return np.exp((2j * np.pi / dim) * (exponents % dim))
@@ -43,18 +35,23 @@ def _phase_adder_diagonal(dim: int, reduced) -> np.ndarray:
     """omega**(j*c) for every basis index j, along the last axis.
 
     c is already reduced mod 2**N; an array of c shaped (rows, 1) gives one row per c.
+    j*c is formed in int64, exact while N <= 31; the command line's memory guard holds N
+    far below that.
     """
     return _omega_powers(np.arange(dim, dtype=np.int64) * reduced, dim)
 
 
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
-    """Brute-force unitary of a circuit: column k is the circuit run on |k>."""
-    _require_dense(circuit.n_qubits)
+    """Brute-force unitary of a circuit: column k is the circuit run on |k>.
+
+    The runs fill the rows of one array, which is returned transposed; its .T
+    holds run k as C-ordered row k.
+    """
     dim = 1 << circuit.n_qubits
-    matrix = np.empty((dim, dim), dtype=np.complex128)
+    rows = np.empty((dim, dim), dtype=np.complex128)
     for start, outputs in run_on_basis(circuit):
-        matrix[:, start : start + len(outputs)] = outputs.T
-    return matrix
+        rows[start : start + len(outputs)] = outputs
+    return rows.T
 
 
 def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> np.ndarray:
@@ -70,7 +67,6 @@ def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> n
 
     The constants are checked together, one row of 2**N entries each.
     """
-    _require_dense(n_qubits)
     dim = 1 << n_qubits
     constants = list(constants)
     tensors = np.empty((len(constants), dim), dtype=np.complex128)

@@ -14,11 +14,10 @@ from .arithmetic import (
     draper_adder_circuit,
 )
 from .circuits import Circuit, inverse_qft_circuit, qft_circuit, run_filled, run_on_basis, run_on_states, shift_qubits
-from .dense import _phase_adder_diagonal, phase_adder_equivalence_errors
+from .dense import _phase_adder_diagonal, circuit_to_matrix, phase_adder_equivalence_errors
 from .statevector import DEFAULT_TOL
 
 SUITES = ("const", "draper", "equivalence", "modularity", "all")
-DENSE_SUITES = ("equivalence", "modularity", "all")  # held to DENSE_MAX_QUBITS; none builds a matrix
 
 
 @dataclass(frozen=True)
@@ -87,11 +86,6 @@ def _after(circuit: Circuit, head: Circuit) -> Circuit | None:
     return Circuit(circuit.n_qubits, circuit.gates[count:])
 
 
-def _transformed(transform: Circuit) -> np.ndarray:
-    """Row b: the transform run on |b>, for every b in [0, 2**N)."""
-    return np.concatenate([outputs for _, outputs in run_on_basis(transform)])
-
-
 def _register_inputs(transformed: np.ndarray, a: np.ndarray, b: np.ndarray):
     """A run_filled fill whose input i is |a[i]> next to transformed[b[i]] on the register above it."""
     dim = transformed.shape[1]
@@ -132,7 +126,7 @@ def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     dim = 1 << n
     inputs = np.arange(dim)
     transform = qft_circuit(n)
-    transformed = _transformed(transform)
+    transformed = circuit_to_matrix(transform).T  # row b: the transform run on |b>
     scored = {}
     errors = []
     for c in constants:
@@ -177,7 +171,7 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
         if rest is None:
             blocks = run_on_basis(circuit)
         else:
-            blocks = run_filled(rest, len(packed), _register_inputs(_transformed(transform), a, b))
+            blocks = run_filled(rest, len(packed), _register_inputs(circuit_to_matrix(transform).T, a, b))
         errors = _errors(blocks, a + dim * ((a + b) % dim))
         reports.append(_report("register-adder-exhaustive", n, range(dim * dim), errors, tol))
     return reports

@@ -1,10 +1,12 @@
 """References that the tests check the program against; nothing in the package calls them.
 
 The closed-form matrices and Fourier columns are built straight from their defining formulas,
-independent of the program's kernels, and are capped at DENSE_MAX_QUBITS like the
-package's dense layer. run_gate_by_gate runs every gate on the whole state through the
-reference's own gate kernels below, one per gate kind, so it compiles no plan and shares
-no kernel with the program, which runs every state through apply_dense and apply_diagonal.
+independent of the program's kernels. A matrix has 4**N entries, so the matrices are capped
+here at DENSE_MAX_QUBITS qubits (256 MiB each); the program has no such cap, and its command
+line refuses only runs past physical memory. run_gate_by_gate runs every gate on the whole
+state through the reference's own gate kernels below, one per gate kind, so it compiles no
+plan and shares no kernel with the program, which runs every state through apply_dense and
+apply_diagonal.
 """
 
 import cmath
@@ -13,10 +15,16 @@ import math
 import numpy as np
 
 from fourieradd import StateVector
-from fourieradd.dense import _omega_powers, _phase_adder_diagonal, _require_dense
+from fourieradd.dense import _omega_powers, _phase_adder_diagonal
 from fourieradd.statevector import _check_qubit, _parts
 
 SQRT1_2 = math.sqrt(0.5)
+DENSE_MAX_QUBITS = 12
+
+
+def _require_dense(n_qubits: int) -> None:
+    if not 1 <= n_qubits <= DENSE_MAX_QUBITS:
+        raise ValueError(f"reference matrices support 1..{DENSE_MAX_QUBITS} qubits, got {n_qubits}")
 
 
 def _split_view(amplitudes: np.ndarray, target: int) -> np.ndarray:

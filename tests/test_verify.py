@@ -31,7 +31,7 @@ from fourieradd import (
     verify_equivalence,
     verify_modularity,
 )
-from fourieradd.cli import SWEEP_BYTES_PER_ENTRY, main
+from fourieradd.cli import SWEEP_CHARGES, main
 from oracles import dft_matrix, fourier_column, run_gate_by_gate
 
 
@@ -172,7 +172,7 @@ def test_const_sweep_peak_memory_stays_within_its_charge():
     finally:
         tracemalloc.stop()
     assert np.all(errors < DEFAULT_TOL)
-    assert peak <= (SWEEP_BYTES_PER_ENTRY["const"] << 16) + 3 * 16 * BATCH_AMPLITUDES
+    assert peak <= (SWEEP_CHARGES["const"][0] << 16) + 3 * 16 * BATCH_AMPLITUDES
 
 
 def test_modularity_peak_memory_stays_within_its_charge():
@@ -185,7 +185,23 @@ def test_modularity_peak_memory_stays_within_its_charge():
     finally:
         tracemalloc.stop()
     assert all(report.passed for report in reports)
-    assert peak <= (SWEEP_BYTES_PER_ENTRY["modularity"] << 18) + 3 * 16 * BATCH_AMPLITUDES
+    assert peak <= (SWEEP_CHARGES["modularity"][0] << 18) + 3 * 16 * BATCH_AMPLITUDES
+
+
+def test_equivalence_peak_memory_stays_within_its_charge():
+    # 20 rows of 2**N entries, each with its phase vector, exponents, scaled exponents and
+    # omega powers at the peak, charged at 1120 bytes per entry of 2**N; at 14 qubits it peaks
+    # at about 18.4 MB
+    constants = np.random.default_rng(14).integers(0, 4 << 14, size=20).tolist()
+    tracemalloc.start()
+    try:
+        errors = fourieradd.verify.phase_adder_equivalence_errors(14, constants)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(errors < DEFAULT_TOL)
+    bytes_per_entry, k = SWEEP_CHARGES["equivalence"]
+    assert peak <= (bytes_per_entry << (k * 14)) + 3 * 16 * BATCH_AMPLITUDES
 
 
 def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
