@@ -6,10 +6,8 @@ from .statevector import (
     apply_dense,
     apply_diagonal,
     basis_state,
-    fidelity,
     state_from_dict,
     state_to_json,
-    superposition_state,
 )
 from .circuits import (
     BATCH_AMPLITUDES,

@@ -533,53 +533,56 @@ def _run_blocks(stretch: list, blocks: list[StateVector], part: slice, scratch: 
 
 
 def run_on_basis(circuit: Circuit) -> Iterator[tuple[int, np.ndarray]]:
-    """Run the circuit on every basis input in order, yielding run_on_states's (start, outputs) blocks.
+    """Run the circuit on every basis input in order, yielding run_filled's (start, outputs) blocks.
 
-    The one-hot case of run_on_states: row j of outputs is the output state
-    for |start + j>, and each block's one-hot rows are written into the
-    batch state as it is filled, so no (2**N, 2**N) array is built.
+    The one-hot case of run_on_states: column j of outputs is the output
+    state for |start + j>, and each block's one-hot columns are written into
+    the batch state as it is filled, so no (2**N, 2**N) array is built.
     """
 
     def one_hot(start: int, block: np.ndarray) -> None:
         block[...] = 0.0
-        rows = np.arange(block.shape[1])
-        block[start + rows, rows] = 1.0
+        columns = np.arange(block.shape[1])
+        block[start + columns, columns] = 1.0
 
     return run_filled(circuit, 1 << circuit.n_qubits, one_hot)
 
 
-def run_on_states(circuit: Circuit, rows) -> Iterator[tuple[int, np.ndarray]]:
-    """Run the circuit on each row of a (R, 2**N) array of input states, yielding (start, outputs) blocks.
+def run_on_states(circuit: Circuit, states) -> Iterator[tuple[int, np.ndarray]]:
+    """Run the circuit on each column of a (2**N, R) array of input states, yielding run_filled's blocks.
 
-    Row j of outputs is the output state for rows[start + j]. The rows are
-    copied into the batch state and never changed; they are not checked for
-    finiteness, so a row holding NaN runs through the kernels like any other.
+    Column j of outputs is the output state for states[:, start + j]. The
+    states are copied into the batch state and never changed; they are not
+    checked for finiteness, so a column holding NaN runs through the kernels
+    like any other.
     """
-    rows = np.asarray(rows, dtype=np.complex128)
-    if rows.ndim != 2 or rows.shape[1] != 1 << circuit.n_qubits:
-        raise ValueError(f"rows must have shape (R, 2**{circuit.n_qubits}), got {rows.shape}")
+    states = np.asarray(states, dtype=np.complex128)
+    if states.ndim != 2 or states.shape[0] != 1 << circuit.n_qubits:
+        raise ValueError(f"states must have shape (2**{circuit.n_qubits}, R), got {states.shape}")
 
     def copy(start: int, block: np.ndarray) -> None:
-        block[...] = rows[start : start + block.shape[1]].T
+        block[...] = states[:, start : start + block.shape[1]]
 
-    return run_filled(circuit, len(rows), copy)
+    return run_filled(circuit, states.shape[1], copy)
 
 
 def run_filled(circuit: Circuit, count: int, fill) -> Iterator[tuple[int, np.ndarray]]:
     """Run the circuit on count inputs that fill writes into each block, yielding (start, outputs) blocks.
 
     fill(start, block) writes inputs start, start + 1, ... as the columns of
-    block, a (2**N, rows) view of the batch state: one column per input, so
-    the input index sits on the low qubits. A block of 2**k inputs runs as
-    one state of N + k qubits through the plan of the circuit with every
-    qubit moved up by k. No step touches the low k qubits, so each row is
+    block, a (2**N, columns) view of the batch state: one column per input,
+    so the input index sits on the low qubits. A block of 2**k inputs runs
+    as one state of N + k qubits through the plan of the circuit with every
+    qubit moved up by k. No step touches the low k qubits, so each column is
     the circuit's output on its input, and keeping the input index lowest
     gives every step inner runs of at least 2**k contiguous amplitudes. A
     block holds at most BATCH_AMPLITUDES amplitudes, or a single input when
     one state is larger than that. Each block width's plan is compiled once
     per call and kept no longer, so a kernel patched between calls always
     builds the matrices. The inputs are not checked for finiteness. Every
-    block is filled into one work buffer, and outputs is a copy of it.
+    block is filled into one work buffer, and outputs is that block as the
+    run left it: column j is the output for input start + j, valid until the
+    next block is filled. A caller that keeps a block copies it.
     """
     if not count:
         return
@@ -591,15 +594,14 @@ def run_filled(circuit: Circuit, count: int, fill) -> Iterator[tuple[int, np.nda
     start = 0
     while start < count:
         k = min(widest, (count - start).bit_length() - 1)
-        rows = 1 << k
         work = _view(n_qubits + k, buffer[: dim << k])
-        block = work.amplitudes.reshape(dim, rows)
+        block = work.amplitudes.reshape(dim, 1 << k)
         fill(start, block)
         if k not in plans:
             plans[k] = _plan(circuit, k)
         _run(plans[k], work)
-        yield start, block.T.copy()
-        start += rows
+        yield start, block
+        start += 1 << k
 
 
 def concat(first: Circuit, *rest: Circuit) -> Circuit:

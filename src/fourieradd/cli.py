@@ -30,21 +30,34 @@ BASIS_OUTPUT_MIN_PROB = 1.0 - 1e-9
 QFT_DUMP_MAX_QUBITS = 6
 # Peak memory of a run, checked before anything is allocated. A state of 2**N
 # 16-byte amplitudes runs beside the state-sized output of a wide dense step.
+# `add` is charged per amplitude by its input and output form, for the state
+# text it reads and writes. Its whole-command tracemalloc peaks at 14-20 qubits
+# (CPython 3.11): a basis input printed as a table 33 bytes at 20 qubits (about
+# 1 MB more is fixed, within the batches below), as JSON 151-153; a state file
+# printed as JSON 200-202, as a table 334-339 (the index digits grow).
 # A verify suite is charged (bytes, k): bytes for each of 2**(k * N) entries.
 # Per entry of its 4**N inputs, the const sweep holds the width's transform
-# rows (16 bytes) and its 8-byte scores twice (per constant and joined):
-# 32 bytes. The draper sweep holds five 8-byte arrays (inputs, operands,
-# targets, scores) and runs each input as a 4**N-amplitude state, whose
-# output it copies: 40 + 3 * 16 bytes. The equivalence check holds 20 rows of
+# columns (16 bytes), joined from as many bytes of block copies, and its 8-byte
+# scores twice (per constant and joined): 32 bytes. The draper sweep holds five
+# 8-byte arrays (inputs, operands, targets, scores) and the transform's matrix,
+# and runs each input as a 4**N-amplitude state beside a wide dense step's
+# state-sized output: 40 + 3 * 16 bytes. The equivalence check holds 20 rows of
 # 2**N entries, and at its peak each row has its phase vector, exponents,
 # scaled exponents and omega powers: 20 * (16 + 8 + 16 + 16) bytes. The
-# modularity suite's constant-shift rows hold the same transform rows and
+# modularity suite's constant-shift rows hold the same transform columns and
 # scores as the const sweep: 32 bytes. `all` runs the four one after another,
 # each freeing its arrays, so it is charged as each in turn. Beside these
-# arrays, every run is charged a work batch and its output copy of
-# BATCH_AMPLITUDES amplitudes each, and a block scratch of that size per
-# worker thread (circuits._workers()).
+# arrays, every run is charged two batches of BATCH_AMPLITUDES amplitudes, the
+# work batch and the phase vectors of a stretch of the plan (at most one
+# block), and a block scratch of that size per worker thread
+# (circuits._workers()).
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
+ADD_CHARGES = {
+    ("basis", "table"): STATE_BYTES_PER_AMPLITUDE,
+    ("basis", "json"): 160,
+    ("file", "json"): 208,
+    ("file", "table"): 352,
+}
 SWEEP_CHARGES = {"const": (32, 2), "draper": (88, 2), "equivalence": (1120, 1), "modularity": (32, 2)}
 
 
@@ -177,11 +190,14 @@ def _print_state_table(state: StateVector) -> None:
 
 
 def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
-    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE, args.n, f"--n {args.n}")
-    dim = 1 << args.n
     try:
         value = int(args.input)
     except ValueError:
+        value = None
+    charge = ADD_CHARGES["file" if value is None else "basis", "json" if args.json else "table"]
+    _require_memory(parser, charge, args.n, f"--n {args.n}")
+    dim = 1 << args.n
+    if value is None:
         state = _load_state_file(args.input, args.n)
     else:
         if not 0 <= value < dim:

@@ -1,9 +1,10 @@
 """Dense layer: a circuit's matrix, the closed-form omega powers and the equivalence check.
 
 circuit_to_matrix runs the circuit, through the plan, on every basis
-input. Its 4**N entries are the only matrix the package builds; its one
+input. Its 4**N entries are the only kind of matrix the package builds (the
+const sweep joins its transform's columns from the same runs); its one
 command-line caller, `qft-dump --matrix`, is held to 6 qubits, and the
-exhaustive sweeps take their transform rows from it. The equivalence check
+draper sweep takes its transform columns from it. The equivalence check
 calls no kernel: it builds the tensor product of the program's phase stage
 with the plan's phase-vector code and compares it with the closed form, on
 2**N-entry diagonals. No width is capped here; the command line refuses a
@@ -42,16 +43,12 @@ def _phase_adder_diagonal(dim: int, reduced) -> np.ndarray:
 
 
 def circuit_to_matrix(circuit: Circuit) -> np.ndarray:
-    """Brute-force unitary of a circuit: column k is the circuit run on |k>.
-
-    The runs fill the rows of one array, which is returned transposed; its .T
-    holds run k as C-ordered row k.
-    """
+    """Brute-force unitary of a circuit: column k is the circuit run on |k>, copied from run_on_basis's blocks."""
     dim = 1 << circuit.n_qubits
-    rows = np.empty((dim, dim), dtype=np.complex128)
+    matrix = np.empty((dim, dim), dtype=np.complex128)
     for start, outputs in run_on_basis(circuit):
-        rows[start : start + len(outputs)] = outputs
-    return rows.T
+        matrix[:, start : start + outputs.shape[1]] = outputs
+    return matrix
 
 
 def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> np.ndarray:

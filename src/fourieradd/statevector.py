@@ -84,31 +84,6 @@ def basis_state(n_qubits: int, value: int) -> StateVector:
     return StateVector(n_qubits, amplitudes)
 
 
-def superposition_state(n_qubits: int, terms) -> StateVector:
-    """Weighted superposition from (value, weight) pairs.
-
-    Weights are taken exactly as given; they must already be normalized
-    (sum of squared magnitudes 1 within DEFAULT_TOL), and values must be
-    distinct and in range.
-    """
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits}")
-    dim = 1 << n_qubits
-    amplitudes = np.zeros(dim, dtype=np.complex128)
-    seen: set[int] = set()
-    norm_sq = 0.0
-    for value, weight in terms:
-        if not 0 <= value < dim:
-            raise ValueError(f"value {value} out of range: expected 0 <= value < 2**{n_qubits} = {dim}")
-        if value in seen:
-            raise ValueError(f"duplicate basis value {value}")
-        seen.add(value)
-        amplitudes[value] = weight
-        norm_sq += abs(weight) ** 2
-    _require_normalized(norm_sq, "weights are")
-    return StateVector(n_qubits, amplitudes)
-
-
 def _require_normalized(norm_sq: float, subject: str) -> None:
     # written as "not <=" so that a NaN norm is refused too
     if not abs(norm_sq - 1.0) <= DEFAULT_TOL:
@@ -216,15 +191,6 @@ def apply_dense(
     else:
         np.matmul(matrix, view, out=product)
     view[...] = product
-
-
-def fidelity(state_a: StateVector, state_b: StateVector) -> float:
-    """Squared magnitude of the overlap <a|b>."""
-    if state_a.n_qubits != state_b.n_qubits:
-        raise ValueError(
-            f"register sizes differ: {state_a.n_qubits} vs {state_b.n_qubits} qubits"
-        )
-    return float(abs(np.vdot(state_a.amplitudes, state_b.amplitudes)) ** 2)
 
 
 def state_to_json(state: StateVector) -> str:

@@ -62,19 +62,23 @@ def _errors(blocks, targets: np.ndarray) -> np.ndarray:
     """Per input: the distance ||out - e_target||_2 of its output from the one-hot target state.
 
     blocks are the (start, outputs) blocks of a run over the inputs, in
-    order. 1 is subtracted from the target amplitude in the block's own
-    copy, so each row becomes out - e_target and its norm is
-    sqrt(|z - 1|**2 + the mass off target), summed without the cancellation
-    of subtracting |z|**2 from the whole norm. A relative phase on z, norm
-    drift and NaN all show in it. Each block is scored by array calls.
+    order, one output column per input. 1 is subtracted from the target
+    amplitude in the block itself, which the run refills anyway, so each
+    column becomes out - e_target and its norm is sqrt(|z - 1|**2 + the mass
+    off target), summed without the cancellation of subtracting |z|**2 from
+    the whole norm. A relative phase on z, norm drift and NaN all show in
+    it. Each block is scored by array calls.
     """
     errors = np.empty(len(targets))
     for start, outputs in blocks:
-        block = slice(start, start + len(outputs))
-        outputs[np.arange(len(outputs)), targets[block]] -= 1.0
+        count = outputs.shape[1]
+        block = slice(start, start + count)
+        outputs[targets[block], np.arange(count)] -= 1.0
         parts = outputs.view(np.float64)
-        errors[block] = np.sqrt(np.einsum("ij,ij->i", parts, parts))
-        del outputs, parts  # let the next block run without this one's copy alive
+        # real and imaginary squares summed apart, then added, as a SIMD sum over a row of
+        # interleaved parts adds them: the sweeps still report the same worst inputs
+        squares = np.einsum("ij,ij->j", parts, parts)
+        errors[block] = np.sqrt(squares[0::2] + squares[1::2])
     return errors
 
 
@@ -87,14 +91,14 @@ def _after(circuit: Circuit, head: Circuit) -> Circuit | None:
 
 
 def _register_inputs(transformed: np.ndarray, a: np.ndarray, b: np.ndarray):
-    """A run_filled fill whose input i is |a[i]> next to transformed[b[i]] on the register above it."""
-    dim = transformed.shape[1]
+    """A run_filled fill whose input i is |a[i]> next to transformed[:, b[i]] on the register above it."""
+    dim = len(transformed)
 
     def fill(start: int, block: np.ndarray) -> None:
         stop = start + block.shape[1]
         block[...] = 0.0
-        # amplitude a[i] + 2**N * y of input i holds transformed[b[i], y]
-        block.reshape(dim, dim, -1)[:, a[start:stop], np.arange(stop - start)] = transformed[b[start:stop]].T
+        # amplitude a[i] + 2**N * y of input i holds transformed[y, b[i]]
+        block.reshape(dim, dim, -1)[:, a[start:stop], np.arange(stop - start)] = transformed[:, b[start:stop]]
 
     return fill
 
@@ -118,7 +122,7 @@ def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     """c-major _errors of the built adders: entry i * 2**N + a scores |a> + constants[i].
 
     The width's transform runs once on every basis input; an adder that
-    begins with its gates runs only the rest, on those rows. Any other adder
+    begins with its gates runs only the rest, on those columns. Any other adder
     runs whole. An adder whose gates and target residue c mod 2**N repeat an
     earlier one's runs only once: the adders for c and c + 2**N build the
     same gate list, because the constant is reduced before its angles are.
@@ -126,7 +130,12 @@ def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     dim = 1 << n
     inputs = np.arange(dim)
     transform = qft_circuit(n)
-    transformed = circuit_to_matrix(transform).T  # row b: the transform run on |b>
+    # column b: the transform run on |b>. Joined from block copies rather than taken from
+    # circuit_to_matrix, which holds the same bits: a fresh `verify --suite const --n-max 8`
+    # then takes 30,000 minor page faults, against 177,000. Most likely glibc's malloc reuses
+    # the freed copy's memory for each adder's batch instead of returning it to the system
+    # and faulting it in again; an allocation order that looks equivalent can undo this.
+    transformed = np.concatenate([outputs.copy() for _, outputs in run_on_basis(transform)], axis=1)
     scored = {}
     errors = []
     for c in constants:
@@ -171,7 +180,7 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
         if rest is None:
             blocks = run_on_basis(circuit)
         else:
-            blocks = run_filled(rest, len(packed), _register_inputs(circuit_to_matrix(transform).T, a, b))
+            blocks = run_filled(rest, len(packed), _register_inputs(circuit_to_matrix(transform), a, b))
         errors = _errors(blocks, a + dim * ((a + b) % dim))
         reports.append(_report("register-adder-exhaustive", n, range(dim * dim), errors, tol))
     return reports

@@ -6,7 +6,7 @@ here at DENSE_MAX_QUBITS qubits (256 MiB each); the program has no such cap, and
 line refuses only runs past physical memory. run_gate_by_gate runs every gate on the whole
 state through the reference's own gate kernels below, one per gate kind, so it compiles no
 plan and shares no kernel with the program, which runs every state through apply_dense and
-apply_diagonal.
+apply_diagonal. superposition_state and fidelity build and compare the tests' own states.
 """
 
 import cmath
@@ -16,7 +16,7 @@ import numpy as np
 
 from fourieradd import StateVector
 from fourieradd.dense import _omega_powers, _phase_adder_diagonal
-from fourieradd.statevector import _check_qubit, _parts
+from fourieradd.statevector import _check_qubit, _parts, _require_normalized
 
 SQRT1_2 = math.sqrt(0.5)
 DENSE_MAX_QUBITS = 12
@@ -141,3 +141,37 @@ def run_gate_by_gate(circuit, state):
             apply_controlled_phase(state, gate.control, gate.target, gate.angle)
         else:
             apply_swap(state, gate.target, gate.other)
+
+
+def superposition_state(n_qubits: int, terms) -> StateVector:
+    """Weighted superposition from (value, weight) pairs.
+
+    Weights are taken exactly as given; they must already be normalized
+    (sum of squared magnitudes 1 within DEFAULT_TOL), and values must be
+    distinct and in range.
+    """
+    if n_qubits < 1:
+        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits}")
+    dim = 1 << n_qubits
+    amplitudes = np.zeros(dim, dtype=np.complex128)
+    seen: set[int] = set()
+    norm_sq = 0.0
+    for value, weight in terms:
+        if not 0 <= value < dim:
+            raise ValueError(f"value {value} out of range: expected 0 <= value < 2**{n_qubits} = {dim}")
+        if value in seen:
+            raise ValueError(f"duplicate basis value {value}")
+        seen.add(value)
+        amplitudes[value] = weight
+        norm_sq += abs(weight) ** 2
+    _require_normalized(norm_sq, "weights are")
+    return StateVector(n_qubits, amplitudes)
+
+
+def fidelity(state_a: StateVector, state_b: StateVector) -> float:
+    """Squared magnitude of the overlap <a|b>."""
+    if state_a.n_qubits != state_b.n_qubits:
+        raise ValueError(
+            f"register sizes differ: {state_a.n_qubits} vs {state_b.n_qubits} qubits"
+        )
+    return float(abs(np.vdot(state_a.amplitudes, state_b.amplitudes)) ** 2)

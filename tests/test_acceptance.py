@@ -29,19 +29,17 @@ from fourieradd import (
     cphase,
     draper_adder_circuit,
     draper_inner_circuit,
-    fidelity,
     hadamard,
     phase,
     phase_adder_equivalence_errors,
     qft_circuit,
     run_circuit,
-    superposition_state,
     swap,
     verify_const_adder,
     verify_draper,
     verify_modularity,
 )
-from oracles import dft_matrix, permutation_add_matrix, phase_adder_matrix
+from oracles import dft_matrix, fidelity, permutation_add_matrix, phase_adder_matrix, superposition_state
 
 FIDELITY_TOL = 1e-10
 MATRIX_TOL = 1e-10

@@ -14,12 +14,10 @@ from fourieradd import (
     count_gates,
     draper_adder_circuit,
     draper_inner_circuit,
-    fidelity,
     phase_adder_circuit,
     run_circuit,
-    superposition_state,
 )
-from oracles import permutation_add_matrix, phase_adder_matrix, random_state
+from oracles import fidelity, permutation_add_matrix, phase_adder_matrix, random_state, superposition_state
 
 
 class TestConstAdderSpec:

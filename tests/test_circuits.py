@@ -32,7 +32,6 @@ from fourieradd import (
     count_gates,
     cphase,
     draper_adder_circuit,
-    fidelity,
     hadamard,
     inverse,
     inverse_qft_circuit,
@@ -44,7 +43,7 @@ from fourieradd import (
     shift_qubits,
     swap,
 )
-from oracles import dft_matrix, random_state, run_gate_by_gate
+from oracles import dft_matrix, fidelity, random_state, run_gate_by_gate
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -256,13 +255,13 @@ def random_circuit(n_qubits, seed, n_gates=60):
 
 
 def run_each(circuit, inputs):
-    """Reference for basis inputs: every gate on a state of its own per input, one output row each."""
-    rows = []
+    """Reference for basis inputs: every gate on a state of its own per input, one output column each."""
+    outputs = []
     for value in inputs:
         state = basis_state(circuit.n_qubits, int(value))
         run_gate_by_gate(circuit, state)
-        rows.append(state.amplitudes)
-    return np.array(rows).reshape(len(rows), 1 << circuit.n_qubits)
+        outputs.append(state.amplitudes)
+    return np.array(outputs).reshape(len(outputs), 1 << circuit.n_qubits).T
 
 
 def distance(actual, expected):
@@ -271,28 +270,34 @@ def distance(actual, expected):
 
 
 def joined(blocks):
-    """The (start, outputs) blocks joined in order, after checking they are contiguous and capped."""
-    blocks = list(blocks)
-    sizes = [len(outputs) for _, outputs in blocks]
-    assert [start for start, _ in blocks] == [sum(sizes[:i]) for i in range(len(blocks))]
-    assert all(outputs.size <= BATCH_AMPLITUDES for _, outputs in blocks)
-    return np.concatenate([outputs for _, outputs in blocks])
+    """The (start, outputs) blocks joined in order as columns, after checking they are contiguous and capped.
+
+    Each block is the runner's work buffer, refilled by the next one, so it is copied as it comes.
+    """
+    starts, copies = [], []
+    for start, outputs in blocks:
+        starts.append(start)
+        copies.append(outputs.copy())
+    sizes = [outputs.shape[1] for outputs in copies]
+    assert starts == [sum(sizes[:i]) for i in range(len(copies))]
+    assert all(outputs.size <= BATCH_AMPLITUDES for outputs in copies)
+    return np.concatenate(copies, axis=1)
 
 
 def one_hot(n_qubits, inputs):
-    """Row i is the basis state |inputs[i]>: basis inputs in any count and order, as run_on_states rows."""
-    rows = np.zeros((len(inputs), 1 << n_qubits), dtype=np.complex128)
-    rows[np.arange(len(inputs)), inputs] = 1.0
-    return rows
+    """Column i is the basis state |inputs[i]>: basis inputs in any count and order, as run_on_states columns."""
+    columns = np.zeros((1 << n_qubits, len(inputs)), dtype=np.complex128)
+    columns[inputs, np.arange(len(inputs))] = 1.0
+    return columns
 
 
 class TestRunOnBasis:
-    """run_on_basis over the whole basis, and the block loop it shares on one-hot rows of any count."""
+    """run_on_basis over the whole basis, and the block loop it shares on one-hot columns of any count."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_within_tolerance_of_a_run_per_input(self, n):
         # a batch runs the plan, which sums in another order than the gates one by one:
-        # each row is within DEFAULT_TOL of its gate-by-gate run, not bitwise equal to it
+        # each column is within DEFAULT_TOL of its gate-by-gate run, not bitwise equal to it
         circuit = random_circuit(n, seed=n)
         assert distance(joined(run_on_basis(circuit)), run_each(circuit, range(1 << n))) < DEFAULT_TOL
 
@@ -307,8 +312,8 @@ class TestRunOnBasis:
 
     def test_blocks_hold_as_many_inputs_as_the_cap_allows(self):
         n = 9
-        rows = one_hot(n, np.arange(1000) % 512)
-        sizes = [len(outputs) for _, outputs in run_on_states(Circuit(n, ()), rows)]
+        columns = one_hot(n, np.arange(1000) % 512)
+        sizes = [outputs.shape[1] for _, outputs in run_on_states(Circuit(n, ()), columns)]
         assert sizes == [BATCH_AMPLITUDES >> n] * 7 + [64, 32, 8]
 
     @pytest.mark.parametrize(
@@ -330,8 +335,7 @@ class TestRunOnBasis:
             original(self)
 
         monkeypatch.setattr(Circuit, "__post_init__", counted)
-        blocks = list(run_on_basis(circuit))
-        assert sum(len(outputs) for _, outputs in blocks) == 1 << circuit.n_qubits
+        assert sum(outputs.shape[1] for _, outputs in run_on_basis(circuit)) == 1 << circuit.n_qubits
         assert built == []
 
     def test_compiles_one_plan_per_block_width_and_call(self, monkeypatch):
@@ -347,82 +351,97 @@ class TestRunOnBasis:
 
         monkeypatch.setattr(circuits_module, "_plan", counted)
         circuit = const_adder_circuit(ConstAdderSpec(n, 5))
-        rows = one_hot(n, np.arange((1 << n) + 1) % (1 << n))
+        columns = one_hot(n, np.arange((1 << n) + 1) % (1 << n))
         for _ in range(2):
-            blocks = list(run_on_states(circuit, rows))
-            assert [len(outputs) for _, outputs in blocks] == [4] * (1 << (n - 2)) + [1]
+            sizes = [outputs.shape[1] for _, outputs in run_on_states(circuit, columns)]
+            assert sizes == [4] * (1 << (n - 2)) + [1]
         assert compiled == [2, 0, 2, 0]
 
     def test_no_inputs_yield_no_blocks(self):
-        assert list(run_on_states(qft_circuit(3), np.zeros((0, 8)))) == []
+        assert list(run_on_states(qft_circuit(3), np.zeros((8, 0)))) == []
+
+    def test_a_block_kept_past_next_holds_the_next_blocks_outputs(self):
+        # a block is the work buffer as the run left it, valid until the next block is filled:
+        # 9 qubits run 128 inputs a block, and a block kept past next() reads as the next one
+        n = 9
+        circuit = random_circuit(n, seed=n)
+        blocks = run_on_basis(circuit)
+        _, kept = next(blocks)
+        first = kept.copy()
+        start, second = next(blocks)
+        assert start == 128
+        assert np.array_equal(kept, second)
+        assert distance(first, run_each(circuit, range(128))) < DEFAULT_TOL
+        assert distance(kept, run_each(circuit, range(128, 256))) < DEFAULT_TOL
 
 
-def random_rows(n_qubits, count, seed):
-    """count unnormalized complex rows of 2**n_qubits amplitudes; the runner takes rows as given."""
+def random_columns(n_qubits, count, seed):
+    """count unnormalized complex columns of 2**n_qubits amplitudes; the runner takes them as given."""
     rng = np.random.default_rng(seed)
     shape = (count, 1 << n_qubits)
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)).T
 
 
-def run_each_row(circuit, rows):
-    """Reference for run_on_states: every gate on a state of its own per row, NaN rows included."""
+def run_each_column(circuit, columns):
+    """Reference for run_on_states: every gate on a state of its own per column, NaN columns included."""
     outputs = []
-    for row in rows:
-        state = StateVector(circuit.n_qubits, np.zeros(len(row), dtype=np.complex128))
-        state.amplitudes[:] = row  # after construction, which refuses a NaN
+    for column in columns.T:
+        state = StateVector(circuit.n_qubits, np.zeros(len(column), dtype=np.complex128))
+        state.amplitudes[:] = column  # after construction, which refuses a NaN
         run_gate_by_gate(circuit, state)
         outputs.append(state.amplitudes)
-    return np.array(outputs)
+    return np.array(outputs).T
 
 
 class TestRunOnStates:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_one_hot_rows_give_the_run_on_basis_blocks_bitwise(self, n):
+        # both runs advance together, so each pair of blocks is compared before either is refilled
         circuit = random_circuit(n, seed=200 + n)
-        from_rows = list(run_on_states(circuit, one_hot(n, range(1 << n))))
-        from_basis = list(run_on_basis(circuit))
-        assert [start for start, _ in from_rows] == [start for start, _ in from_basis]
-        for (_, outputs), (_, expected) in zip(from_rows, from_basis):
+        from_columns = run_on_states(circuit, one_hot(n, range(1 << n)))
+        for (start, outputs), (expected_start, expected) in zip(from_columns, run_on_basis(circuit), strict=True):
+            assert start == expected_start
             assert np.array_equal(outputs.view(np.float64), expected.view(np.float64))
 
     @pytest.mark.parametrize("n,count", [(1, 3), (2, 4), (4, 13), (6, 1000)])
     def test_rows_are_unchanged_and_each_output_is_a_run_of_its_own(self, n, count):
-        # 3 rows of 1 qubit run as blocks of 2 and 1; 13 rows of 4 qubits as blocks of 8, 4 and 1
+        # 3 columns of 1 qubit run as blocks of 2 and 1; 13 columns of 4 qubits as blocks of 8, 4 and 1
         circuit = random_circuit(n, seed=300 + n, n_gates=30)
-        rows = random_rows(n, count, seed=n)
-        before = rows.tobytes()
-        outputs = joined(run_on_states(circuit, rows))
-        assert rows.tobytes() == before
-        # the rows are unnormalized, with norms up to about 2**((n + 1) / 2)
-        assert distance(outputs, run_each_row(circuit, rows)) < DEFAULT_TOL
+        columns = random_columns(n, count, seed=n)
+        before = columns.tobytes()
+        outputs = joined(run_on_states(circuit, columns))
+        assert columns.tobytes() == before
+        # the columns are unnormalized, with norms up to about 2**((n + 1) / 2)
+        assert distance(outputs, run_each_column(circuit, columns)) < DEFAULT_TOL
 
     @pytest.mark.parametrize("n", [2, 5])
     def test_a_row_holding_nan_runs_like_any_other(self, n):
         circuit = random_circuit(n, seed=400 + n, n_gates=30)
-        rows = random_rows(n, 8, seed=n)
-        rows[3, 1] = np.nan
-        outputs = joined(run_on_states(circuit, rows))
-        assert np.isnan(outputs[3]).any()
-        # no step mixes rows, so the NaN stays in its own row and the others run as usual
+        columns = random_columns(n, 8, seed=n)
+        columns[1, 3] = np.nan
+        outputs = joined(run_on_states(circuit, columns))
+        assert np.isnan(outputs[:, 3]).any()
+        # no step mixes columns, so the NaN stays in its own column and the others run as usual
         others = np.arange(8) != 3
-        assert distance(outputs[others], run_each_row(circuit, rows[others])) < DEFAULT_TOL
+        assert distance(outputs[:, others], run_each_column(circuit, columns[:, others])) < DEFAULT_TOL
 
     def test_the_transform_rows_give_the_adders_outputs(self):
         # the const sweep's sharing: the transform once, then the rest of each adder on its
-        # rows; both that and the whole adder land on the exact one-hot |a + c mod 2**n>
+        # columns; both that and the whole adder land on the exact one-hot |a + c mod 2**n>
         n = 5
         transform = qft_circuit(n)
         transformed = joined(run_on_basis(transform))
         for c in (0, 7, 31):
             adder = const_adder_circuit(ConstAdderSpec(n, c))
             rest = Circuit(n, adder.gates[len(transform) :])
-            exact = np.roll(np.eye(1 << n), c, axis=1)  # row a is |a + c mod 2**n>
+            exact = np.roll(np.eye(1 << n), c, axis=0)  # column a is |a + c mod 2**n>
             assert distance(joined(run_on_states(rest, transformed)), exact) < DEFAULT_TOL
             assert distance(joined(run_on_basis(adder)), exact) < DEFAULT_TOL
 
-    @pytest.mark.parametrize("shape", [(4,), (2, 4), (2, 16, 1)])
+    @pytest.mark.parametrize("shape", [(8,), (2, 8), (8, 2, 1)])
     def test_rejects_rows_of_another_shape(self, shape):
-        with pytest.raises(ValueError, match="rows must have shape"):
+        # (2, 8) is two states laid out as rows
+        with pytest.raises(ValueError, match=r"states must have shape \(2\*\*3, R\)"):
             list(run_on_states(qft_circuit(3), np.zeros(shape)))
 
 
@@ -558,7 +577,7 @@ class TestDenseKernel:
         # the reference runs every gate on its own, so no part of it goes through apply_dense
         for k in range(1, circuits_module.FUSE_QUBITS + 1):
             circuit = random_circuit(k, seed=100 * n + k, n_gates=8 * k)
-            matrix = run_each(circuit, range(1 << k)).T  # column j: the circuit run on |j>
+            matrix = run_each(circuit, range(1 << k))  # column j: the circuit run on |j>
             for low in range(1, n - k + 2):
                 expected = random_state(n, seed=low)
                 actual = expected.copy()
@@ -861,15 +880,15 @@ class TestWorkerPool:
         n = 9
         monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << 6)
         circuit = concat(random_circuit(n, seed=9, n_gates=80), const_adder_circuit(ConstAdderSpec(n, 77)))
-        rows = random_rows(n, 5, seed=9)
+        columns = random_columns(n, 5, seed=9)
         outputs = {}
         for count in (1, 3):
             monkeypatch.setattr(circuits_module, "_workers", lambda: count)
-            blocks = list(run_on_states(circuit, rows))
-            assert [len(block) for _, block in blocks] == [1] * 5
+            blocks = [(start, block.copy()) for start, block in run_on_states(circuit, columns)]
+            assert [block.shape[1] for _, block in blocks] == [1] * 5
             outputs[count] = joined(blocks)
         assert np.array_equal(outputs[3], outputs[1])
-        assert distance(outputs[1], run_each_row(circuit, rows)) < DEFAULT_TOL
+        assert distance(outputs[1], run_each_column(circuit, columns)) < DEFAULT_TOL
 
     @pytest.mark.parametrize("failing", [0, 3], ids=["calling-thread", "pool-thread"])
     def test_a_kernel_error_in_one_block_is_raised_after_every_run_has_ended(self, failing, monkeypatch):

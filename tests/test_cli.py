@@ -1,3 +1,4 @@
+import contextlib
 import importlib
 import json
 import math
@@ -27,7 +28,7 @@ from fourieradd import (
     state_to_json,
 )
 from fourieradd.cli import PROB_DISPLAY_CUTOFF, _print_state_table, main
-from oracles import dft_matrix
+from oracles import dft_matrix, random_state
 
 
 def run_cli(argv):
@@ -489,13 +490,21 @@ class TestWidthCap:
             ["add", "--n", "2000", "--const", "1", "--input", "0"],
             ["verify", "--suite", "const", "--n-max", "700"],
             ["counts", "--n-max", "100000"],
+            # past 8 GiB only through the state text: 160 bytes per amplitude for a basis input
+            # printed as JSON, 208 and 352 for a state file printed as JSON and as a table
+            ["add", "--n", "26", "--const", "1", "--input", "0", "--json"],
+            ["add", "--n", "26", "--const", "1", "--input", "no-such-file.json", "--json"],
+            ["add", "--n", "25", "--const", "1", "--input", "no-such-file.json"],
         ],
     )
     def test_refuses_a_width_past_physical_memory(self, argv, monkeypatch, capsys):
         def refuse_to_allocate(*args, **kwargs):
             raise AssertionError("allocated a state before the width check")
 
+        # an 8 GiB box, where `add --n 26` printed as a table still fits
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: 8 << 30)
         monkeypatch.setattr(cli_module, "basis_state", refuse_to_allocate)
+        monkeypatch.setattr(cli_module, "_load_state_file", refuse_to_allocate)
         monkeypatch.setattr(cli_module, "run_suite", refuse_to_allocate)
         monkeypatch.setattr(cli_module, "complexity_table", refuse_to_allocate)
         assert run_cli(argv) == 2
@@ -543,11 +552,18 @@ class TestWidthCap:
             # draper at 4
             (["verify", "--suite", "all", "--n-max", "3"], 1120 << 3),
             (["verify", "--suite", "all", "--n-max", "4"], 88 << 8),
+            # `add` prints its state text beside the state; STATE is a state file
+            (["add", "--n", "10", "--const", "3", "--input", "5", "--json"], 160 << 10),
+            (["add", "--n", "10", "--const", "3", "--input", "STATE", "--json"], 208 << 10),
+            (["add", "--n", "10", "--const", "3", "--input", "STATE"], 352 << 10),
         ],
     )
-    def test_the_estimate_is_the_limit(self, argv, needed, monkeypatch, capsys):
-        # beside its arrays every run is charged two batches, the work batch and its output
-        # copy, and a block scratch per worker
+    def test_the_estimate_is_the_limit(self, argv, needed, monkeypatch, capsys, tmp_path):
+        # beside its arrays every run is charged two batches, the work batch and a stretch's
+        # phase vectors, and a block scratch per worker; STATE names a 10-qubit state file
+        path = tmp_path / "state.json"
+        path.write_text(state_to_json(random_state(10, seed=10)))
+        argv = [str(path) if arg == "STATE" else arg for arg in argv]
         for workers in (1, 3):
             monkeypatch.setattr(circuits_module, "_workers", lambda: workers)
             limit = needed + (2 + workers) * 16 * BATCH_AMPLITUDES
@@ -557,6 +573,31 @@ class TestWidthCap:
             monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit - 1)
             assert run_cli(argv) == 2
             assert "of physical memory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["basis", "file"])
+@pytest.mark.parametrize("style", ["table", "json"])
+def test_add_peak_memory_stays_within_its_charge(source, style, tmp_path):
+    # the whole command at 16 qubits, its state text included, within what the guard charges;
+    # stdout goes to a file, as a shell would send it, so no captured copy of the text counts
+    n = 16
+    argv = ["add", "--n", str(n), "--const", "12345", "--input", "777"]
+    if source == "file":
+        path = tmp_path / "state.json"
+        path.write_text(state_to_json(random_state(n, seed=n)))
+        argv[-1] = str(path)
+    if style == "json":
+        argv.append("--json")
+    with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = run_cli(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    batches = (2 + circuits_module._workers()) * 16 * BATCH_AMPLITUDES
+    assert peak <= (cli_module.ADD_CHARGES[source, style] << n) + batches
 
 
 class TestTopLevel:

@@ -18,7 +18,6 @@ from fourieradd import (
     circuit_to_matrix,
     concat,
     const_adder_circuit,
-    fidelity,
     hadamard,
     inverse_qft_circuit,
     phase,
@@ -28,7 +27,7 @@ from fourieradd import (
     run_on_states,
     swap,
 )
-from oracles import apply_controlled_phase, apply_hadamard, apply_phase, random_state, run_gate_by_gate
+from oracles import apply_controlled_phase, apply_hadamard, apply_phase, fidelity, random_state, run_gate_by_gate
 
 ANGLES = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False, allow_infinity=False)
 
@@ -154,15 +153,16 @@ class TestPlanProperties:
     )
     @settings(max_examples=100, deadline=None)
     def test_batches_match_the_gate_by_gate_run_of_each_row(self, circuit, data, count, seed):
-        # rows of any count in batches of any size: each output row is its own gate-by-gate run
+        # input states of any count in batches of any size: each output column is its own
+        # gate-by-gate run; state j is row j of the draw, passed as column j
         n = circuit.n_qubits
         rng = np.random.default_rng(seed)
         rows = rng.standard_normal((count, 1 << n)) + 1j * rng.standard_normal((count, 1 << n))
         rows /= np.linalg.norm(rows, axis=1, keepdims=True)
         block, fuse = plan_settings(data, n + 6)
         with block, fuse:
-            outputs = np.concatenate([outputs for _, outputs in run_on_states(circuit, rows)])
-        expected = np.array([gate_by_gate_output(circuit, row) for row in rows])
+            outputs = np.concatenate([outputs.copy() for _, outputs in run_on_states(circuit, rows.T)], axis=1)
+        expected = np.array([gate_by_gate_output(circuit, row) for row in rows]).T
         assert np.max(np.abs(outputs - expected)) < DEFAULT_TOL
 
 

@@ -10,10 +10,8 @@ from fourieradd import (
     apply_dense,
     apply_diagonal,
     basis_state,
-    fidelity,
     state_from_dict,
     state_to_json,
-    superposition_state,
 )
 from fourieradd.statevector import _parts
 from oracles import (
@@ -23,7 +21,9 @@ from oracles import (
     apply_hadamard,
     apply_phase,
     apply_swap,
+    fidelity,
     random_state,
+    superposition_state,
 )
 
 
