@@ -11,11 +11,6 @@ from .statevector import (
 )
 from .circuits import (
     BATCH_AMPLITUDES,
-    CONTROLLED_PHASE,
-    GATE_KINDS,
-    HADAMARD,
-    PHASE,
-    SWAP,
     Circuit,
     Gate,
     circuit_from_dict,
@@ -45,7 +40,6 @@ from .arithmetic import (
 from .dense import circuit_to_matrix, phase_adder_equivalence_errors
 from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates
 from .verify import (
-    SUITES,
     CheckReport,
     run_suite,
     verify_const_adder,

@@ -26,7 +26,7 @@ from itertools import chain
 
 import numpy as np
 
-from .statevector import StateVector, apply_dense, apply_diagonal, require_finite
+from .statevector import BATCH_AMPLITUDES, StateVector, apply_dense, apply_diagonal, require_finite
 
 HADAMARD = "h"
 PHASE = "phase"
@@ -46,10 +46,6 @@ _SETS_OPTIONAL = {
     for kind, fields in GATE_FIELDS.items()
 }
 
-# Amplitudes in one block of a plan run and in one run_filled batch (1 MiB):
-# a wider state runs block by block, and a batch of narrow inputs fills one
-# block. Read at call time, and a power of two.
-BATCH_AMPLITUDES = 1 << 16
 # The Hadamard as the 2 x 2 matrix that builds a dense step.
 _HADAMARD_MATRIX = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) * math.sqrt(0.5)
 # Widest window of consecutive qubit positions that one dense step of a plan
@@ -147,20 +143,16 @@ def qft_circuit(n_qubits: int) -> Circuit:
     (j, k) entry is exp(2*pi*i*j*k / 2**N) / sqrt(2**N). Built once per
     width; every call returns the same circuit.
     """
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits}")
     return _transform(n_qubits, False)
 
 
 def inverse_qft_circuit(n_qubits: int) -> Circuit:
     """The reverse transform: qft_circuit reversed with every angle negated, built once per width."""
-    if n_qubits < 1:
-        raise ValueError(f"n_qubits must be a positive integer, got {n_qubits}")
     return _transform(n_qubits, True)
 
 
 def _transform(n_qubits: int, inverted: bool) -> Circuit:
-    """The width's transform or inverse transform, built on first use."""
+    """The width's transform or inverse transform, built on first use; Circuit refuses a width below 1."""
     key = (n_qubits, inverted)
     circuit = _TRANSFORMS.get(key)
     if circuit is None:
@@ -655,7 +647,10 @@ def circuit_to_dict(circuit: Circuit) -> dict:
 
 
 def circuit_from_dict(data) -> Circuit:
-    """Parse and validate the circuit schema."""
+    """Parse and validate the circuit schema that qft-dump writes.
+
+    The program reads no circuit; this reader is kept for the dump's round-trip tests.
+    """
     if not isinstance(data, dict):
         raise ValueError("circuit document must be a JSON object")
     if set(data) != {"n", "gates"}:

@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from functools import partial
 from itertools import chain
 
 import numpy as np
@@ -21,7 +22,7 @@ from .arithmetic import DraperAdderSpec, apply_const_add, draper_adder_circuit
 from .circuits import BATCH_AMPLITUDES, circuit_to_dict, qft_circuit, run_circuit
 from .counts import complexity_table
 from .dense import circuit_to_matrix
-from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_json
+from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_json, text_pieces
 from .verify import SUITES, run_suite
 
 PROB_DISPLAY_CUTOFF = 1e-12
@@ -30,11 +31,11 @@ BASIS_OUTPUT_MIN_PROB = 1.0 - 1e-9
 QFT_DUMP_MAX_QUBITS = 6
 # Peak memory of a run, checked before anything is allocated. A state of 2**N
 # 16-byte amplitudes runs beside the state-sized output of a wide dense step.
-# `add` is charged per amplitude by its input and output form, for the state
-# text it reads and writes. Its whole-command tracemalloc peaks at 14-20 qubits
-# (CPython 3.11): a basis input printed as a table 33 bytes at 20 qubits (about
-# 1 MB more is fixed, within the batches below), as JSON 151-153; a state file
-# printed as JSON 200-202, as a table 334-339 (the index digits grow).
+# `add` writes its state text piece by piece, so whatever the output form it is
+# charged one piece beside the state: a piece's tracemalloc peak is 134 bytes a
+# row as JSON and 240 as a table (CPython 3.11), and 288 leaves room for longer
+# floats and indices. A state file is charged by its entries, counted before it
+# is parsed: json.load holds 200-202 bytes per [re, im] entry.
 # A verify suite is charged (bytes, k): bytes for each of 2**(k * N) entries.
 # Per entry of its 4**N inputs, the const sweep holds the width's transform
 # columns (16 bytes), joined from as many bytes of block copies, and its 8-byte
@@ -52,37 +53,24 @@ QFT_DUMP_MAX_QUBITS = 6
 # block), and a block scratch of that size per worker thread
 # (circuits._workers()).
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
-ADD_CHARGES = {
-    ("basis", "table"): STATE_BYTES_PER_AMPLITUDE,
-    ("basis", "json"): 160,
-    ("file", "json"): 208,
-    ("file", "table"): 352,
-}
+PARSE_BYTES_PER_ENTRY = 208
+TEXT_PIECE_BYTES = 288 * BATCH_AMPLITUDES
 SWEEP_CHARGES = {"const": (32, 2), "draper": (88, 2), "equivalence": (1120, 1), "modularity": (32, 2)}
 
 
-def _positive_int(text: str) -> int:
+def _integer(text: str, low: int = 1) -> int:
+    """An integer argument of at least low, which is 1 (positive) or 0 (non-negative)."""
     try:
         value = int(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {value}")
-    return value
-
-
-def _nonnegative_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from exc
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"expected a {('non-negative', 'positive')[low]} integer, got {value}")
     return value
 
 
 def _dump_width(text: str) -> int:
-    value = _positive_int(text)
+    value = _integer(text)
     if value > QFT_DUMP_MAX_QUBITS:
         raise argparse.ArgumentTypeError(
             f"dumps are limited to {QFT_DUMP_MAX_QUBITS} qubits, got {value}"
@@ -98,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_add = sub.add_parser("add", help="add a constant to a register state")
-    p_add.add_argument("--n", type=_positive_int, required=True, help="register width in qubits")
+    p_add.add_argument("--n", type=_integer, required=True, help="register width in qubits")
     p_add.add_argument("--const", type=int, required=True, help="constant to add (any sign)")
     p_add.add_argument(
         "--input", required=True, help="basis value, or path to a state JSON file"
@@ -111,19 +99,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_add.set_defaults(func=_cmd_add)
 
     p_reg = sub.add_parser("add-reg", help="add one register into another")
-    p_reg.add_argument("--n", type=_positive_int, required=True, help="qubits per operand")
-    p_reg.add_argument("--a", type=_nonnegative_int, required=True, help="value kept unchanged")
-    p_reg.add_argument("--b", type=_nonnegative_int, required=True, help="value receiving the sum")
+    p_reg.add_argument("--n", type=_integer, required=True, help="qubits per operand")
+    p_reg.add_argument("--a", type=partial(_integer, low=0), required=True, help="value kept unchanged")
+    p_reg.add_argument("--b", type=partial(_integer, low=0), required=True, help="value receiving the sum")
     p_reg.set_defaults(func=_cmd_add_reg)
 
     p_verify = sub.add_parser("verify", help="run verification sweeps")
     p_verify.add_argument("--suite", choices=SUITES, required=True)
-    p_verify.add_argument("--n-max", type=_positive_int, default=4, help="largest width to sweep")
-    p_verify.add_argument("--seed", type=_nonnegative_int, default=0, help="seed for randomized constants")
+    p_verify.add_argument("--n-max", type=_integer, default=4, help="largest width to sweep")
+    p_verify.add_argument("--seed", type=partial(_integer, low=0), default=0, help="seed for randomized constants")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_counts = sub.add_parser("counts", help="operation-count table for both adders")
-    p_counts.add_argument("--n-max", type=_positive_int, default=8)
+    p_counts.add_argument("--n-max", type=_integer, default=8)
     p_counts.add_argument("--format", choices=("csv", "json"), default="csv")
     p_counts.set_defaults(func=_cmd_counts)
 
@@ -147,24 +135,30 @@ def _physical_memory() -> int:
 
 
 def _require_memory(
-    parser: argparse.ArgumentParser, bytes_per_entry: int, entry_bits: int, request: str
+    parser: argparse.ArgumentParser, bytes_per_entry: int, entry_bits: int, request: str, text_bytes: int = 0
 ) -> None:
     """Refuse, as a usage error and before anything is allocated, a run that would not fit in memory.
 
     The run holds bytes_per_entry bytes for each of its 2**entry_bits entries,
-    and two batches plus one block scratch per worker, each of
-    BATCH_AMPLITUDES 16-byte amplitudes. The bit lengths are compared first,
-    so a huge width never builds that 2**entry_bits-sized integer.
+    text_bytes of state text, and two batches plus one block scratch per
+    worker, each of BATCH_AMPLITUDES 16-byte amplitudes. The bit lengths are
+    compared first, so a huge width never builds that 2**entry_bits-sized
+    integer.
     """
     physical = _physical_memory()
-    available = physical - (2 + circuits._workers()) * 16 * BATCH_AMPLITUDES
+    available = physical - (2 + circuits._workers()) * 16 * BATCH_AMPLITUDES - text_bytes
     if entry_bits >= available.bit_length() or bytes_per_entry << entry_bits > available:
         parser.error(f"{request} needs more than the {physical / 2**30:.3g} GiB of physical memory")
 
 
-def _load_state_file(path: str, n_qubits: int) -> StateVector:
+def _load_state_file(path: str, n_qubits: int, parser: argparse.ArgumentParser) -> StateVector:
     try:
         with open(path, "r", encoding="utf-8") as handle:
+            # one "[" per [re, im] entry and one for their list, counted in 1 MiB reads
+            entries = sum(chunk.count("[") for chunk in iter(partial(handle.read, 1 << 20), "")) - 1
+            request = f"state file {path!r} of {entries} entries"
+            _require_memory(parser, PARSE_BYTES_PER_ENTRY * entries, 0, request, TEXT_PIECE_BYTES)
+            handle.seek(0)
             data = json.load(handle)
     except OSError as exc:
         raise ValueError(f"cannot read state file {path!r}: {exc}") from exc
@@ -179,33 +173,35 @@ def _load_state_file(path: str, n_qubits: int) -> StateVector:
 
 
 def _print_state_table(state: StateVector) -> None:
-    probabilities = state.probabilities()
-    # written "not <" so that a NaN row is printed too
-    rows = np.flatnonzero(~(probabilities < PROB_DISPLAY_CUTOFF))
-    if not rows.size:
-        return
-    amplitudes = state.amplitudes[rows]
-    columns = (rows.tolist(), amplitudes.real.tolist(), amplitudes.imag.tolist(), probabilities[rows].tolist())
-    print(("%d  %r  %r  %r\n" * rows.size)[:-1] % tuple(chain.from_iterable(zip(*columns))))
+    def fields(part: np.ndarray, start: int) -> tuple[int, tuple]:
+        probabilities = np.abs(part) ** 2
+        # written "not <" so that a NaN row is printed too
+        rows = np.flatnonzero(~(probabilities < PROB_DISPLAY_CUTOFF))
+        amplitudes = part[rows]
+        columns = (rows + start, amplitudes.real, amplitudes.imag, probabilities[rows])
+        return rows.size, tuple(chain.from_iterable(zip(*(column.tolist() for column in columns))))
+
+    # writelines drops each piece before it takes the next
+    sys.stdout.writelines(text_pieces(state.amplitudes, "%d  %r  %r  %r\n", "", fields))
 
 
 def _cmd_add(args, parser: argparse.ArgumentParser) -> int:
+    _require_memory(parser, STATE_BYTES_PER_AMPLITUDE, args.n, f"--n {args.n}", TEXT_PIECE_BYTES)
+    dim = 1 << args.n
     try:
         value = int(args.input)
     except ValueError:
         value = None
-    charge = ADD_CHARGES["file" if value is None else "basis", "json" if args.json else "table"]
-    _require_memory(parser, charge, args.n, f"--n {args.n}")
-    dim = 1 << args.n
     if value is None:
-        state = _load_state_file(args.input, args.n)
+        state = _load_state_file(args.input, args.n, parser)
     else:
         if not 0 <= value < dim:
             parser.error(f"--input {value} out of range for --n {args.n}: expected 0 <= input < {dim}")
         state = basis_state(args.n, value)
     apply_const_add(state, args.const)
     if args.json:
-        print(state_to_json(state))
+        sys.stdout.writelines(state_to_json(state))
+        print()
     else:
         _print_state_table(state)
     return 0
@@ -267,25 +263,16 @@ def _cmd_counts(args, parser: argparse.ArgumentParser) -> int:
     n = args.n_max
     held_gates = n * (n + 1) * (n + 2) // 3 + 2 * (n * n // 4)
     _require_memory(parser, 168 * held_gates, 0, f"--n-max {n}")
-    rows = complexity_table(n)
+    table = [
+        (row.n_qubits, row.const_adder_ops, row.register_adder_inner_ops, row.swaps_per_transform)
+        for row in complexity_table(n)
+    ]
     if args.format == "csv":
         print("N,T_const,T_draper_inner,swaps")
-        for row in rows:
-            print(
-                f"{row.n_qubits},{row.const_adder_ops},"
-                f"{row.register_adder_inner_ops},{row.swaps_per_transform}"
-            )
+        for values in table:
+            print(",".join(map(str, values)))
     else:
-        payload = [
-            {
-                "n": row.n_qubits,
-                "t_const": row.const_adder_ops,
-                "t_draper_inner": row.register_adder_inner_ops,
-                "swaps": row.swaps_per_transform,
-            }
-            for row in rows
-        ]
-        print(json.dumps(payload))
+        print(json.dumps([dict(zip(("n", "t_const", "t_draper_inner", "swaps"), values)) for values in table]))
     return 0
 
 

@@ -22,6 +22,7 @@ State interchange format (JSON):
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 
@@ -30,6 +31,9 @@ import numpy as np
 DEFAULT_TOL = 1e-10  # normalization bound of states, and the default pass bound of checks
 SPLIT_BELOW = 16  # kernels split a view whose last axis is shorter than this; see _parts
 MATMUL_ROWS = 256  # rows per matrix product when apply_dense acts on the lowest qubits
+# Amplitudes in one block of a plan run and in one run_filled batch (1 MiB), and
+# rows in one piece of state text; a power of two that each module reads at call time.
+BATCH_AMPLITUDES = 1 << 16
 
 
 @dataclass
@@ -193,18 +197,38 @@ def apply_dense(
     view[...] = product
 
 
-def state_to_json(state: StateVector) -> str:
-    """The state document as JSON text, the same bytes as json.dumps of its {"n", "amplitudes"} form.
+def text_pieces(amplitudes: np.ndarray, row: str, separator: str, fields) -> Iterator[str]:
+    """Text rows for the amplitudes, in pieces of at most BATCH_AMPLITUDES rows.
 
-    A non-finite amplitude is refused, naming the first: JSON has no token
-    for it, and state_from_dict refuses one.
+    fields(part, start) gives how many rows part, the amplitudes from index
+    start, writes and the flat tuple of their values; each row is row % its
+    values, and separator goes between rows, across pieces too. One piece is
+    held at a time, as values or as text, so any text costs one piece.
+    """
+    lead = ""
+    for start in range(0, amplitudes.size, BATCH_AMPLITUDES):
+        count, piece = fields(amplitudes[start : start + BATCH_AMPLITUDES], start)
+        if count:
+            piece = (lead + row + (separator + row) * (count - 1)) % piece  # the text takes its values' place
+            yield piece
+            lead = separator
+        del piece  # not held while the next piece is made
+
+
+def state_to_json(state: StateVector) -> Iterator[str]:
+    """The state document in pieces of JSON text, whose join is json.dumps of its {"n", "amplitudes"} form.
+
+    A non-finite amplitude is refused, naming the first, before any piece is
+    made: JSON has no token for it, and state_from_dict refuses one.
     """
     finite = np.isfinite(state.amplitudes)
     if not finite.all():
         raise ValueError(f"amplitude {int(np.argmin(finite))} is not finite")
     # %r writes float.__repr__, as json.dumps does for every finite float
-    template = '{"n": %d, "amplitudes": [' + ("[%r, %r], " * state.dim)[:-2] + "]}"
-    return template % (state.n_qubits, *state.amplitudes.view(np.float64).tolist())
+    pairs = text_pieces(
+        state.amplitudes, "[%r, %r]", ", ", lambda part, _: (part.size, tuple(part.view(np.float64).tolist()))
+    )
+    return chain(('{"n": %d, "amplitudes": [' % state.n_qubits,), pairs, ("]}",))
 
 
 def state_from_dict(data) -> StateVector:

@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import importlib
 import json
@@ -14,6 +15,7 @@ import pytest
 
 import fourieradd.circuits as circuits_module
 import fourieradd.cli as cli_module
+import fourieradd.statevector as statevector_module
 from fourieradd import (
     BATCH_AMPLITUDES,
     DEFAULT_TOL,
@@ -91,7 +93,7 @@ class TestAdd:
         assert run_cli(["add", "--n", "3", "--const", "5", "--input", "6", "--json"]) == 0
         text = capsys.readouterr().out.strip()
         payload = json.loads(text)
-        again = state_to_json(state_from_dict(payload))
+        again = "".join(state_to_json(state_from_dict(payload)))
         assert again == text
 
     @pytest.mark.parametrize("n", [3, 17])  # 17 qubits run in blocks
@@ -277,11 +279,49 @@ class TestStateTable:
     def test_json_bytes_equal_a_per_entry_document(self, tmp_path, capsys):
         state = dense_state(7, seed=8)
         path = tmp_path / "state.json"
-        path.write_text(state_to_json(state))
+        path.write_text("".join(state_to_json(state)))
         assert run_cli(["add", "--n", "7", "--const", "-29", "--input", str(path), "--json"]) == 0
         apply_const_add(state, -29)
         pairs = [[float(z.real), float(z.imag)] for z in state.amplitudes]
         assert capsys.readouterr().out == json.dumps({"n": 7, "amplitudes": pairs}) + "\n"
+
+    @pytest.mark.parametrize(
+        "state",
+        [dense_state(6, seed=4), basis_state(5, 19), nan_state(), near_cutoff_state()],
+        ids=["dense", "basis", "nan", "near-cutoff"],
+    )
+    def test_pieces_of_two_rows_give_the_same_table(self, state, monkeypatch, capsys):
+        # a piece edge after every second amplitude; nan_state's amplitudes 4 and 5 make no row,
+        # so their piece is skipped
+        monkeypatch.setattr(statevector_module, "BATCH_AMPLITUDES", 2)
+        _print_state_table(state)
+        assert capsys.readouterr().out == reference_table(state)
+
+    def test_pieces_of_two_rows_give_the_same_json(self, monkeypatch, tmp_path, capsys):
+        # the separator between pairs is written across every piece edge, and only there
+        monkeypatch.setattr(statevector_module, "BATCH_AMPLITUDES", 2)
+        state = dense_state(5, seed=8)
+        path = tmp_path / "state.json"
+        path.write_text("".join(state_to_json(state)))
+        assert run_cli(["add", "--n", "5", "--const", "-9", "--input", str(path), "--json"]) == 0
+        apply_const_add(state, -9)
+        pairs = [[float(z.real), float(z.imag)] for z in state.amplitudes]
+        assert capsys.readouterr().out == json.dumps({"n": 5, "amplitudes": pairs}) + "\n"
+
+    def test_json_refuses_a_non_finite_amplitude_in_a_later_piece(self, monkeypatch, capsys):
+        # every amplitude is checked before the first piece is written
+        monkeypatch.setattr(statevector_module, "BATCH_AMPLITUDES", 4)
+        add = cli_module.apply_const_add
+
+        def add_then_spoil(state, const):
+            add(state, const)
+            state.amplitudes[9] = complex(math.nan, 0.0)
+
+        monkeypatch.setattr(cli_module, "apply_const_add", add_then_spoil)
+        assert run_cli(["add", "--n", "4", "--const", "1", "--input", "3", "--json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: amplitude 9 is not finite\n"
 
 
 class TestVerify:
@@ -490,18 +530,18 @@ class TestWidthCap:
             ["add", "--n", "2000", "--const", "1", "--input", "0"],
             ["verify", "--suite", "const", "--n-max", "700"],
             ["counts", "--n-max", "100000"],
-            # past 8 GiB only through the state text: 160 bytes per amplitude for a basis input
-            # printed as JSON, 208 and 352 for a state file printed as JSON and as a table
-            ["add", "--n", "26", "--const", "1", "--input", "0", "--json"],
-            ["add", "--n", "26", "--const", "1", "--input", "no-such-file.json", "--json"],
-            ["add", "--n", "25", "--const", "1", "--input", "no-such-file.json"],
+            # `add`'s charge does not depend on its output form, nor on its input before the
+            # file is read: 28 qubits, the narrowest past 8 GiB, are refused in every form
+            ["add", "--n", "28", "--const", "1", "--input", "0", "--json"],
+            ["add", "--n", "28", "--const", "1", "--input", "no-such-file.json", "--json"],
+            ["add", "--n", "28", "--const", "1", "--input", "no-such-file.json"],
         ],
     )
     def test_refuses_a_width_past_physical_memory(self, argv, monkeypatch, capsys):
         def refuse_to_allocate(*args, **kwargs):
             raise AssertionError("allocated a state before the width check")
 
-        # an 8 GiB box, where `add --n 26` printed as a table still fits
+        # an 8 GiB box, where `add --n 27` still fits
         monkeypatch.setattr(cli_module, "_physical_memory", lambda: 8 << 30)
         monkeypatch.setattr(cli_module, "basis_state", refuse_to_allocate)
         monkeypatch.setattr(cli_module, "_load_state_file", refuse_to_allocate)
@@ -552,21 +592,24 @@ class TestWidthCap:
             # draper at 4
             (["verify", "--suite", "all", "--n-max", "3"], 1120 << 3),
             (["verify", "--suite", "all", "--n-max", "4"], 88 << 8),
-            # `add` prints its state text beside the state; STATE is a state file
-            (["add", "--n", "10", "--const", "3", "--input", "5", "--json"], 160 << 10),
+            # the output form leaves `add`'s charge alone; STATE is a state file, charged
+            # 208 bytes for each of its entries
+            (["add", "--n", "10", "--const", "3", "--input", "5", "--json"], 32 << 10),
             (["add", "--n", "10", "--const", "3", "--input", "STATE", "--json"], 208 << 10),
-            (["add", "--n", "10", "--const", "3", "--input", "STATE"], 352 << 10),
+            (["add", "--n", "10", "--const", "3", "--input", "STATE"], 208 << 10),
         ],
     )
     def test_the_estimate_is_the_limit(self, argv, needed, monkeypatch, capsys, tmp_path):
         # beside its arrays every run is charged two batches, the work batch and a stretch's
-        # phase vectors, and a block scratch per worker; STATE names a 10-qubit state file
+        # phase vectors, and a block scratch per worker, and `add` one piece of state text;
+        # STATE names a 10-qubit state file
         path = tmp_path / "state.json"
-        path.write_text(state_to_json(random_state(10, seed=10)))
+        path.write_text("".join(state_to_json(random_state(10, seed=10))))
         argv = [str(path) if arg == "STATE" else arg for arg in argv]
+        text = cli_module.TEXT_PIECE_BYTES if argv[0] == "add" else 0
         for workers in (1, 3):
             monkeypatch.setattr(circuits_module, "_workers", lambda: workers)
-            limit = needed + (2 + workers) * 16 * BATCH_AMPLITUDES
+            limit = needed + text + (2 + workers) * 16 * BATCH_AMPLITUDES
             monkeypatch.setattr(cli_module, "_physical_memory", lambda: limit)
             assert run_cli(argv) == 0
             capsys.readouterr()
@@ -574,18 +617,37 @@ class TestWidthCap:
             assert run_cli(argv) == 2
             assert "of physical memory" in capsys.readouterr().err
 
+    def test_a_state_file_is_charged_by_its_entries_before_it_is_parsed(self, monkeypatch, capsys, tmp_path):
+        # a 12-qubit file under --n 4 is refused by its 4096 entries, not read as 16
+        path = tmp_path / "state.json"
+        path.write_text("".join(state_to_json(random_state(12, seed=12))))
+
+        def refuse_to_parse(*args, **kwargs):
+            raise AssertionError("parsed a state file past the memory limit")
+
+        monkeypatch.setattr(cli_module.json, "load", refuse_to_parse)
+        fixed = cli_module.TEXT_PIECE_BYTES + (2 + circuits_module._workers()) * 16 * BATCH_AMPLITUDES
+        monkeypatch.setattr(cli_module, "_physical_memory", lambda: fixed + (208 << 12) - 1)
+        assert run_cli(["add", "--n", "4", "--const", "1", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"state file {str(path)!r} of 4096 entries needs more than" in captured.err
+
 
 @pytest.mark.parametrize("source", ["basis", "file"])
 @pytest.mark.parametrize("style", ["table", "json"])
 def test_add_peak_memory_stays_within_its_charge(source, style, tmp_path):
-    # the whole command at 16 qubits, its state text included, within what the guard charges;
-    # stdout goes to a file, as a shell would send it, so no captured copy of the text counts
-    n = 16
+    # the whole command at 18 qubits, its state text included, within what the guard charges
+    # whatever the output form; stdout goes to a file, as a shell would send it, so no
+    # captured copy of the text counts
+    n = 18
     argv = ["add", "--n", str(n), "--const", "12345", "--input", "777"]
+    charge = cli_module.STATE_BYTES_PER_AMPLITUDE << n
     if source == "file":
         path = tmp_path / "state.json"
-        path.write_text(state_to_json(random_state(n, seed=n)))
+        path.write_text("".join(state_to_json(random_state(n, seed=n))))
         argv[-1] = str(path)
+        charge = cli_module.PARSE_BYTES_PER_ENTRY << n
     if style == "json":
         argv.append("--json")
     with open(os.devnull, "w", encoding="utf-8") as sink, contextlib.redirect_stdout(sink):
@@ -597,7 +659,7 @@ def test_add_peak_memory_stays_within_its_charge(source, style, tmp_path):
             tracemalloc.stop()
     assert code == 0
     batches = (2 + circuits_module._workers()) * 16 * BATCH_AMPLITUDES
-    assert peak <= (cli_module.ADD_CHARGES[source, style] << n) + batches
+    assert peak <= charge + cli_module.TEXT_PIECE_BYTES + batches
 
 
 class TestTopLevel:
@@ -606,6 +668,20 @@ class TestTopLevel:
         # perfbench/bench.py's load_program imports these six modules by name before any
         # benchmark run, so folding one into another would stop every run of the benchmark
         importlib.import_module(f"fourieradd.{layer}")
+
+    def test_every_re_export_is_imported_somewhere(self):
+        # the package re-exports only what a test, the benchmark or the README imports
+        root = Path(__file__).parents[1]
+        package = ast.parse((root / "src" / "fourieradd" / "__init__.py").read_text(encoding="utf-8"))
+        exported = {alias.name for node in package.body if isinstance(node, ast.ImportFrom) for alias in node.names}
+        imported = set()
+        for path in [*root.glob("tests/*.py"), *root.glob("perfbench/*.py"), root / "README.md"]:
+            text = path.read_text(encoding="utf-8")
+            imported |= set(re.findall(r"\bfourieradd\.(\w+)", text))
+            for names in re.findall(r"from fourieradd import (?:\(([^)]*)\)|([^\n]*))", text):
+                imported |= set(re.findall(r"\w+", "".join(names)))
+        assert "StateVector" in exported
+        assert sorted(exported - imported) == []
 
     def test_requires_a_subcommand(self, capsys):
         assert run_cli([]) == 2

@@ -436,23 +436,23 @@ def document(state):
 class TestStateJson:
     def test_round_trip_is_bitwise(self):
         state = random_state(3, seed=21)
-        back = state_from_dict(json.loads(state_to_json(state)))
+        back = state_from_dict(json.loads("".join(state_to_json(state))))
         assert back.n_qubits == 3
         assert np.array_equal(back.amplitudes, state.amplitudes)
 
     def test_shape_of_document(self):
-        assert state_to_json(basis_state(1, 1)) == '{"n": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}'
+        assert "".join(state_to_json(basis_state(1, 1))) == '{"n": 1, "amplitudes": [[0.0, 0.0], [1.0, 0.0]]}'
 
     @pytest.mark.parametrize("n, seed", [(1, 1), (5, 2), (12, 3)])
     def test_bytes_equal_json_dumps_of_the_document(self, n, seed):
         state = random_state(n, seed=seed)
-        assert state_to_json(state) == json.dumps(document(state))
+        assert "".join(state_to_json(state)) == json.dumps(document(state))
 
     def test_bytes_equal_json_dumps_at_the_edges_of_float_repr(self):
         # a negative zero, the smallest subnormal, and the exponents where repr turns to e-notation
         parts = np.array([-0.0, 5e-324, 1e-5, 1e16, 1e-4, 1e15, -2.5e-308, 1.7976931348623157e308])
         state = StateVector(2, parts.view(np.complex128))
-        text = state_to_json(state)
+        text = "".join(state_to_json(state))
         assert text == json.dumps(document(state))
         assert np.array_equal(np.array(json.loads(text)["amplitudes"]).reshape(-1), parts)
 
