@@ -29,16 +29,17 @@ from .circuits import (
     swap,
 )
 from .arithmetic import (
-    ConstAdderSpec,
-    DraperAdderSpec,
+    ComplexityRow,
+    GateCountReport,
     apply_const_add,
+    complexity_table,
     const_adder_circuit,
+    count_gates,
     draper_adder_circuit,
     draper_inner_circuit,
     phase_adder_circuit,
 )
 from .dense import circuit_to_matrix, phase_adder_equivalence_errors
-from .counts import ComplexityRow, GateCountReport, complexity_table, count_gates
 from .verify import (
     CheckReport,
     run_suite,

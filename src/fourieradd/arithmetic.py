@@ -11,14 +11,23 @@ Register adder: the same idea with the rotations controlled by the qubits
 of a second register, mapping |a, b> to |a, a + b mod 2**N>. Register a
 occupies qubits 1..N (low bits of the joint index), register b occupies
 qubits N+1..2N.
+
+Every builder takes the operand width n as a plain integer and refuses a
+width below 1. Gate tallies and the closed-form operation counts of both
+adders sit beside the builders they count.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 from .circuits import (
+    CONTROLLED_PHASE,
+    HADAMARD,
+    PHASE,
+    SWAP,
     Circuit,
     concat,
     cphase,
@@ -31,62 +40,31 @@ from .circuits import (
 from .statevector import StateVector
 
 
-@dataclass(frozen=True)
-class ConstAdderSpec:
-    """Width and addend of a register-by-constant adder.
+def _require_width(n: int) -> None:
+    if n < 1:
+        raise ValueError(f"operand width must be a positive integer, got {n}")
 
-    The constant may be any integer; it is reduced mod 2**n_qubits before
-    angle synthesis, which changes every rotation by an exact multiple of
-    2*pi and therefore nothing observable.
+
+def phase_adder_circuit(n: int, c: int) -> Circuit:
+    """The N parallel rotations that add the constant c in the Fourier basis.
+
+    c may be any integer; it is reduced mod 2**n here, once, which changes
+    every rotation by an exact multiple of 2*pi and therefore nothing
+    observable. Exactly one phase gate per qubit: qubit t gets
+    c * pi / 2**(N - t) with the whole turns taken off in integers first,
+    pi * (c mod 2**(N-t+1)) / 2**(N - t), so every angle is below 2*pi and
+    rounds no worse for a large c. Angles that become 0 are kept; the gate
+    count is part of the contract.
     """
-
-    n_qubits: int
-    constant: int
-
-    def __post_init__(self) -> None:
-        if self.n_qubits < 1:
-            raise ValueError(f"n_qubits must be a positive integer, got {self.n_qubits}")
-
-    @property
-    def canonical_constant(self) -> int:
-        return self.constant % (1 << self.n_qubits)
-
-
-@dataclass(frozen=True)
-class DraperAdderSpec:
-    """Operand width of a register-by-register adder; total width is twice that."""
-
-    n_qubits_per_operand: int
-
-    def __post_init__(self) -> None:
-        if self.n_qubits_per_operand < 1:
-            raise ValueError(
-                f"n_qubits_per_operand must be a positive integer, got {self.n_qubits_per_operand}"
-            )
-
-    @property
-    def total_qubits(self) -> int:
-        return 2 * self.n_qubits_per_operand
-
-
-def phase_adder_circuit(spec: ConstAdderSpec) -> Circuit:
-    """The N parallel rotations that add the constant in the Fourier basis.
-
-    Exactly one phase gate per qubit: qubit t gets c * pi / 2**(N - t) with
-    the whole turns taken off in integers first, pi * (c mod 2**(N-t+1)) /
-    2**(N - t), so every angle is below 2*pi and rounds no worse for a large
-    c. Angles that become 0 are kept; the gate count is part of the contract.
-    """
-    n = spec.n_qubits
-    c = spec.canonical_constant
+    _require_width(n)
+    c %= 1 << n
     gates = tuple(phase(t, math.pi * (c % (2 << (n - t))) / (1 << (n - t))) for t in range(1, n + 1))
     return Circuit(n, gates)
 
 
-def const_adder_circuit(spec: ConstAdderSpec) -> Circuit:
-    """Full adder: transform, phase stage, inverse transform."""
-    n = spec.n_qubits
-    return concat(qft_circuit(n), phase_adder_circuit(spec), inverse_qft_circuit(n))
+def const_adder_circuit(n: int, c: int) -> Circuit:
+    """Full adder: transform, phase stage, inverse transform; qft_circuit refuses a width below 1."""
+    return concat(qft_circuit(n), phase_adder_circuit(n, c), inverse_qft_circuit(n))
 
 
 def apply_const_add(state: StateVector, constant: int) -> None:
@@ -95,17 +73,18 @@ def apply_const_add(state: StateVector, constant: int) -> None:
     Negative constants subtract. This builds and runs the adder circuit;
     there is no classical shortcut behind it.
     """
-    run_circuit(const_adder_circuit(ConstAdderSpec(state.n_qubits, constant)), state)
+    run_circuit(const_adder_circuit(state.n_qubits, constant), state)
 
 
-def draper_inner_circuit(spec: DraperAdderSpec) -> Circuit:
+def draper_inner_circuit(n: int) -> Circuit:
     """Controlled rotations from register a into the Fourier image of register b.
 
     Control s (in a) and local target t (in b) contribute angle
     2*pi * 2**(s-1) * 2**(t-1) / 2**N. Pairs with s + t > N + 1 would be
-    full turns and are omitted at construction, leaving N(N+1)/2 gates.
+    full turns and are omitted at construction, leaving N(N+1)/2 gates over
+    2N qubits.
     """
-    n = spec.n_qubits_per_operand
+    _require_width(n)
     gates = []
     for control in range(1, n + 1):
         for local_target in range(1, n + 2 - control):
@@ -114,10 +93,68 @@ def draper_inner_circuit(spec: DraperAdderSpec) -> Circuit:
     return Circuit(2 * n, tuple(gates))
 
 
-def draper_adder_circuit(spec: DraperAdderSpec) -> Circuit:
-    """Register-by-register adder: |a, b> to |a, a + b mod 2**N>."""
-    n = spec.n_qubits_per_operand
+def draper_adder_circuit(n: int) -> Circuit:
+    """Register adder on 2n qubits, |a, b> to |a, a + b mod 2**N>; qft_circuit refuses n < 1."""
     total = 2 * n
     transform_b = shift_qubits(qft_circuit(n), n, total)
     inverse_b = shift_qubits(inverse_qft_circuit(n), n, total)
-    return concat(transform_b, draper_inner_circuit(spec), inverse_b)
+    return concat(transform_b, draper_inner_circuit(n), inverse_b)
+
+
+@dataclass(frozen=True)
+class GateCountReport:
+    """Per-kind tallies of a circuit."""
+
+    n_qubits: int
+    hadamard: int
+    phase: int
+    controlled_phase: int
+    swap: int
+
+    def __post_init__(self) -> None:
+        for label in ("hadamard", "phase", "controlled_phase", "swap"):
+            if getattr(self, label) < 0:
+                raise ValueError(f"{label} count must be >= 0")
+
+    @property
+    def counted_total(self) -> int:
+        """Total under the headline convention: bit-reversal swaps are bookkeeping and excluded."""
+        return self.hadamard + self.phase + self.controlled_phase
+
+
+def count_gates(circuit: Circuit) -> GateCountReport:
+    """Exact per-kind tallies of a circuit."""
+    kinds = Counter(gate.kind for gate in circuit.gates)
+    return GateCountReport(
+        circuit.n_qubits, kinds[HADAMARD], kinds[PHASE], kinds[CONTROLLED_PHASE], kinds[SWAP]
+    )
+
+
+@dataclass(frozen=True)
+class ComplexityRow:
+    """One width in the operation-count comparison of the two adders."""
+
+    n_qubits: int
+    const_adder_ops: int  # N**2 + 2N: transform + N rotations + inverse transform
+    register_adder_inner_ops: int  # N(N+1)/2 controlled rotations between the transforms
+    swaps_per_transform: int  # floor(N/2) bit-reversal swaps, excluded from the headline counts
+
+
+def complexity_table(n_max: int) -> list[ComplexityRow]:
+    """Closed-form counts for widths 1..n_max, cross-checked against built circuits."""
+    if n_max < 1:
+        raise ValueError(f"n_max must be a positive integer, got {n_max}")
+    rows = []
+    for n in range(1, n_max + 1):
+        row = ComplexityRow(n, n * n + 2 * n, n * (n + 1) // 2, n // 2)
+        const_report = count_gates(const_adder_circuit(n, 1))
+        inner_report = count_gates(draper_inner_circuit(n))
+        if (
+            const_report.counted_total != row.const_adder_ops
+            or inner_report.controlled_phase != row.register_adder_inner_ops
+            or inner_report.counted_total != row.register_adder_inner_ops
+            or count_gates(qft_circuit(n)).swap != row.swaps_per_transform
+        ):
+            raise RuntimeError(f"closed-form counts diverged from constructed circuits at N={n}")
+        rows.append(row)
+    return rows

@@ -128,11 +128,7 @@ class Circuit:
         return len(self.gates)
 
 
-# Each width's transform and inverse transform, built on first use and shared,
-# keyed by (n_qubits, inverted).
-_TRANSFORMS: dict[tuple[int, bool], Circuit] = {}
-
-
+@cache
 def qft_circuit(n_qubits: int) -> Circuit:
     """Circuit whose unitary is the discrete Fourier transform on basis integers.
 
@@ -141,27 +137,9 @@ def qft_circuit(n_qubits: int) -> Circuit:
     significant qubit s, where l = target - s + 1. A closing swap network
     reverses qubit order, which lines the result up with the matrix whose
     (j, k) entry is exp(2*pi*i*j*k / 2**N) / sqrt(2**N). Built once per
-    width; every call returns the same circuit.
+    width; every call returns the same circuit, and Circuit refuses a width
+    below 1.
     """
-    return _transform(n_qubits, False)
-
-
-def inverse_qft_circuit(n_qubits: int) -> Circuit:
-    """The reverse transform: qft_circuit reversed with every angle negated, built once per width."""
-    return _transform(n_qubits, True)
-
-
-def _transform(n_qubits: int, inverted: bool) -> Circuit:
-    """The width's transform or inverse transform, built on first use; Circuit refuses a width below 1."""
-    key = (n_qubits, inverted)
-    circuit = _TRANSFORMS.get(key)
-    if circuit is None:
-        circuit = inverse(_transform(n_qubits, False)) if inverted else _build_qft(n_qubits)
-        _TRANSFORMS[key] = circuit
-    return circuit
-
-
-def _build_qft(n_qubits: int) -> Circuit:
     gates: list[Gate] = []
     for target in range(n_qubits, 0, -1):
         gates.append(hadamard(target))
@@ -170,6 +148,12 @@ def _build_qft(n_qubits: int) -> Circuit:
     for low in range(1, n_qubits // 2 + 1):
         gates.append(swap(low, n_qubits + 1 - low))
     return Circuit(n_qubits, tuple(gates))
+
+
+@cache
+def inverse_qft_circuit(n_qubits: int) -> Circuit:
+    """The reverse transform: qft_circuit reversed with every angle negated, built once per width."""
+    return inverse(qft_circuit(n_qubits))
 
 
 def run_circuit(circuit: Circuit, state: StateVector) -> None:

@@ -18,9 +18,8 @@ from itertools import chain
 import numpy as np
 
 from . import circuits
-from .arithmetic import DraperAdderSpec, apply_const_add, draper_adder_circuit
+from .arithmetic import apply_const_add, complexity_table, draper_adder_circuit
 from .circuits import BATCH_AMPLITUDES, circuit_to_dict, qft_circuit, run_circuit
-from .counts import complexity_table
 from .dense import circuit_to_matrix
 from .statevector import DEFAULT_TOL, StateVector, basis_state, state_from_dict, state_to_json, text_pieces
 from .verify import SUITES, run_suite
@@ -215,7 +214,7 @@ def _cmd_add_reg(args, parser: argparse.ArgumentParser) -> int:
     if args.b >= dim:
         parser.error(f"--b {args.b} out of range: expected 0 <= b < {dim}")
     state = basis_state(2 * args.n, args.a + dim * args.b)
-    run_circuit(draper_adder_circuit(DraperAdderSpec(args.n)), state)
+    run_circuit(draper_adder_circuit(args.n), state)
     probabilities = state.probabilities()
     index = int(np.argmax(probabilities))
     if not probabilities[index] >= BASIS_OUTPUT_MIN_PROB:  # a NaN output fails too

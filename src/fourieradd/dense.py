@@ -24,7 +24,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from . import circuits
-from .arithmetic import ConstAdderSpec, phase_adder_circuit
+from .arithmetic import phase_adder_circuit
 from .circuits import Circuit, run_on_basis
 
 def _omega_powers(exponents: np.ndarray, dim: int) -> np.ndarray:
@@ -69,7 +69,7 @@ def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> n
     tensors = np.empty((len(constants), dim), dtype=np.complex128)
     for row, constant in enumerate(constants):
         rotations: dict[int, complex] = {}
-        for gate in phase_adder_circuit(ConstAdderSpec(n_qubits, constant)).gates:
+        for gate in phase_adder_circuit(n_qubits, constant).gates:
             rotations[gate.target] = rotations.get(gate.target, 1.0) * cmath.exp(1j * gate.angle)
         # looked up at call time, so a patched circuits._phase_vector reaches the plan and this check
         tensors[row] = circuits._phase_vector(rotations, 1, n_qubits, 1.0)

@@ -64,9 +64,6 @@ class StateVector:
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amplitudes) ** 2
 
-    def copy(self) -> StateVector:
-        return StateVector(self.n_qubits, self.amplitudes.copy())
-
 
 def require_finite(amplitudes: np.ndarray) -> None:
     """Refuse an amplitude array that holds a NaN or an infinity."""

@@ -7,12 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .arithmetic import (
-    ConstAdderSpec,
-    DraperAdderSpec,
-    const_adder_circuit,
-    draper_adder_circuit,
-)
+from .arithmetic import const_adder_circuit, draper_adder_circuit
 from .circuits import Circuit, inverse_qft_circuit, qft_circuit, run_filled, run_on_basis, run_on_states, shift_qubits
 from .dense import _phase_adder_diagonal, circuit_to_matrix, phase_adder_equivalence_errors
 from .statevector import DEFAULT_TOL
@@ -139,7 +134,7 @@ def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     scored = {}
     errors = []
     for c in constants:
-        adder = const_adder_circuit(ConstAdderSpec(n, c))
+        adder = const_adder_circuit(n, c)
         key = (adder.gates, c % dim)
         if key not in scored:
             rest = _after(adder, transform)
@@ -174,7 +169,7 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
         dim = 1 << n
         packed = np.arange(dim * dim)
         a, b = packed % dim, packed // dim
-        circuit = draper_adder_circuit(DraperAdderSpec(n))
+        circuit = draper_adder_circuit(n)
         transform = qft_circuit(n)
         rest = _after(circuit, shift_qubits(transform, n, 2 * n))
         if rest is None:

@@ -6,7 +6,8 @@ here at DENSE_MAX_QUBITS qubits (256 MiB each); the program has no such cap, and
 line refuses only runs past physical memory. run_gate_by_gate runs every gate on the whole
 state through the reference's own gate kernels below, one per gate kind, so it compiles no
 plan and shares no kernel with the program, which runs every state through apply_dense and
-apply_diagonal. superposition_state and fidelity build and compare the tests' own states.
+apply_diagonal. superposition_state, copy_state and fidelity build, copy and compare the tests'
+own states.
 """
 
 import cmath
@@ -166,6 +167,11 @@ def superposition_state(n_qubits: int, terms) -> StateVector:
         norm_sq += abs(weight) ** 2
     _require_normalized(norm_sq, "weights are")
     return StateVector(n_qubits, amplitudes)
+
+
+def copy_state(state: StateVector) -> StateVector:
+    """A state with its own copy of the amplitudes."""
+    return StateVector(state.n_qubits, state.amplitudes.copy())
 
 
 def fidelity(state_a: StateVector, state_b: StateVector) -> float:

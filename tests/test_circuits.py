@@ -17,8 +17,6 @@ from fourieradd import (
     BATCH_AMPLITUDES,
     DEFAULT_TOL,
     Circuit,
-    ConstAdderSpec,
-    DraperAdderSpec,
     Gate,
     StateVector,
     apply_const_add,
@@ -43,7 +41,7 @@ from fourieradd import (
     shift_qubits,
     swap,
 )
-from oracles import dft_matrix, fidelity, random_state, run_gate_by_gate
+from oracles import copy_state, dft_matrix, fidelity, random_state, run_gate_by_gate
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -187,7 +185,7 @@ class TestInverseQft:
         backward = inverse_qft_circuit(n)
         for seed in range(20):
             state = random_state(n, seed=seed)
-            reference = state.copy()
+            reference = copy_state(state)
             run_circuit(forward, state)
             run_circuit(backward, state)
             assert fidelity(state, reference) >= 1.0 - 1e-10
@@ -319,9 +317,9 @@ class TestRunOnBasis:
     @pytest.mark.parametrize(
         "circuit",
         [
-            const_adder_circuit(ConstAdderSpec(2, 3)),
-            const_adder_circuit(ConstAdderSpec(6, 5)),
-            draper_adder_circuit(DraperAdderSpec(3)),
+            const_adder_circuit(2, 3),
+            const_adder_circuit(6, 5),
+            draper_adder_circuit(3),
         ],
         ids=["const-2", "const-6", "register-3"],
     )
@@ -350,7 +348,7 @@ class TestRunOnBasis:
             return original(circuit, offset)
 
         monkeypatch.setattr(circuits_module, "_plan", counted)
-        circuit = const_adder_circuit(ConstAdderSpec(n, 5))
+        circuit = const_adder_circuit(n, 5)
         columns = one_hot(n, np.arange((1 << n) + 1) % (1 << n))
         for _ in range(2):
             sizes = [outputs.shape[1] for _, outputs in run_on_states(circuit, columns)]
@@ -432,7 +430,7 @@ class TestRunOnStates:
         transform = qft_circuit(n)
         transformed = joined(run_on_basis(transform))
         for c in (0, 7, 31):
-            adder = const_adder_circuit(ConstAdderSpec(n, c))
+            adder = const_adder_circuit(n, c)
             rest = Circuit(n, adder.gates[len(transform) :])
             exact = np.roll(np.eye(1 << n), c, axis=0)  # column a is |a + c mod 2**n>
             assert distance(joined(run_on_states(rest, transformed)), exact) < DEFAULT_TOL
@@ -456,7 +454,7 @@ MATRIX_WIDTHS = set(range(2, 2 * circuits_module.FUSE_QUBITS + 1, 2))
 def gate_path_error(circuit, seed):
     """Largest distance between run_circuit's output and the gate-by-gate run's, on a random state."""
     expected = random_state(circuit.n_qubits, seed)
-    actual = expected.copy()
+    actual = copy_state(expected)
     run_gate_by_gate(circuit, expected)
     run_circuit(circuit, actual)
     return float(np.max(np.abs(actual.amplitudes - expected.amplitudes)))
@@ -465,7 +463,7 @@ def gate_path_error(circuit, seed):
 def roll_error(n, constant, seed):
     """Largest distance of the constant adder's output from np.roll of its random input."""
     before = random_state(n, seed)
-    after = before.copy()
+    after = copy_state(before)
     apply_const_add(after, constant)
     return float(np.max(np.abs(after.amplitudes - np.roll(before.amplitudes, constant % (1 << n)))))
 
@@ -580,7 +578,7 @@ class TestDenseKernel:
             matrix = run_each(circuit, range(1 << k))  # column j: the circuit run on |j>
             for low in range(1, n - k + 2):
                 expected = random_state(n, seed=low)
-                actual = expected.copy()
+                actual = copy_state(expected)
                 run_gate_by_gate(shift_qubits(circuit, low - 1, n), expected)
                 apply_dense(actual, matrix, low, np.empty_like(actual.amplitudes) if out else None)
                 assert np.max(np.abs(actual.amplitudes - expected.amplitudes)) < 1e-14
@@ -596,7 +594,7 @@ class TestOneKernelFamily:
         assert kernels == {"apply_dense", "apply_diagonal"}
 
     def test_the_reference_shares_no_kernel_with_the_program(self, monkeypatch):
-        circuit = concat(random_circuit(6, seed=6), const_adder_circuit(ConstAdderSpec(6, 13)))
+        circuit = concat(random_circuit(6, seed=6), const_adder_circuit(6, 13))
         assert {gate.kind for gate in circuit.gates} == {"h", "phase", "cphase", "swap"}
         expected = random_state(6, seed=6)
         run_gate_by_gate(circuit, expected)
@@ -624,8 +622,8 @@ class TestBlockedRun:
     def test_register_adder_is_the_gather(self, m):
         # y[a + 2**m * ((a + b) mod 2**m)] = x[a + 2**m * b]
         before = random_state(2 * m, seed=m)
-        after = before.copy()
-        run_circuit(draper_adder_circuit(DraperAdderSpec(m)), after)
+        after = copy_state(before)
+        run_circuit(draper_adder_circuit(m), after)
         a, b = np.indices((1 << m, 1 << m))
         expected = np.empty_like(before.amplitudes)
         expected[a + (b + a) % (1 << m) * (1 << m)] = before.amplitudes[a + b * (1 << m)]
@@ -651,11 +649,11 @@ class TestBlockedRun:
     def test_states_up_to_the_block_match_the_gate_by_gate_run(self, monkeypatch):
         # a state of one block runs the plan too: one apply_dense or apply_diagonal call per
         # step over the whole state, within DEFAULT_TOL of the gate-by-gate run
-        circuit = const_adder_circuit(ConstAdderSpec(16, 12345))
+        circuit = const_adder_circuit(16, 12345)
         steps = circuits_module._plan(circuit)[0]
         dense = len(dense_steps(circuit))
         expected = random_state(16, seed=16)
-        actual = expected.copy()
+        actual = copy_state(expected)
         run_gate_by_gate(circuit, expected)
         widths = record_kernel_widths(monkeypatch)
         run_circuit(circuit, actual)
@@ -675,7 +673,7 @@ class TestBlockedRun:
 
     @pytest.mark.parametrize(
         "circuit",
-        [const_adder_circuit(ConstAdderSpec(18, 77)), draper_adder_circuit(DraperAdderSpec(9))],
+        [const_adder_circuit(18, 77), draper_adder_circuit(9)],
         ids=["const-18", "register-9"],
     )
     def test_hadamard_work_is_the_unfused_count_and_no_swap_runs(self, circuit, monkeypatch):
@@ -688,7 +686,7 @@ class TestBlockedRun:
 
     @pytest.mark.parametrize(
         "circuit",
-        [const_adder_circuit(ConstAdderSpec(18, 77)), draper_adder_circuit(DraperAdderSpec(9))],
+        [const_adder_circuit(18, 77), draper_adder_circuit(9)],
         ids=["const-18", "register-9"],
     )
     def test_peak_memory_is_one_state_and_two_mebibytes(self, circuit, monkeypatch):
@@ -700,20 +698,20 @@ class TestBlockedRun:
     @pytest.mark.parametrize("workers", [2, 4])
     @pytest.mark.parametrize(
         "circuit",
-        [const_adder_circuit(ConstAdderSpec(18, 77)), draper_adder_circuit(DraperAdderSpec(9))],
+        [const_adder_circuit(18, 77), draper_adder_circuit(9)],
         ids=["const-18", "register-9"],
     )
     def test_peak_memory_grows_by_one_block_per_worker(self, circuit, workers, monkeypatch):
         monkeypatch.setattr(circuits_module, "_workers", lambda: workers)
         state = basis_state(circuit.n_qubits, 5)
-        run_circuit(circuit, state.copy())  # the pool's threads start outside the measured run
+        run_circuit(circuit, copy_state(state))  # the pool's threads start outside the measured run
         block_bytes = 16 * BATCH_AMPLITUDES
         assert run_peak(circuit, state) <= state.amplitudes.nbytes + (1 + workers) * block_bytes
 
     def test_each_block_is_wrapped_once_per_run(self, monkeypatch):
         # as a view, not checked again: the state is checked for finiteness once, at entry, and
         # the only states built are the work states of 2K qubits that build the dense matrices
-        circuit = const_adder_circuit(ConstAdderSpec(18, 77))
+        circuit = const_adder_circuit(18, 77)
         state = basis_state(18, 5)
         matrix_widths = [2 * (step.top - step.low + 1) for step in dense_steps(circuit)]
         built, viewed, checked = [], [], []
@@ -794,7 +792,7 @@ class TestBlockedRun:
 
     @pytest.mark.parametrize(
         "circuit, dense, multiplies",
-        [(const_adder_circuit(ConstAdderSpec(20, 77)), 7, 30), (draper_adder_circuit(DraperAdderSpec(10)), 4, 15)],
+        [(const_adder_circuit(20, 77), 7, 30), (draper_adder_circuit(10), 4, 15)],
         ids=["const-20", "register-10"],
     )
     def test_step_counts_of_the_readme(self, circuit, dense, multiplies):
@@ -804,8 +802,8 @@ class TestBlockedRun:
 
     def test_windows_inside_across_and_above_the_block_match_the_gate_by_gate_run(self, monkeypatch):
         circuits = [
-            const_adder_circuit(ConstAdderSpec(10, 345)),
-            draper_adder_circuit(DraperAdderSpec(5)),
+            const_adder_circuit(10, 345),
+            draper_adder_circuit(5),
             random_circuit(10, seed=10, n_gates=150),
         ]
         placements = set()
@@ -825,11 +823,11 @@ class TestBlockedRun:
         n = 17
         before = random_state(n, seed=n)
         expected = np.fft.ifft(before.amplitudes) * math.sqrt(1 << n)
-        after = before.copy()
+        after = copy_state(before)
         run_circuit(qft_circuit(n), after)
         assert np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL
         monkeypatch.setattr(circuits_module, "_put_back", lambda state, where: None)
-        after = before.copy()
+        after = copy_state(before)
         run_circuit(qft_circuit(n), after)
         assert not np.max(np.abs(after.amplitudes - expected)) < DEFAULT_TOL
 
@@ -858,8 +856,8 @@ class TestWorkerPool:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize(
         "circuit",
-        [const_adder_circuit(ConstAdderSpec(n, 3 * n + 1)) for n in (17, 18, 20)]
-        + [draper_adder_circuit(DraperAdderSpec(m)) for m in (9, 10)],
+        [const_adder_circuit(n, 3 * n + 1) for n in (17, 18, 20)]
+        + [draper_adder_circuit(m) for m in (9, 10)],
         ids=["const-17", "const-18", "const-20", "register-9", "register-10"],
     )
     def test_outputs_are_bitwise_those_of_one_worker(self, circuit, workers, monkeypatch):
@@ -879,7 +877,7 @@ class TestWorkerPool:
         # a 9-qubit input is wider than a block of 2**6 amplitudes, so each batch is one input in 8 blocks
         n = 9
         monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << 6)
-        circuit = concat(random_circuit(n, seed=9, n_gates=80), const_adder_circuit(ConstAdderSpec(n, 77)))
+        circuit = concat(random_circuit(n, seed=9, n_gates=80), const_adder_circuit(n, 77))
         columns = random_columns(n, 5, seed=9)
         outputs = {}
         for count in (1, 3):
@@ -908,7 +906,7 @@ class TestWorkerPool:
 
         monkeypatch.setattr(circuits_module, "apply_diagonal", failing_diagonal)
         with pytest.raises(BlockFault):
-            run_circuit(const_adder_circuit(ConstAdderSpec(18, 77)), state)
+            run_circuit(const_adder_circuit(18, 77), state)
         counted = len(calls)
         time.sleep(0.05)
         assert len(calls) == counted
@@ -916,9 +914,9 @@ class TestWorkerPool:
     def test_more_workers_than_cpus_switching_every_microsecond_keep_the_bits(self, monkeypatch):
         # 18 qubits run as 4 block runs and 8 ranges per wide dense step; a run or a range
         # written twice, skipped or overlapped would change the output
-        circuit = const_adder_circuit(ConstAdderSpec(18, 55))
+        circuit = const_adder_circuit(18, 55)
         expected = random_state(18, seed=5)
-        actual = expected.copy()
+        actual = copy_state(expected)
         monkeypatch.setattr(circuits_module, "_workers", lambda: 1)
         run_circuit(circuit, expected)
         monkeypatch.setattr(circuits_module, "_workers", lambda: 8)
@@ -937,7 +935,7 @@ class TestWorkerPool:
         # every verify batch is one block
         monkeypatch.setattr(circuits_module, "_workers", lambda: 4)
         threads = threads_of_kernel_calls(monkeypatch)
-        run_circuit(const_adder_circuit(ConstAdderSpec(16, 77)), basis_state(16, 5))
+        run_circuit(const_adder_circuit(16, 77), basis_state(16, 5))
         assert threads == {threading.get_ident()}
 
     def test_workers_are_the_usable_cpus_whatever_blas_is_pinned_to(self, monkeypatch):
@@ -993,7 +991,7 @@ class TestCombinators:
     def test_inverse_undoes_circuit(self):
         circuit = Circuit(3, (hadamard(2), cphase(1, 3, 1.1), swap(2, 3), phase(1, -2.2)))
         state = random_state(3, seed=8)
-        reference = state.copy()
+        reference = copy_state(state)
         run_circuit(circuit, state)
         run_circuit(inverse(circuit), state)
         assert np.max(np.abs(state.amplitudes - reference.amplitudes)) < 1e-12
@@ -1018,7 +1016,7 @@ class TestCombinators:
                 for gate in circuit.gates
             )
 
-        adder = const_adder_circuit(ConstAdderSpec(n, 5))
+        adder = const_adder_circuit(n, 5)
         transform, backward = qft_circuit(n), inverse_qft_circuit(n)
         middle = Circuit(n, (phase(1, 0.25), hadamard(n)))
         for circuit in (

@@ -3,14 +3,13 @@ import pytest
 from fourieradd import (
     Circuit,
     ComplexityRow,
-    ConstAdderSpec,
-    DraperAdderSpec,
     GateCountReport,
     complexity_table,
     const_adder_circuit,
     count_gates,
     draper_adder_circuit,
     draper_inner_circuit,
+    phase_adder_circuit,
     qft_circuit,
 )
 
@@ -21,20 +20,18 @@ class TestCountGates:
         assert report == GateCountReport(3, 3, 0, 3, 1)
 
     def test_phase_stage_tally(self):
-        from fourieradd import phase_adder_circuit
-
-        report = count_gates(phase_adder_circuit(ConstAdderSpec(5, 7)))
+        report = count_gates(phase_adder_circuit(5, 7))
         assert (report.hadamard, report.phase, report.controlled_phase, report.swap) == (0, 5, 0, 0)
 
     def test_empty_circuit(self):
         report = count_gates(Circuit(4, ()))
-        assert report.total == 0
+        assert report == GateCountReport(4, 0, 0, 0, 0)
         assert report.counted_total == 0
 
     def test_totals(self):
+        # the headline total leaves out the two bit-reversal swaps
         report = count_gates(qft_circuit(4))
-        assert report.total == 4 + 6 + 2
-        assert report.counted_total == 4 + 6
+        assert (report.counted_total, report.swap) == (4 + 6, 2)
 
     def test_rejects_negative_tally(self):
         with pytest.raises(ValueError):
@@ -44,42 +41,39 @@ class TestCountGates:
 class TestClosedForms:
     @pytest.mark.parametrize("n", range(1, 17))
     def test_const_adder_matches_formula(self, n):
-        report = count_gates(const_adder_circuit(ConstAdderSpec(n, 3)))
+        report = count_gates(const_adder_circuit(n, 3))
         assert report.counted_total == n * n + 2 * n
-        assert report.counted_total == report.const_adder_op_count
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_transform_matches_formula(self, n):
         report = count_gates(qft_circuit(n))
-        assert report.counted_total == report.transform_op_count == n * (n + 1) // 2
+        assert report.counted_total == n * (n + 1) // 2
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_inner_stage_matches_formula(self, n):
-        report = count_gates(draper_inner_circuit(DraperAdderSpec(n)))
+        report = count_gates(draper_inner_circuit(n))
         assert report.controlled_phase == n * (n + 1) // 2
 
     @pytest.mark.parametrize("n", range(1, 17))
     def test_inner_stage_from_full_circuit(self, n):
         # the full register adder minus its two transforms leaves the inner rotations
-        full = count_gates(draper_adder_circuit(DraperAdderSpec(n)))
+        full = count_gates(draper_adder_circuit(n))
         transform = count_gates(qft_circuit(n))
         assert full.controlled_phase - 2 * transform.controlled_phase == n * (n + 1) // 2
 
     def test_headline_identity(self):
         # whole adder = two transforms plus one rotation per qubit
         for n in range(1, 17):
-            report = count_gates(qft_circuit(n))
-            assert report.const_adder_op_count == 2 * report.transform_op_count + n
+            adder = count_gates(const_adder_circuit(n, 1)).counted_total
+            assert adder == 2 * count_gates(qft_circuit(n)).counted_total + n
 
     def test_small_values(self):
-        one = count_gates(qft_circuit(1))
-        four = count_gates(qft_circuit(4))
-        assert one.const_adder_op_count == 3
-        assert four.const_adder_op_count == 24
-        assert four.register_adder_inner_count == 10
+        assert count_gates(const_adder_circuit(1, 1)).counted_total == 3
+        assert count_gates(const_adder_circuit(4, 1)).counted_total == 24
+        assert count_gates(draper_inner_circuit(4)).counted_total == 10
 
     def test_zero_constant_rotations_are_not_elided(self):
-        report = count_gates(const_adder_circuit(ConstAdderSpec(6, 0)))
+        report = count_gates(const_adder_circuit(6, 0))
         assert report.phase == 6
         assert report.counted_total == 6 * 6 + 2 * 6
 

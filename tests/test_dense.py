@@ -11,8 +11,6 @@ import fourieradd.dense
 from fourieradd import (
     BATCH_AMPLITUDES,
     Circuit,
-    ConstAdderSpec,
-    DraperAdderSpec,
     StateVector,
     basis_state,
     circuit_to_matrix,
@@ -124,7 +122,7 @@ class TestCircuitToMatrix:
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_bitwise_equal_to_a_column_by_column_build(self, n):
-        circuit = const_adder_circuit(ConstAdderSpec(n, 3 * n + 1))
+        circuit = const_adder_circuit(n, 3 * n + 1)
         expected = np.empty((1 << n, 1 << n), dtype=np.complex128)
         for column in range(1 << n):
             state = basis_state(n, column)
@@ -134,7 +132,7 @@ class TestCircuitToMatrix:
 
     def test_column_k_is_the_run_on_k(self):
         # the adder's permutation matrix is not symmetric, so a matrix built or returned transposed fails
-        circuit = const_adder_circuit(ConstAdderSpec(3, 5))
+        circuit = const_adder_circuit(3, 5)
         matrix = circuit_to_matrix(circuit)
         assert np.max(np.abs(matrix - matrix.T)) > 0.5
         for k in range(8):
@@ -161,7 +159,7 @@ class TestOracleChain:
     def test_adder_circuit_equals_permutation_for_every_constant(self, n):
         dim = 1 << n
         for c in range(dim):
-            matrix = circuit_to_matrix(const_adder_circuit(ConstAdderSpec(n, c)))
+            matrix = circuit_to_matrix(const_adder_circuit(n, c))
             error = np.max(np.abs(matrix - permutation_add_matrix(n, c)))
             assert error < 1e-10
 
@@ -173,7 +171,7 @@ class TestOracleChain:
         for a in range(dim):
             for b in range(dim):
                 expected[a + dim * ((a + b) % dim), a + dim * b] = 1.0
-        matrix = circuit_to_matrix(draper_adder_circuit(DraperAdderSpec(n)))
+        matrix = circuit_to_matrix(draper_adder_circuit(n))
         assert np.max(np.abs(matrix - expected)) < 1e-10
 
 
@@ -238,12 +236,12 @@ class TestEquivalenceCheck:
         build = fourieradd.dense.phase_adder_circuit
         for qubit in range(1, n + 1):
 
-            def shifted(spec, qubit=qubit):
+            def shifted(width, constant, qubit=qubit):
                 gates = [
                     phase(gate.target, gate.angle + 2 * math.pi / (1 << n)) if gate.target == qubit else gate
-                    for gate in build(spec).gates
+                    for gate in build(width, constant).gates
                 ]
-                return Circuit(spec.n_qubits, tuple(gates))
+                return Circuit(width, tuple(gates))
 
             monkeypatch.setattr(fourieradd.dense, "phase_adder_circuit", shifted)
             assert phase_adder_equivalence_errors(n, [c])[0] > 1e-4
@@ -255,7 +253,7 @@ class TestEquivalenceCheck:
         monkeypatch.setattr(
             fourieradd.dense,
             "phase_adder_circuit",
-            lambda spec: build(ConstAdderSpec(spec.n_qubits, spec.constant + 1)),
+            lambda width, constant: build(width, constant + 1),
         )
         for c in (0, 5, (1 << n) - 1, 3 << n):
             assert phase_adder_equivalence_errors(n, [c])[0] > 1e-4

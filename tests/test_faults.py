@@ -21,7 +21,6 @@ import fourieradd.verify
 from fourieradd import (
     DEFAULT_TOL,
     Circuit,
-    ConstAdderSpec,
     StateVector,
     apply_const_add,
     cphase,
@@ -79,8 +78,8 @@ def swap_dropped(monkeypatch):
 def stage_for_next_constant(monkeypatch):
     original = fourieradd.arithmetic.phase_adder_circuit
 
-    def patched(spec):
-        return original(ConstAdderSpec(spec.n_qubits, spec.constant + 1))
+    def patched(n, c):
+        return original(n, c + 1)
 
     for module in (fourieradd.arithmetic, fourieradd.dense):
         monkeypatch.setattr(module, "phase_adder_circuit", patched)
@@ -89,8 +88,8 @@ def stage_for_next_constant(monkeypatch):
 def trailing_phase(monkeypatch):
     original = fourieradd.arithmetic.const_adder_circuit
 
-    def patched(spec):
-        circuit = original(spec)
+    def patched(n, c):
+        circuit = original(n, c)
         return Circuit(circuit.n_qubits, circuit.gates + (phase(1, 0.3),))
 
     for module in (fourieradd.arithmetic, fourieradd.verify):

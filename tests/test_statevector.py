@@ -21,6 +21,7 @@ from oracles import (
     apply_hadamard,
     apply_phase,
     apply_swap,
+    copy_state,
     fidelity,
     random_state,
     superposition_state,
@@ -166,7 +167,7 @@ class TestControlledPhase:
 
     def test_symmetric_in_control_and_target(self):
         base = random_state(4, seed=3)
-        one, two = base.copy(), base.copy()
+        one, two = copy_state(base), copy_state(base)
         apply_controlled_phase(one, 2, 4, 0.9)
         apply_controlled_phase(two, 4, 2, 0.9)
         assert np.array_equal(one.amplitudes, two.amplitudes)
@@ -330,7 +331,7 @@ class TestDense:
         # the parts cut the values of the qubits below low, each a multiple of 4 of them
         matrix = random_state(6, seed=low).amplitudes.reshape(8, 8)
         whole = random_state(12, seed=12)
-        parts = whole.copy()
+        parts = copy_state(whole)
         apply_dense(whole, matrix, low)
         out = np.full(parts.dim, np.nan, dtype=np.complex128)
         below = 1 << (low - 1)
@@ -423,7 +424,7 @@ class TestStateVectorType:
 
     def test_copy_is_independent(self):
         state = basis_state(2, 1)
-        clone = state.copy()
+        clone = copy_state(state)
         apply_swap(state, 1, 2)
         assert clone.amplitudes[1] == 1.0
 

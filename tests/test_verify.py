@@ -13,8 +13,6 @@ from fourieradd import (
     DEFAULT_TOL,
     CheckReport,
     Circuit,
-    ConstAdderSpec,
-    DraperAdderSpec,
     StateVector,
     basis_state,
     concat,
@@ -68,7 +66,7 @@ def reference_const_reports(n_max, tol=1e-10):
         dim = 1 << n
         worst, worst_c = -np.inf, 0
         for c in range(dim):
-            circuit = const_adder_circuit(ConstAdderSpec(n, c))
+            circuit = const_adder_circuit(n, c)
             for a in range(dim):
                 error = basis_error(circuit, a, (a + c) % dim)
                 if worse(error, worst):
@@ -81,7 +79,7 @@ def reference_draper_reports(n_max, tol=1e-10):
     reports = []
     for n in range(1, n_max + 1):
         dim = 1 << n
-        circuit = draper_adder_circuit(DraperAdderSpec(n))
+        circuit = draper_adder_circuit(n)
         worst, worst_input = -np.inf, 0
         for b in range(dim):
             for a in range(dim):
@@ -313,9 +311,9 @@ def test_constant_shift_runs_an_adder_whose_gates_differ(monkeypatch):
     # an adder for c + 2**N that does not repeat c's gates is run and scored on its own
     original = fourieradd.verify.const_adder_circuit
 
-    def wrong_when_shifted(spec):
-        circuit = original(spec)
-        if spec.constant >= 1 << spec.n_qubits:
+    def wrong_when_shifted(n, c):
+        circuit = original(n, c)
+        if c >= 1 << n:
             return Circuit(circuit.n_qubits, circuit.gates + (phase(1, 0.3),))
         return circuit
 
@@ -325,20 +323,14 @@ def test_constant_shift_runs_an_adder_whose_gates_differ(monkeypatch):
     assert report.max_error > 0.1
 
 
-def test_the_const_sweep_builds_each_width_transform_once(monkeypatch, capsys):
-    # with no transform built yet, each width's gate list is built once
-    built = []
-    original = fourieradd.circuits._build_qft
-
-    def counted_build(n_qubits):
-        built.append(n_qubits)
-        return original(n_qubits)
-
-    monkeypatch.setattr(fourieradd.circuits, "_TRANSFORMS", {})
-    monkeypatch.setattr(fourieradd.circuits, "_build_qft", counted_build)
+def test_the_const_sweep_builds_each_width_transform_once(capsys):
+    # with no transform built yet, each width's gate list is built once: one cache miss per width
+    transforms = (fourieradd.circuits.qft_circuit, fourieradd.circuits.inverse_qft_circuit)
+    for transform in transforms:
+        transform.cache_clear()
     assert run_cli(["verify", "--suite", "const", "--n-max", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"
-    assert built == [1, 2, 3, 4, 5]
+    assert [transform.cache_info().misses for transform in transforms] == [5, 5]
 
 
 @pytest.mark.parametrize(
@@ -427,7 +419,7 @@ def const_sweep_runs(n):
     # the transform once on the 2**n basis inputs, then for each of the 2**n constants only
     # the rotations and the inverse, on the transformed rows
     dim = 1 << n
-    rest = [concat(phase_adder_circuit(ConstAdderSpec(n, c)), inverse_qft_circuit(n)) for c in range(dim)]
+    rest = [concat(phase_adder_circuit(n, c), inverse_qft_circuit(n)) for c in range(dim)]
     return [(qft_circuit(n), dim)] + [(circuit, dim) for circuit in rest]
 
 
@@ -435,7 +427,7 @@ def draper_sweep_runs(n):
     # the transform of register b once on its 2**n basis inputs, then the controlled rotations
     # and the inverse on the 4**n joint inputs
     inverse_b = shift_qubits(inverse_qft_circuit(n), n, 2 * n)
-    return [(qft_circuit(n), 1 << n), (concat(draper_inner_circuit(DraperAdderSpec(n)), inverse_b), 1 << 2 * n)]
+    return [(qft_circuit(n), 1 << n), (concat(draper_inner_circuit(n), inverse_b), 1 << 2 * n)]
 
 
 @pytest.mark.parametrize(
