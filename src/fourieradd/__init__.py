@@ -24,7 +24,6 @@ from .circuits import (
     qft_circuit,
     run_circuit,
     run_on_basis,
-    run_on_states,
     shift_qubits,
     swap,
 )

@@ -511,9 +511,8 @@ def _run_blocks(stretch: list, blocks: list[StateVector], part: slice, scratch: 
 def run_on_basis(circuit: Circuit) -> Iterator[tuple[int, np.ndarray]]:
     """Run the circuit on every basis input in order, yielding run_filled's (start, outputs) blocks.
 
-    The one-hot case of run_on_states: column j of outputs is the output
-    state for |start + j>, and each block's one-hot columns are written into
-    the batch state as it is filled, so no (2**N, 2**N) array is built.
+    Column j of outputs is the output for |start + j>; each block's one-hot
+    columns are written as it is filled, so no (2**N, 2**N) array is built.
     """
 
     def one_hot(start: int, block: np.ndarray) -> None:
@@ -522,24 +521,6 @@ def run_on_basis(circuit: Circuit) -> Iterator[tuple[int, np.ndarray]]:
         block[start + columns, columns] = 1.0
 
     return run_filled(circuit, 1 << circuit.n_qubits, one_hot)
-
-
-def run_on_states(circuit: Circuit, states) -> Iterator[tuple[int, np.ndarray]]:
-    """Run the circuit on each column of a (2**N, R) array of input states, yielding run_filled's blocks.
-
-    Column j of outputs is the output state for states[:, start + j]. The
-    states are copied into the batch state and never changed; they are not
-    checked for finiteness, so a column holding NaN runs through the kernels
-    like any other.
-    """
-    states = np.asarray(states, dtype=np.complex128)
-    if states.ndim != 2 or states.shape[0] != 1 << circuit.n_qubits:
-        raise ValueError(f"states must have shape (2**{circuit.n_qubits}, R), got {states.shape}")
-
-    def copy(start: int, block: np.ndarray) -> None:
-        block[...] = states[:, start : start + block.shape[1]]
-
-    return run_filled(circuit, states.shape[1], copy)
 
 
 def run_filled(circuit: Circuit, count: int, fill) -> Iterator[tuple[int, np.ndarray]]:

@@ -37,20 +37,19 @@ QFT_DUMP_MAX_QUBITS = 6
 # is parsed: json.load holds 200-202 bytes per [re, im] entry.
 # A verify suite is charged (bytes, k): bytes for each of 2**(k * N) entries.
 # Per entry of its 4**N inputs, the const sweep holds the width's transform
-# columns (16 bytes), joined from as many bytes of block copies, and its 8-byte
-# scores twice (per constant and joined): 32 bytes. The draper sweep holds five
-# 8-byte arrays (inputs, operands, targets, scores) and the transform's matrix,
-# and runs each input as a 4**N-amplitude state beside a wide dense step's
-# state-sized output: 40 + 3 * 16 bytes. The equivalence check holds 20 rows of
-# 2**N entries, and at its peak each row has its phase vector, exponents,
-# scaled exponents and omega powers: 20 * (16 + 8 + 16 + 16) bytes. The
-# modularity suite's constant-shift rows hold the same transform columns and
-# scores as the const sweep: 32 bytes. `all` runs the four one after another,
-# each freeing its arrays, so it is charged as each in turn. Beside these
-# arrays, every run is charged two batches of BATCH_AMPLITUDES amplitudes, the
-# work batch and the phase vectors of a stretch of the plan (at most one
-# block), and a block scratch of that size per worker thread
-# (circuits._workers()).
+# columns (16 bytes) and its 8-byte scores twice (its run's, and joined per
+# constant): 32 bytes. The draper sweep holds five 8-byte arrays (inputs,
+# operands, targets, scores) and the transform's matrix, and runs each input as
+# a 4**N-amplitude state beside a wide dense step's state-sized output:
+# 40 + 3 * 16 bytes. The equivalence check holds 20 rows of 2**N entries, and at
+# its peak each row has its phase vector, exponents, scaled exponents and omega
+# powers: 20 * (16 + 8 + 16 + 16) bytes. The modularity suite's constant-shift
+# rows hold the same transform columns and scores as the const sweep: 32 bytes.
+# `all` runs the four one after another, each freeing its arrays, so it is
+# charged as each in turn. Beside these arrays, every run is charged two batches
+# of BATCH_AMPLITUDES amplitudes, the work batch and the phase vectors of a
+# stretch of the plan (at most one block), and a block scratch of that size per
+# worker thread (circuits._workers()).
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
 PARSE_BYTES_PER_ENTRY = 208
 TEXT_PIECE_BYTES = 288 * BATCH_AMPLITUDES
@@ -215,9 +214,8 @@ def _cmd_add_reg(args, parser: argparse.ArgumentParser) -> int:
         parser.error(f"--b {args.b} out of range: expected 0 <= b < {dim}")
     state = basis_state(2 * args.n, args.a + dim * args.b)
     run_circuit(draper_adder_circuit(args.n), state)
-    probabilities = state.probabilities()
-    index = int(np.argmax(probabilities))
-    if not probabilities[index] >= BASIS_OUTPUT_MIN_PROB:  # a NaN output fails too
+    index = int(np.argmax(np.abs(state.amplitudes)))
+    if not abs(state.amplitudes[index]) ** 2 >= BASIS_OUTPUT_MIN_PROB:  # a NaN output fails too
         raise ValueError("adder output is not a single basis state")
     print(f"a={index % dim} b={index // dim}")
     return 0

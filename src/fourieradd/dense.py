@@ -1,10 +1,9 @@
 """Dense layer: a circuit's matrix, the closed-form omega powers and the equivalence check.
 
 circuit_to_matrix runs the circuit, through the plan, on every basis
-input. Its 4**N entries are the only kind of matrix the package builds (the
-const sweep joins its transform's columns from the same runs); its one
-command-line caller, `qft-dump --matrix`, is held to 6 qubits, and the
-draper sweep takes its transform columns from it. The equivalence check
+input. Its 4**N entries are the only kind of matrix the package builds;
+`qft-dump --matrix` is held to 6 qubits, and the const and draper sweeps
+take their transform columns from it. The equivalence check
 calls no kernel: it builds the tensor product of the program's phase stage
 with the plan's phase-vector code and compares it with the closed form, on
 2**N-entry diagonals. No width is capped here; the command line refuses a

@@ -61,9 +61,6 @@ class StateVector:
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amplitudes) ** 2
-
 
 def require_finite(amplitudes: np.ndarray) -> None:
     """Refuse an amplitude array that holds a NaN or an infinity."""

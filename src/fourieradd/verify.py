@@ -4,13 +4,24 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .arithmetic import const_adder_circuit, draper_adder_circuit
-from .circuits import Circuit, inverse_qft_circuit, qft_circuit, run_filled, run_on_basis, run_on_states, shift_qubits
+from .circuits import (
+    CONTROLLED_PHASE,
+    PHASE,
+    Circuit,
+    inverse_qft_circuit,
+    qft_circuit,
+    run_circuit,
+    run_filled,
+    run_on_basis,
+    shift_qubits,
+)
 from .dense import _phase_adder_diagonal, circuit_to_matrix, phase_adder_equivalence_errors
-from .statevector import DEFAULT_TOL
+from .statevector import DEFAULT_TOL, StateVector
 
 SUITES = ("const", "draper", "equivalence", "modularity", "all")
 
@@ -53,36 +64,36 @@ def _report(check: str, n: int, values: Sequence[int], errors: np.ndarray, tol: 
     return CheckReport(check, n, values[at * len(values) // len(errors)], error, error < tol)
 
 
-def _errors(blocks, targets: np.ndarray) -> np.ndarray:
+def _errors(blocks, count: int, target) -> np.ndarray:
     """Per input: the distance ||out - e_target||_2 of its output from the one-hot target state.
 
-    blocks are the (start, outputs) blocks of a run over the inputs, in
-    order, one output column per input. 1 is subtracted from the target
+    blocks are the (start, outputs) blocks of a run over count inputs, in
+    order, one output column per input; target maps a block's input indices
+    to those of their target amplitudes. 1 is subtracted from the target
     amplitude in the block itself, which the run refills anyway, so each
     column becomes out - e_target and its norm is sqrt(|z - 1|**2 + the mass
     off target), summed without the cancellation of subtracting |z|**2 from
     the whole norm. A relative phase on z, norm drift and NaN all show in
     it. Each block is scored by array calls.
     """
-    errors = np.empty(len(targets))
+    errors = np.empty(count)
     for start, outputs in blocks:
-        count = outputs.shape[1]
-        block = slice(start, start + count)
-        outputs[targets[block], np.arange(count)] -= 1.0
+        columns = np.arange(outputs.shape[1])
+        outputs[target(start + columns), columns] -= 1.0
         parts = outputs.view(np.float64)
         # real and imaginary squares summed apart, then added, as a SIMD sum over a row of
         # interleaved parts adds them: the sweeps still report the same worst inputs
         squares = np.einsum("ij,ij->j", parts, parts)
-        errors[block] = np.sqrt(squares[0::2] + squares[1::2])
+        errors[start : start + len(columns)] = np.sqrt(squares[0::2] + squares[1::2])
     return errors
 
 
-def _after(circuit: Circuit, head: Circuit) -> Circuit | None:
-    """The gates of circuit after head's, or None when circuit does not begin with head's gates."""
-    count = len(head.gates)
-    if circuit.gates[:count] != head.gates:
+def _between(circuit: Circuit, head: Circuit, tail: tuple = ()) -> Circuit | None:
+    """The gates of circuit after head's and before the gates tail, or None unless it has both."""
+    gates, stop = circuit.gates, len(circuit.gates) - len(tail)
+    if stop < len(head.gates) or gates[: len(head.gates)] != head.gates or gates[stop:] != tail:
         return None
-    return Circuit(circuit.n_qubits, circuit.gates[count:])
+    return Circuit(circuit.n_qubits, gates[len(head.gates) : stop])
 
 
 def _register_inputs(transformed: np.ndarray, a: np.ndarray, b: np.ndarray):
@@ -116,32 +127,49 @@ def _fourier_columns(dim: int):
 def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     """c-major _errors of the built adders: entry i * 2**N + a scores |a> + constants[i].
 
-    The width's transform runs once on every basis input; an adder that
-    begins with its gates runs only the rest, on those columns. Any other adder
-    runs whole. An adder whose gates and target residue c mod 2**N repeat an
-    earlier one's runs only once: the adders for c and c + 2**N build the
-    same gate list, because the constant is reduced before its angles are.
+    An adder that is the width's transform, then only diagonal gates (its
+    stage), then the width's inverse transform shares both transforms with
+    every other such adder. The transform's columns come once, from
+    circuit_to_matrix, and one run_filled of the inverse runs the inputs of
+    all those adders: input (i, a) is column a times the diagonal of the i-th
+    stage. So a width compiles one plan of the inverse, whatever the number
+    of constants. Any other adder runs whole. An adder whose gates and
+    target residue c mod 2**N repeat an earlier one's runs only once: the
+    adders for c and c + 2**N build the same gate list.
     """
     dim = 1 << n
-    inputs = np.arange(dim)
-    transform = qft_circuit(n)
-    # column b: the transform run on |b>. Joined from block copies rather than taken from
-    # circuit_to_matrix, which holds the same bits: a fresh `verify --suite const --n-max 8`
-    # then takes 30,000 minor page faults, against 177,000. Most likely glibc's malloc reuses
-    # the freed copy's memory for each adder's batch instead of returning it to the system
-    # and faulting it in again; an allocation order that looks equivalent can undo this.
-    transformed = np.concatenate([outputs.copy() for _, outputs in run_on_basis(transform)], axis=1)
-    scored = {}
-    errors = []
+    transform, inverse = qft_circuit(n), inverse_qft_circuit(n)
+    keys, stages, wholes = [], {}, {}  # keyed by (gates, c mod 2**N), in the order first built
     for c in constants:
         adder = const_adder_circuit(n, c)
         key = (adder.gates, c % dim)
-        if key not in scored:
-            rest = _after(adder, transform)
-            blocks = run_on_basis(adder) if rest is None else run_on_states(rest, transformed)
-            scored[key] = _errors(blocks, (inputs + c) % dim)
-        errors.append(scored[key])
-    return np.concatenate(errors)
+        keys.append(key)
+        if key not in stages and key not in wholes:
+            stage = _between(adder, transform, inverse.gates)
+            if stage is None or any(gate.kind not in (PHASE, CONTROLLED_PHASE) for gate in stage.gates):
+                wholes[key] = _errors(run_on_basis(adder), dim, lambda a, c=c: (a + c) % dim)
+            else:
+                stages[key] = stage
+    transformed, staged = circuit_to_matrix(transform), list(stages.values())
+
+    @lru_cache(maxsize=1)  # the last stage's diagonal, its run through the plan on a vector of ones
+    def diagonal(index: int) -> np.ndarray:
+        ones = StateVector(n, np.ones(dim, dtype=np.complex128))
+        run_circuit(staged[index], ones)
+        return ones.amplitudes[:, None]
+
+    def fill(start: int, block: np.ndarray) -> None:
+        # input i is column i mod 2**N times stage i >> N's diagonal; blocks are powers of two at
+        # multiples of their size, so a block holds the inputs of whole stages or a part of one's
+        width, a = min(block.shape[1], dim), start % dim
+        columns = transformed[:, a : a + width]
+        for first in range(0, block.shape[1], width):
+            np.multiply(columns, diagonal((start + first) >> n), out=block[:, first : first + width])
+
+    count, shifts = len(staged) << n, np.array([key[1] for key in stages], dtype=np.int64)
+    shared = _errors(run_filled(inverse, count, fill), count, lambda i: (i + shifts[i >> n]) % dim)
+    rows = {key: shared[index << n : (index + 1) << n] for index, key in enumerate(stages)} | wholes
+    return np.concatenate([rows[key] for key in keys])
 
 
 def verify_const_adder(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
@@ -171,12 +199,12 @@ def verify_draper(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]:
         a, b = packed % dim, packed // dim
         circuit = draper_adder_circuit(n)
         transform = qft_circuit(n)
-        rest = _after(circuit, shift_qubits(transform, n, 2 * n))
+        rest = _between(circuit, shift_qubits(transform, n, 2 * n))
         if rest is None:
             blocks = run_on_basis(circuit)
         else:
             blocks = run_filled(rest, len(packed), _register_inputs(circuit_to_matrix(transform), a, b))
-        errors = _errors(blocks, a + dim * ((a + b) % dim))
+        errors = _errors(blocks, len(packed), (a + dim * ((a + b) % dim)).__getitem__)
         reports.append(_report("register-adder-exhaustive", n, range(dim * dim), errors, tol))
     return reports
 
@@ -202,23 +230,21 @@ def verify_modularity(n_max: int, tol: float = DEFAULT_TOL) -> list[CheckReport]
     each x, in one run_filled call per width, and each output is scored by its
     _errors distance from |x>.
     For c in (0, 1, 2**N / 2, 2**N - 1), the built adders for c and for c + 2**N must both
-    add c mod 2**N on every basis input, scored as the const sweep scores them.
-    A width's eight adders are scored in one _const_errors call, so its transform runs once.
+    add c mod 2**N on every basis input, scored as the const sweep scores them: in one
+    _const_errors call per width, which runs its transform once and its inverse once.
     """
     reports = []
     for n in range(1, n_max + 1):
         dim = 1 << n
         columns = run_filled(inverse_qft_circuit(n), dim, _fourier_columns(dim))
-        reports.append(_report("modularity", n, range(dim), _errors(columns, np.arange(dim)), tol))
+        reports.append(_report("modularity", n, range(dim), _errors(columns, dim, lambda inputs: inputs), tol))
         shifted = (0, 1, dim // 2, dim - 1)
         errors = _const_errors(n, [c + turn for c in shifted for turn in (0, dim)])
         reports.append(_report("modular-constant-shift", n, shifted, errors, tol))
     return reports
 
 
-def run_suite(
-    suite: str, n_max: int, seed: int = 0, tol: float = DEFAULT_TOL
-) -> list[CheckReport]:
+def run_suite(suite: str, n_max: int, seed: int = 0, tol: float = DEFAULT_TOL) -> list[CheckReport]:
     """Run one named suite (or all of them) and return every report."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}, expected one of {SUITES}")

@@ -6,8 +6,9 @@ here at DENSE_MAX_QUBITS qubits (256 MiB each); the program has no such cap, and
 line refuses only runs past physical memory. run_gate_by_gate runs every gate on the whole
 state through the reference's own gate kernels below, one per gate kind, so it compiles no
 plan and shares no kernel with the program, which runs every state through apply_dense and
-apply_diagonal. superposition_state, copy_state and fidelity build, copy and compare the tests'
-own states.
+apply_diagonal. run_on_states runs given columns through the program's own run_filled, which the
+package fills only with inputs it builds itself. superposition_state, copy_state, probabilities and
+fidelity build, copy and read the tests' own states.
 """
 
 import cmath
@@ -16,6 +17,7 @@ import math
 import numpy as np
 
 from fourieradd import StateVector
+from fourieradd.circuits import run_filled
 from fourieradd.dense import _omega_powers, _phase_adder_diagonal
 from fourieradd.statevector import _check_qubit, _parts, _require_normalized
 
@@ -144,6 +146,24 @@ def run_gate_by_gate(circuit, state):
             apply_swap(state, gate.target, gate.other)
 
 
+def run_on_states(circuit, states):
+    """Run the circuit on each column of a (2**N, R) array of input states, yielding run_filled's blocks.
+
+    Column j of outputs is the output state for states[:, start + j]. The
+    states are copied into the batch state and never changed; they are not
+    checked for finiteness, so a column holding NaN runs through the kernels
+    like any other.
+    """
+    states = np.asarray(states, dtype=np.complex128)
+    if states.ndim != 2 or states.shape[0] != 1 << circuit.n_qubits:
+        raise ValueError(f"states must have shape (2**{circuit.n_qubits}, R), got {states.shape}")
+
+    def copy(start, block):
+        block[...] = states[:, start : start + block.shape[1]]
+
+    return run_filled(circuit, states.shape[1], copy)
+
+
 def superposition_state(n_qubits: int, terms) -> StateVector:
     """Weighted superposition from (value, weight) pairs.
 
@@ -172,6 +192,11 @@ def superposition_state(n_qubits: int, terms) -> StateVector:
 def copy_state(state: StateVector) -> StateVector:
     """A state with its own copy of the amplitudes."""
     return StateVector(state.n_qubits, state.amplitudes.copy())
+
+
+def probabilities(state: StateVector) -> np.ndarray:
+    """|amplitude|**2 of every basis state."""
+    return np.abs(state.amplitudes) ** 2
 
 
 def fidelity(state_a: StateVector, state_b: StateVector) -> float:

@@ -37,11 +37,10 @@ from fourieradd import (
     qft_circuit,
     run_circuit,
     run_on_basis,
-    run_on_states,
     shift_qubits,
     swap,
 )
-from oracles import copy_state, dft_matrix, fidelity, random_state, run_gate_by_gate
+from oracles import copy_state, dft_matrix, fidelity, random_state, run_gate_by_gate, run_on_states
 
 SQRT1_2 = math.sqrt(0.5)
 

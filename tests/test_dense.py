@@ -278,7 +278,7 @@ class TestEquivalenceCheck:
 def inverse_transform_column_errors(n):
     """The modularity rows' scores: the built inverse transform run on every Fourier column."""
     dim = 1 << n
-    return _errors(run_filled(inverse_qft_circuit(n), dim, _fourier_columns(dim)), np.arange(dim))
+    return _errors(run_filled(inverse_qft_circuit(n), dim, _fourier_columns(dim)), dim, lambda inputs: inputs)
 
 
 class TestBatchedChecks:
@@ -298,7 +298,7 @@ class TestBatchedChecks:
         dim = 1 << n
         fill = _fourier_columns(dim)
         single = [
-            _errors(run_filled(inverse_qft_circuit(n), 1, lambda start, block: fill(x, block)), np.array([x]))[0]
+            _errors(run_filled(inverse_qft_circuit(n), 1, lambda _, block: fill(x, block)), 1, lambda i: i + x)[0]
             for x in range(dim)
         ]
         assert np.max(np.abs(inverse_transform_column_errors(n) - single)) < 1e-15

@@ -29,8 +29,9 @@ from fourieradd import (
     verify_modularity,
 )
 
-# const and modularity run 6 qubits: below that the whole constant adder fuses into dense
-# steps, and only from 6 qubits up does the plan leave a phase-vector step for apply_diagonal
+# const and modularity run 6 qubits: below that each transform fuses into dense steps, and only
+# from 6 qubits up does the plan leave it phase-vector steps for apply_diagonal; the sweeps run
+# each adder's stage on its own, as one phase vector over all of its qubits, at every width
 WIDTHS = {"const": 6, "draper": 3, "equivalence": 4, "modularity": 6}
 
 
@@ -48,7 +49,8 @@ def nan_hadamard(monkeypatch):
 
 def phase_off_by_one_unit(monkeypatch):
     # one unit of the angle grid at that qubit: the rotation for c + 1 instead of c, on every
-    # one-qubit apply_diagonal without a control, which is how a single-qubit phase runs
+    # one-qubit apply_diagonal without a control, which is how a lone single-qubit phase runs;
+    # the sweeps run each stage as one phase vector over its N qubits, so only a 1-qubit stage meets it
     original = fourieradd.circuits.apply_diagonal
 
     def patched(state, factors, low, control=None):

@@ -23,7 +23,6 @@ from fourieradd import (
     phase_adder_circuit,
     qft_circuit,
     run_circuit,
-    run_on_states,
     swap,
 )
 from oracles import (
@@ -34,6 +33,7 @@ from oracles import (
     fidelity,
     random_state,
     run_gate_by_gate,
+    run_on_states,
 )
 
 ANGLES = st.floats(min_value=-8.0, max_value=8.0, allow_nan=False, allow_infinity=False)

@@ -24,6 +24,7 @@ from fourieradd import (
     phase_adder_circuit,
     qft_circuit,
     shift_qubits,
+    swap,
     verify_const_adder,
     verify_draper,
     verify_equivalence,
@@ -160,7 +161,7 @@ def test_draper_sweep_peak_memory_stays_below_three_batches():
 
 
 def test_const_sweep_peak_memory_stays_within_its_charge():
-    # per entry of its 4**8 inputs the sweep holds the width's transform rows (16 bytes) and
+    # per entry of its 4**8 inputs the sweep holds the width's transform columns (16 bytes) and
     # its scores twice (8 bytes each), which the command line charges before it runs; beside
     # them run at most three batches, as in the draper sweep; it peaks at about 4.5 MiB
     tracemalloc.start()
@@ -174,8 +175,8 @@ def test_const_sweep_peak_memory_stays_within_its_charge():
 
 
 def test_modularity_peak_memory_stays_within_its_charge():
-    # the constant-shift rows hold the width's transform rows and scores as the const sweep
-    # does, charged at the same 32 bytes per entry of 4**N; at 9 qubits it peaks at about 8.4 MB
+    # the constant-shift rows hold the width's transform columns and scores as the const sweep
+    # does, charged at the same 32 bytes per entry of 4**N; at 9 qubits it peaks at about 6.9 MB
     tracemalloc.start()
     try:
         reports = verify_modularity(9)
@@ -221,17 +222,17 @@ def test_nan_kernel_fails_the_constant_shift_check(monkeypatch, capsys):
 
 
 def nan_at(check, bad_index):
-    """Wrap a batched check so that the error it returns at bad_index is NaN; record the values it scores."""
-    swept = []
+    """Wrap a batched check so that the error it returns at bad_index is NaN; record the arguments of each call."""
+    calls = []
 
-    def patched(first, values):
-        swept.extend(values)
-        errors = check(first, values)
+    def patched(*args):
+        calls.append(args)
+        errors = check(*args)
         if bad_index < len(errors):
             errors[bad_index] = np.nan
         return errors
 
-    return patched, swept
+    return patched, calls
 
 
 def test_nan_modularity_report_is_the_worst(monkeypatch):
@@ -269,42 +270,50 @@ def test_modularity_checks_each_column_below_two_to_the_n_once(monkeypatch):
 
     monkeypatch.setattr(fourieradd.verify, "run_filled", recording_run_filled)
     verify_modularity(5)
-    # one run per width, of the built inverse transform on every closed-form column below 2**N in order
+    # the column runs: one per width, of the built inverse transform on every closed-form column
+    # below 2**N in order; the constant-shift rows' run of the same circuit has at least 2 * 2**N inputs
+    column_runs = [(circuit, count, columns) for circuit, count, columns in runs if count == 2**circuit.n_qubits]
     expected = [(inverse_qft_circuit(n), 1 << n) for n in range(1, 6)]
-    assert [(circuit, count) for circuit, count, _ in runs] == expected
-    for n, (_, _, columns) in enumerate(runs, start=1):
+    assert [(circuit, count) for circuit, count, _ in column_runs] == expected
+    for n, (_, _, columns) in enumerate(column_runs, start=1):
         np.testing.assert_allclose(np.concatenate(columns, axis=1), dft_matrix(n), rtol=0, atol=1e-15)
 
 
 def test_nan_equivalence_report_is_the_worst(monkeypatch):
-    patched, constants = nan_at(fourieradd.verify.phase_adder_equivalence_errors, bad_index=1)
+    patched, calls = nan_at(fourieradd.verify.phase_adder_equivalence_errors, bad_index=1)
     monkeypatch.setattr(fourieradd.verify, "phase_adder_equivalence_errors", patched)
     report = verify_equivalence(1)[0]
+    [(_, constants)] = calls
     assert (report.check, report.c, report.passed) == ("phase-adder-equivalence", constants[1], False)
     assert np.isnan(report.max_error)
 
 
 def test_worst_report_is_the_first_of_equal_errors(monkeypatch):
     # every x gives the same error, so the report is the one for x = 0
-    monkeypatch.setattr(fourieradd.verify, "_errors", lambda blocks, targets: np.full(len(targets), 0.5))
+    monkeypatch.setattr(fourieradd.verify, "_errors", lambda blocks, count, target: np.full(count, 0.5))
     assert verify_modularity(2)[0].c == 0
 
 
 def test_constant_shift_scores_each_distinct_adder_once(monkeypatch):
-    # the adders for c and c + 2**N build the same gate list, so only c's runs
+    # the adders for c and c + 2**N build the same gate list, so only c's inputs run
     scored = []
     errors = fourieradd.verify._errors
 
-    def recording_errors(blocks, targets):
-        scored.append(targets[0])
-        return errors(blocks, targets)
+    def recording_errors(blocks, count, target):
+        scored.append(target(np.arange(count)).tolist())
+        return errors(blocks, count, target)
 
     monkeypatch.setattr(fourieradd.verify, "_errors", recording_errors)
     reports = verify_modularity(4)
     assert all(report.passed for report in reports)
-    # each width first scores its columns (targets[0] = 0), then its adders (targets[0] = 0 + c):
-    # at n = 1 the constants 0, 1, 1, 1 repeat, at n = 2 none does
-    assert scored == [0, 0, 1, 0, 0, 1, 2, 3, 0, 0, 1, 4, 7, 0, 0, 1, 8, 15]
+    # each width first scores its columns (targets 0..2**N - 1), then, in one run, the inputs of
+    # its distinct adders in order, a + c mod 2**N for each: at n = 1 the constants 0, 1, 1, 1
+    # repeat, at n = 2 none does
+    expected = []
+    for n, constants in zip(range(1, 5), [(0, 1), (0, 1, 2, 3), (0, 1, 4, 7), (0, 1, 8, 15)]):
+        dim = 1 << n
+        expected += [list(range(dim)), [(a + c) % dim for c in constants for a in range(dim)]]
+    assert scored == expected
 
 
 def test_constant_shift_runs_an_adder_whose_gates_differ(monkeypatch):
@@ -323,6 +332,19 @@ def test_constant_shift_runs_an_adder_whose_gates_differ(monkeypatch):
     assert report.max_error > 0.1
 
 
+def test_an_adder_whose_stage_is_not_diagonal_runs_whole(monkeypatch):
+    # a swap ahead of the rotations leaves their run on a vector of ones as it was, so only a run
+    # of the whole adder shows that it no longer adds c
+    def swapped_stage(n, c):
+        stage = phase_adder_circuit(n, c).gates
+        if n > 1:
+            stage = (swap(1, 2),) + stage
+        return concat(qft_circuit(n), Circuit(n, stage), inverse_qft_circuit(n))
+
+    monkeypatch.setattr(fourieradd.verify, "const_adder_circuit", swapped_stage)
+    assert [report.passed for report in verify_const_adder(3)] == [True, False, False]
+
+
 def test_the_const_sweep_builds_each_width_transform_once(capsys):
     # with no transform built yet, each width's gate list is built once: one cache miss per width
     transforms = (fourieradd.circuits.qft_circuit, fourieradd.circuits.inverse_qft_circuit)
@@ -331,6 +353,42 @@ def test_the_const_sweep_builds_each_width_transform_once(capsys):
     assert run_cli(["verify", "--suite", "const", "--n-max", "5"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"
     assert [transform.cache_info().misses for transform in transforms] == [5, 5]
+
+
+def test_the_const_sweep_builds_as_many_matrices_as_one_constant_per_width(monkeypatch, capsys):
+    # each width compiles the plans of its transform and of its inverse once, whatever the number of
+    # constants: the adders differ only in their diagonal stages, whose plans build no matrix
+    builds = []
+    dense = fourieradd.circuits._dense
+
+    def counted_dense(cluster, low, top):
+        builds.append((low, top))
+        return dense(cluster, low, top)
+
+    monkeypatch.setattr(fourieradd.circuits, "_dense", counted_dense)
+    assert run_cli(["verify", "--suite", "const", "--n-max", "5"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "all 5 checks passed"
+    sweep = len(builds)
+    builds.clear()
+    for n in range(1, 6):
+        assert np.all(fourieradd.verify._const_errors(n, [3]) < DEFAULT_TOL)
+    assert sweep == len(builds)
+
+
+def test_blocks_narrower_than_one_adder_give_the_same_reports(monkeypatch):
+    # with 2**6 amplitudes a batch, the inputs of one 4-qubit adder fill four blocks and those of
+    # one 5-qubit adder sixteen, as every adder's do from 9 qubits up at the default batch size;
+    # a narrower block can round another way, so an error may move by rounding noise alone
+    def sweep():
+        errors = [fourieradd.verify._const_errors(n, range(1 << n)) for n in range(1, 6)]
+        return errors, verify_const_adder(5) + verify_modularity(5)
+
+    expected_errors, expected = sweep()
+    monkeypatch.setattr(fourieradd.circuits, "BATCH_AMPLITUDES", 1 << 6)
+    errors, reports = sweep()
+    assert all(np.max(np.abs(e - x)) < 1e-15 for e, x in zip(errors, expected_errors))
+    assert [(r.check, r.n_qubits, r.passed) for r in reports] == [(r.check, r.n_qubits, r.passed) for r in expected]
+    assert all(abs(r.max_error - e.max_error) < 1e-15 for r, e in zip(reports, expected))
 
 
 @pytest.mark.parametrize(
@@ -362,10 +420,12 @@ def test_const_sweep_reports_the_constant_of_the_first_worst_entry(monkeypatch):
     # c-major errors at n = 2: equal errors at (c=1, a=3) and (c=2, a=0), but a NaN at (c=2, a=2)
     per_constant = {1: [0.0, 0.1, 0.0, 0.5], 2: [0.5, 0.0, float("nan"), 0.0]}
 
-    def scored(blocks, targets):
-        if len(targets) == 2:
-            return np.zeros(2)
-        return np.array(per_constant.get(int(targets[0]), [0.0] * 4))  # targets[0] = 0 + c
+    def scored(blocks, count, target):
+        if count == 4:  # width 1: its two adders' inputs (c, a) target a + c
+            return np.zeros(4)
+        # width 2: one run of its four adders' inputs, c-major, entry 4 * c + a targeting a + c
+        assert target(np.arange(16)).tolist() == [(a + c) % 4 for c in range(4) for a in range(4)]
+        return np.array([per_constant.get(c, [0.0] * 4)[a] for c in range(4) for a in range(4)])
 
     monkeypatch.setattr(fourieradd.verify, "_errors", scored)
     report = verify_const_adder(2)[1]
@@ -378,18 +438,28 @@ def test_const_sweep_reports_the_constant_of_the_first_worst_entry(monkeypatch):
 
 def record_batched_calls(monkeypatch):
     """Per plan-kernel call of a sweep: its state width, the index qubits below the circuit and
-    the lowest qubit the call addresses; and the (circuit, count) of every run_filled call.
+    the lowest qubit the call addresses; the (circuit, count) of every run_filled call; and the
+    circuit of every run_circuit call that verify makes.
 
-    The circuit width comes from the run_filled call that the sweep's run_on_basis,
-    run_on_states or own fill goes through. The kernel calls made while _dense builds a
+    The circuit width comes from the open run_circuit call, else from the run_filled call that the
+    sweep's run_on_basis or own fill goes through. The kernel calls made while _dense builds a
     plan's matrices are not plan steps, and are left out.
     """
-    calls, runs, building = [], [], []
+    calls, runs, wholes, building, running = [], [], [], [], []
     run_filled, dense = fourieradd.circuits.run_filled, fourieradd.circuits._dense
+    run_circuit = fourieradd.verify.run_circuit
 
     def recorded_run_filled(circuit, count, fill):
         runs.append((circuit, count))
         return run_filled(circuit, count, fill)
+
+    def recorded_run_circuit(circuit, state):
+        wholes.append(circuit)
+        running.append(circuit)
+        try:
+            run_circuit(circuit, state)
+        finally:
+            running.pop()
 
     def recorded_dense(cluster, low, top):
         building.append(True)
@@ -400,6 +470,7 @@ def record_batched_calls(monkeypatch):
 
     for module in (fourieradd.circuits, fourieradd.verify):
         monkeypatch.setattr(module, "run_filled", recorded_run_filled)
+    monkeypatch.setattr(fourieradd.verify, "run_circuit", recorded_run_circuit)
     monkeypatch.setattr(fourieradd.circuits, "_dense", recorded_dense)
     for name in ("apply_dense", "apply_diagonal"):
         original = getattr(fourieradd.circuits, name)
@@ -408,26 +479,27 @@ def record_batched_calls(monkeypatch):
             control = extra if name == "apply_diagonal" else None
             lowest = low if control is None else min(low, control)
             if not building:
-                calls.append((state.n_qubits, state.n_qubits - runs[-1][0].n_qubits, lowest))
+                circuit = running[-1] if running else runs[-1][0]
+                calls.append((state.n_qubits, state.n_qubits - circuit.n_qubits, lowest))
             original(state, values, low, extra)
 
         monkeypatch.setattr(fourieradd.circuits, name, recorded)
-    return calls, runs
+    return calls, runs, wholes
 
 
 def const_sweep_runs(n):
-    # the transform once on the 2**n basis inputs, then for each of the 2**n constants only
-    # the rotations and the inverse, on the transformed rows
+    # the transform once on the 2**n basis inputs, then the inverse once on the inputs of all
+    # 2**n adders; each adder's rotations run whole, once, on a vector of ones, for its diagonal
     dim = 1 << n
-    rest = [concat(phase_adder_circuit(n, c), inverse_qft_circuit(n)) for c in range(dim)]
-    return [(qft_circuit(n), dim)] + [(circuit, dim) for circuit in rest]
+    stages = [phase_adder_circuit(n, c) for c in range(dim)]
+    return [(qft_circuit(n), dim), (inverse_qft_circuit(n), dim * dim)], stages
 
 
 def draper_sweep_runs(n):
     # the transform of register b once on its 2**n basis inputs, then the controlled rotations
     # and the inverse on the 4**n joint inputs
     inverse_b = shift_qubits(inverse_qft_circuit(n), n, 2 * n)
-    return [(qft_circuit(n), 1 << n), (concat(draper_inner_circuit(n), inverse_b), 1 << 2 * n)]
+    return [(qft_circuit(n), 1 << n), (concat(draper_inner_circuit(n), inverse_b), 1 << 2 * n)], []
 
 
 @pytest.mark.parametrize(
@@ -436,14 +508,21 @@ def draper_sweep_runs(n):
     ids=["const", "draper"],
 )
 def test_batches_do_the_unbatched_work_above_their_index_qubits(monkeypatch, sweep, n_max, expected_runs):
-    # each block runs each step of its plan once over the whole block, so the amplitudes
-    # passed over are those of one pass per step and input, and no step reaches an index qubit
-    calls, runs = record_batched_calls(monkeypatch)
+    # each block runs each step of its plan once over the whole block, and each whole run each
+    # step once over its state, so the amplitudes passed over are those of one pass per step and
+    # input, and no step of a batch reaches an index qubit
+    calls, runs, wholes = record_batched_calls(monkeypatch)
     assert all(report.passed for report in sweep(n_max))
-    expected = [run for n in range(1, n_max + 1) for run in expected_runs(n)]
+    widths = [expected_runs(n) for n in range(1, n_max + 1)]
+    expected = [run for batched, _ in widths for run in batched]
+    expected_wholes = [circuit for _, whole in widths for circuit in whole]
     assert runs == expected
+    assert wholes == expected_wholes
+    steps = [len(fourieradd.circuits._plan(circuit)[0]) for circuit in expected_wholes]
     work = sum(len(fourieradd.circuits._plan(circuit)[0]) * count << circuit.n_qubits for circuit, count in expected)
+    work += sum(count << circuit.n_qubits for circuit, count in zip(expected_wholes, steps))
     assert sum(1 << width for width, _, _ in calls) == work
     batched = [(index_qubits, lowest) for _, index_qubits, lowest in calls if index_qubits >= 1]
-    assert len(batched) == len(calls)  # at these widths every run is one batch
+    # at these widths every batched run is one batch, and a whole run one block
+    assert len(calls) - len(batched) == sum(steps)
     assert all(lowest > index_qubits for index_qubits, lowest in batched)
