@@ -163,8 +163,9 @@ def run_circuit(circuit: Circuit, state: StateVector) -> None:
     the plan that _plan compiles from the gate list: swaps relabel qubits,
     the Hadamards and the phases among them within FUSE_QUBITS consecutive
     qubits become one dense matrix step, built by running those gates
-    through apply_dense and apply_diagonal, and the other diagonal gates
-    become phase-vector multiplies. With BATCH_AMPLITUDES = 2**b, every step
+    through apply_dense and apply_diagonal, and each run of the other
+    diagonal gates becomes one phase step, a single apply_diagonal call per
+    block. With BATCH_AMPLITUDES = 2**b, every step
     but a dense step reaching above qubit b runs block by block over the
     aligned 2**b-amplitude blocks (one block when the state is no wider), so
     a stretch of steps is applied to one cache-sized block before the next
@@ -216,15 +217,13 @@ def _apply_gates(gates, state: StateVector, offset: int, scratch: np.ndarray) ->
 
 @dataclass(frozen=True)
 class _Diagonal:
-    """Consecutive diagonal gates as one step over positions (relabelled qubits).
+    """A run of diagonal gates as one step over positions (relabelled qubits): a phase polynomial.
 
-    Each term (qubit, angle) multiplies by exp(i*angle) the amplitudes whose
-    qubit and shared bits are set; a term with qubit None needs only shared
-    set. Without a shared qubit every term is a single-qubit phase.
+    Each term (positions, angle) multiplies by exp(i*angle) the amplitudes
+    whose bits at its one or two positions are all set.
     """
 
-    shared: int | None
-    terms: tuple[tuple[int | None, float], ...]
+    terms: tuple[tuple[tuple[int, ...], float], ...]
 
 
 def _plan(circuit: Circuit, offset: int = 0) -> tuple[list, list[int]]:
@@ -240,16 +239,25 @@ def _plan(circuit: Circuit, offset: int = 0) -> tuple[list, list[int]]:
     positions still fit in FUSE_QUBITS consecutive positions, its window;
     otherwise the cluster closes and a new one opens with it. Each waiting
     diagonal gate on the Hadamard's position joins the cluster before it when
-    its positions lie inside the window, and otherwise becomes a _Diagonal:
+    its positions lie inside the window, and otherwise joins a _Diagonal:
     ahead of the open cluster if the cluster holds no Hadamard on that
     position (they commute), after it, closed, if it does. A closing cluster
-    takes in every waiting diagonal gate inside its window.
+    takes in every waiting diagonal gate inside its window. Diagonal gates
+    placed next to each other form one _Diagonal, whatever their positions,
+    since they commute; so no two steps of a plan are both diagonal.
     """
     where = list(range(circuit.n_qubits + offset + 1))
     steps: list = []
     cluster: list[tuple[tuple[int, ...], float | None]] = []  # the open cluster's gates, in order
     hadamards: set[int] = set()  # the positions of its Hadamards
     waiting: list[tuple[tuple[int, ...], float]] = []  # diagonal gates not yet placed
+
+    def place(run) -> None:
+        if run:
+            if steps and isinstance(steps[-1], _Diagonal):
+                steps[-1] = _Diagonal(steps[-1].terms + tuple(run))
+            else:
+                steps.append(_Diagonal(tuple(run)))
 
     def close() -> None:
         nonlocal waiting
@@ -278,7 +286,7 @@ def _plan(circuit: Circuit, offset: int = 0) -> tuple[list, list[int]]:
             cluster.extend(entry for entry in needed if _within(entry[0], low, top))
             if outside and position in hadamards:
                 close()
-            steps.extend(_group_diagonals(outside))
+            place(outside)
             cluster.append(((position,), None))
             hadamards.add(position)
         elif gate.kind == PHASE:
@@ -286,7 +294,7 @@ def _plan(circuit: Circuit, offset: int = 0) -> tuple[list, list[int]]:
         else:
             waiting.append(((where[gate.control + offset], where[gate.target + offset]), gate.angle))
     close()
-    steps.extend(_group_diagonals(waiting))
+    place(waiting)
     return steps, where
 
 
@@ -317,97 +325,151 @@ def _dense(cluster, low: int, top: int) -> _Dense:
     return _Dense(work.amplitudes.reshape(1 << k, 1 << k), low, top)
 
 
-def _group_diagonals(run) -> list[_Diagonal]:
-    """Split a run of diagonal gates into steps that share one qubit or are all single-qubit phases.
-
-    A step's shared qubit is the one its first gate has in common with the
-    next gate, so the register adder's rotations group by control.
-    """
-    steps = []
-    start = 0
-    while start < len(run):
-        qubits = run[start][0]
-        following = run[start + 1][0] if start + 1 < len(run) else ()
-        if len(qubits) == 1 and len(following) != 2:
-            shared = None
-            stop = start + 1
-            while stop < len(run) and len(run[stop][0]) == 1:
-                stop += 1
-        else:
-            shared = next((qubit for qubit in qubits if qubit in following), max(qubits))
-            stop = start + 1
-            while stop < len(run) and shared in run[stop][0]:
-                stop += 1
-        terms = tuple(
-            (next((qubit for qubit in gate_qubits if qubit != shared), None), angle)
-            for gate_qubits, angle in run[start:stop]
-        )
-        steps.append(_Diagonal(shared, terms))
-        start = stop
-    return steps
-
-
 @dataclass(frozen=True)
 class _Multiply:
-    """A _Diagonal as apply_diagonal arguments for each block of the state.
+    """A _Diagonal as the factors each block of the state multiplies by.
 
-    factors covers the block's positions low..low+K-1; control is the shared
-    position when it lies in the block; scales[i] is what the positions above
-    the block contribute in block i, or None where the step leaves block i
-    alone.
+    Block i's factors, over its positions low..low+K-1, are base times the
+    phase vector of its rotations, rotations[j, i] at position cross + j,
+    and times scales[i], what the terms above the block give block i.
     """
 
-    factors: np.ndarray
+    base: np.ndarray
     low: int
-    control: int | None
-    scales: list
+    cross: int
+    rotations: np.ndarray
+    scales: np.ndarray
+
+    def factors(self, index: int, scratch: np.ndarray) -> np.ndarray:
+        """Block index's factors: base itself when the block adds nothing, else written into scratch.
+
+        The block's rotations form a vector over cross up, at most one block;
+        it exists only when the state is wider than one block.
+        """
+        rotations, scale = self.rotations[:, index], self.scales[index]
+        if not rotations.size and scale == 1.0:
+            return self.base
+        vector = _phase_vector(rotations, scale)
+        shape = (-1, vector.size, 1 << (self.cross - self.low))
+        out = scratch[: self.base.size]
+        np.multiply(self.base.reshape(shape), vector[:, None], out=out.reshape(shape))
+        return out
 
 
-def _multiply(step: _Diagonal, n_qubits: int, block_qubits: int) -> _Multiply:
-    constant = 1.0 + 0.0j
-    inside: dict[int, complex] = {}
-    above: dict[int, complex] = {}
-    for qubit, angle in step.terms:
-        rotation = cmath.exp(1j * angle)
-        if qubit is None:
-            constant *= rotation
-        elif qubit <= block_qubits:
-            inside[qubit] = inside.get(qubit, 1.0) * rotation
+def _inside(step: _Diagonal, block_qubits: int) -> tuple[int, int]:
+    """The lowest and highest position in the block that a term of the step holds, or (1, 0) for none."""
+    inside = [position for positions, _ in step.terms for position in positions if position <= block_qubits]
+    return (min(inside), max(inside)) if inside else (1, 0)
+
+
+def _multiply(step: _Diagonal, n_qubits: int, block_qubits: int, out: np.ndarray) -> _Multiply:
+    """The step's factors for every block, split at the block edge; its base is written into out.
+
+    Terms inside the block give base, over the block positions low..top that
+    any term holds. A pair with one position inside and one above rotates the
+    inside one in the blocks where the other is set; the positions it rotates
+    run from cross up, one row of rotations each. Terms above the block give
+    each block a scale.
+    """
+    low, top = _inside(step, block_qubits)
+    inside, above = np.zeros(top + 1 - low), np.zeros(n_qubits - block_qubits)  # single-position angles
+    inside_pairs, above_pairs, cross_pairs = [], [], []
+    for positions, angle in step.terms:
+        p, q = min(positions), max(positions)
+        if q <= block_qubits:
+            singles, pairs, p, q = inside, inside_pairs, p - low, q - low
+        elif p > block_qubits:
+            singles, pairs, p, q = above, above_pairs, p - block_qubits - 1, q - block_qubits - 1
         else:
-            above[qubit - block_qubits] = above.get(qubit - block_qubits, 1.0) * rotation
-    shared = step.shared
-    control = shared if shared is not None and shared <= block_qubits else None
-    low, top = (min(inside), max(inside)) if inside else (1, 0)
-    factors = _phase_vector(inside, low, top, constant)
-    scales = _phase_vector(above, 1, n_qubits - block_qubits, 1.0).tolist()
-    if shared is not None and shared > block_qubits:
-        bit = shared - block_qubits - 1
-        scales = [scale if index >> bit & 1 else None for index, scale in enumerate(scales)]
-    return _Multiply(factors, low, control, scales)
+            cross_pairs.append((p, q - block_qubits - 1, angle))
+            continue
+        if p == q:
+            singles[p] += angle
+        else:
+            pairs.append((p, q, angle))
+    cross = min((p for p, _, _ in cross_pairs), default=low)
+    rows = max((p for p, _, _ in cross_pairs), default=cross - 1) + 1 - cross
+    # rows of no rotation, up to half the base's positions from cross, give the block's multiply long inner loops
+    angles = np.zeros((max(rows, (top + 1 - cross) // 2) if rows else 0, len(above)))
+    for p, q, angle in cross_pairs:
+        angles[p - cross, q] += angle
+    table = _phase_vector(np.exp(1j * angles), np.ones((len(angles), 1)))
+    scales = _polynomial(above, above_pairs, np.empty(1 << len(above), dtype=np.complex128))
+    return _Multiply(_polynomial(inside, inside_pairs, out), low, cross, table, scales)
 
 
-def _phase_vector(rotations: dict[int, complex], low: int, top: int, first: complex) -> np.ndarray:
-    """Entry k: first times the rotation of every position low + j whose bit j of k is set."""
-    vector = np.empty(1 << (top - low + 1), dtype=np.complex128)
-    vector[0] = first
-    for offset, position in enumerate(range(low, top + 1)):
-        half = 1 << offset
-        np.multiply(vector[:half], rotations.get(position, 1.0), out=vector[half : 2 * half])
+def _polynomial(singles: np.ndarray, pairs: list, out: np.ndarray) -> np.ndarray:
+    """Write into out, and return it, entry k: exp(i*angle) for each term whose positions' bits of k are set.
+
+    singles[p] is position p's angle, and pairs lists (p, q, angle), p < q.
+    cut lies above the lower position of every pair and at least halfway up,
+    so the positions from cut up pair only with positions below it. The
+    vector starts as the polynomial of the positions below cut, and each
+    position q from cut up doubles it: the new half is the old one times q's
+    partner vector, the rotation of q for each value of the positions below
+    cut, repeated over those in between. One _phase_vector call builds every
+    partner vector, one row each, into the end of out, which only the last
+    level writes; each has at least 2**(size/2) entries, so the doubling
+    runs in long inner loops. The vector costs O(2**size) multiplies and
+    O(size) array calls, and no buffer beyond out.
+    """
+    size = len(singles)
+    if not pairs:
+        return _phase_vector(np.exp(1j * singles), 1.0, out)
+    cut = max(max(p for p, _, _ in pairs) + 1, (size + 1) // 2)
+    head = _polynomial(singles[:cut], [pair for pair in pairs if pair[1] < cut], out[: 1 << cut])
+    angles = np.zeros((size - cut, cut + 1))  # per position from cut: its pairs below cut, then its single
+    angles[:, -1] = singles[cut:]
+    for p, q, angle in pairs:
+        if q >= cut:
+            angles[q - cut, p] += angle
+    rotations = np.exp(1j * angles)
+    partners = out[out.size - (len(rotations) << cut) :].reshape(len(rotations), head.size)
+    _phase_vector(rotations[:, :-1], rotations[:, -1:], partners)
+    for level, partner in enumerate(partners):
+        lower = out[: head.size << level].reshape(-1, head.size)
+        upper = out[head.size << level : head.size << level + 1].reshape(-1, head.size)
+        # the last level's partner is its own last row, so that row is written last
+        np.multiply(lower[:-1], partner, out=upper[:-1])
+        np.multiply(lower[-1], partner, out=upper[-1])
+    return out
+
+
+def _phase_vector(rotations: np.ndarray, first, out: np.ndarray | None = None) -> np.ndarray:
+    """Entry k, along the last axis: first times rotations[..., j] for every bit j set in k.
+
+    rotations holds one rotation per position along its last axis, and first
+    is a number; or rotations has shape (rows, K) and first (rows, 1), for
+    one vector per row. The vector is written into out when it is given.
+    """
+    first = np.asarray(first, dtype=np.complex128)
+    vector = np.empty(first.shape[:-1] + (1 << rotations.shape[-1],), dtype=np.complex128) if out is None else out
+    vector[..., :1] = first
+    for position in range(rotations.shape[-1]):
+        half = 1 << position
+        np.multiply(vector[..., :half], rotations[..., position : position + 1], out=vector[..., half : 2 * half])
     return vector
 
 
 def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
     """Run the steps, block by block between dense steps that reach above the block.
 
-    The phase vectors of a stretch add up to at most one block of amplitudes:
-    a step that would pass that starts a new stretch. The blocks are wrapped
-    as states once, before any step runs, and not checked for finiteness
-    again. A dense step above the block runs over the whole state, into a
-    state-sized output of its own, one apply_dense call per range of the
-    values of the qubits below its window. The block runs of a stretch and
-    those ranges are shared among _workers() threads (see _run_parallel).
+    The base vectors of a stretch's phase steps share one buffer of at most
+    a block of amplitudes, made once per run: a step whose base would pass
+    its end starts a new stretch, and is built after the stretch before it
+    has run. A phase step writes each block's factors into the worker's
+    block scratch (see _Multiply.factors). The blocks are wrapped as states
+    once, before any step runs, and not checked for finiteness again. A
+    dense step above the block runs over the whole state, into a state-sized
+    output of its own, one apply_dense call per range of the values of the
+    qubits below its window. The block runs of a stretch and those ranges
+    are shared among _workers() threads (see _run_parallel).
     """
     blocks = [_view(block_qubits, block) for block in state.amplitudes.reshape(-1, 1 << block_qubits)]
+    spans = [_inside(step, block_qubits) for step in steps if isinstance(step, _Diagonal)]
+    sizes = [1 << (top + 1 - low) for low, top in spans]
+    bases = np.empty(min(sum(sizes), 1 << block_qubits), dtype=np.complex128)  # a stretch's, one after another
+    sizes = iter(sizes)
     stretch: list = []
     held = 0
     for step in steps:
@@ -417,11 +479,12 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
             _run_above(state, step)
             continue
         if isinstance(step, _Diagonal):
-            step = _multiply(step, state.n_qubits, block_qubits)
-            if held + step.factors.size > 1 << block_qubits:
+            size = next(sizes)
+            if held + size > bases.size:
                 _run_blocked(stretch, blocks)
                 stretch, held = [], 0
-            held += step.factors.size
+            step = _multiply(step, state.n_qubits, block_qubits, bases[held : held + size])
+            held += size
         stretch.append(step)
     _run_blocked(stretch, blocks)
 
@@ -501,11 +564,8 @@ def _run_blocks(stretch: list, blocks: list[StateVector], part: slice, scratch: 
         for step in stretch:
             if isinstance(step, _Dense):
                 apply_dense(block_state, step.matrix, step.low, scratch)
-                continue
-            scale = step.scales[index]
-            if scale is not None:
-                factors = step.factors if scale == 1.0 else step.factors * scale
-                apply_diagonal(block_state, factors, step.low, step.control)
+            else:
+                apply_diagonal(block_state, step.factors(index, scratch), step.low)
 
 
 def run_on_basis(circuit: Circuit) -> Iterator[tuple[int, np.ndarray]]:

@@ -49,7 +49,10 @@ QFT_DUMP_MAX_QUBITS = 6
 # charged as each in turn. Beside these arrays, every run is charged two batches
 # of BATCH_AMPLITUDES amplitudes, the work batch and the phase vectors of a
 # stretch of the plan (at most one block), and a block scratch of that size per
-# worker thread (circuits._workers()).
+# worker thread (circuits._workers()). A state wider than one block also has,
+# per worker, a phase step's rotation vector of at most one block; no more
+# workers run than the state has blocks, and no wide dense step's state-sized
+# output is held meanwhile, so that output's charge covers them.
 STATE_BYTES_PER_AMPLITUDE = 2 * 16
 PARSE_BYTES_PER_ENTRY = 208
 TEXT_PIECE_BYTES = 288 * BATCH_AMPLITUDES

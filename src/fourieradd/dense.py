@@ -61,17 +61,17 @@ def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> n
     code and compared with the closed form omega**(j*c). A NaN in any entry
     makes that constant's error NaN.
 
-    The constants are checked together, one row of 2**N entries each.
+    The constants are checked together, one row of 2**N entries each, built
+    by one _phase_vector call over a row axis.
     """
     dim = 1 << n_qubits
     constants = list(constants)
-    tensors = np.empty((len(constants), dim), dtype=np.complex128)
+    rotations = np.ones((len(constants), n_qubits), dtype=np.complex128)
     for row, constant in enumerate(constants):
-        rotations: dict[int, complex] = {}
         for gate in phase_adder_circuit(n_qubits, constant).gates:
-            rotations[gate.target] = rotations.get(gate.target, 1.0) * cmath.exp(1j * gate.angle)
-        # looked up at call time, so a patched circuits._phase_vector reaches the plan and this check
-        tensors[row] = circuits._phase_vector(rotations, 1, n_qubits, 1.0)
+            rotations[row, gate.target - 1] *= cmath.exp(1j * gate.angle)
+    # looked up at call time, so a patched circuits._phase_vector reaches the plan and this check
+    tensors = circuits._phase_vector(rotations, np.ones((len(constants), 1)))
     reduced = np.array([constant % dim for constant in constants], dtype=np.int64)
     closed_form = _phase_adder_diagonal(dim, reduced[:, None])
     return np.max(np.abs(tensors - closed_form), axis=1)

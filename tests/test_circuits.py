@@ -790,14 +790,52 @@ class TestBlockedRun:
         assert not roll_error(n, 6, seed=n) < DEFAULT_TOL
 
     @pytest.mark.parametrize(
-        "circuit, dense, multiplies",
-        [(const_adder_circuit(20, 77), 7, 30), (draper_adder_circuit(10), 4, 15)],
+        "circuit, dense, diagonal",
+        [(const_adder_circuit(20, 77), 7, 6), (draper_adder_circuit(10), 4, 3)],
         ids=["const-20", "register-10"],
     )
-    def test_step_counts_of_the_readme(self, circuit, dense, multiplies):
+    def test_step_counts_of_the_readme(self, circuit, dense, diagonal):
+        # one diagonal step per run of diagonal gates, so no two diagonal steps are adjacent
         steps = circuits_module._plan(circuit)[0]
         assert len(dense_steps(circuit)) == dense
-        assert len(steps) == dense + multiplies
+        assert len(steps) == dense + diagonal
+        kinds = [isinstance(step, circuits_module._Diagonal) for step in steps]
+        assert not any(kinds[i] and kinds[i + 1] for i in range(len(kinds) - 1))
+
+    def test_a_diagonal_run_across_the_block_edge_matches_the_gate_by_gate_run(self, monkeypatch):
+        # the run the plan places last holds pairs inside the block (a chain, so its polynomial
+        # recurses), pairs from inside to above it (none on the block's lowest position) and pairs
+        # above it, next to single phases on both sides
+        monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << BLOCK_QUBITS)
+        widths = record_kernel_widths(monkeypatch)
+        n = 9
+        pairs = [(1, 2), (2, 3), (3, 4), (1, 3), (2, 7), (4, 6), (3, 5), (5, 8), (7, 9), (5, 9)]
+        for seed in range(4):
+            rng = np.random.default_rng(seed)
+            angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=len(pairs) + 2)
+            run = [cphase(c, t, a) for (c, t), a in zip(pairs, angles)] + [phase(2, angles[-2]), phase(5, angles[-1])]
+            circuit = Circuit(n, tuple(hadamard(q) for q in range(1, n + 1)) + tuple(run))
+            last = circuits_module._plan(circuit)[0][-1]
+            assert isinstance(last, circuits_module._Diagonal)
+            placed = {sum(q > BLOCK_QUBITS for q in positions) for positions, _ in last.terms if len(positions) == 2}
+            assert placed == {0, 1, 2}
+            widths["apply_diagonal"].clear()
+            assert gate_path_error(circuit, seed) < DEFAULT_TOL
+            # the step's one call per block, however its terms split at the block edge
+            assert widths["apply_diagonal"] == [BLOCK_QUBITS] * (1 << n - BLOCK_QUBITS)
+
+    @pytest.mark.parametrize("size", [1, 2, 4, 7, 12])
+    def test_the_phase_polynomial_is_the_product_of_its_terms(self, size):
+        # entry k: exp(i * angles[p, q]) for every p <= q whose bits of k are both set
+        rng = np.random.default_rng(size)
+        angles = np.triu(rng.uniform(-7, 7, size=(size, size)) * (rng.random((size, size)) < 0.4))
+        angles[np.diag_indices(size)] = rng.uniform(-7, 7, size=size)
+        bits = (np.arange(1 << size)[:, None] >> np.arange(size)) & 1
+        expected = np.exp(1j * np.einsum("kp,pq,kq->k", bits, angles, bits))
+        pairs = [(p, q, angles[p, q]) for p, q in zip(*np.nonzero(np.triu(angles, 1)))]
+        out = np.empty(1 << size, dtype=np.complex128)
+        actual = circuits_module._polynomial(np.diag(angles).copy(), pairs, out)
+        assert actual is out and np.max(np.abs(actual - expected)) < 1e-12
 
     def test_windows_inside_across_and_above_the_block_match_the_gate_by_gate_run(self, monkeypatch):
         circuits = [

@@ -262,7 +262,7 @@ class TestEquivalenceCheck:
         monkeypatch.setattr(
             fourieradd.circuits,
             "_phase_vector",
-            lambda rotations, low, top, first: np.full(1 << (top - low + 1), complex("nan")),
+            lambda rotations, first: np.full(1 << rotations.shape[-1], complex("nan")),
         )
         assert math.isnan(phase_adder_equivalence_errors(4, [9])[0])
 

@@ -146,8 +146,8 @@ def phase_vector_off(monkeypatch):
     # every phase vector the plan multiplies in, and the equivalence check's tensor product
     original = fourieradd.circuits._phase_vector
 
-    def patched(rotations, low, top, first):
-        return original(rotations, low, top, first * cmath.exp(0.01j))
+    def patched(rotations, first, out=None):
+        return original(rotations, first * cmath.exp(0.01j), out)
 
     monkeypatch.setattr(fourieradd.circuits, "_phase_vector", patched)
 

@@ -439,27 +439,31 @@ def test_const_sweep_reports_the_constant_of_the_first_worst_entry(monkeypatch):
 def record_batched_calls(monkeypatch):
     """Per plan-kernel call of a sweep: its state width, the index qubits below the circuit and
     the lowest qubit the call addresses; the (circuit, count) of every run_filled call; and the
-    circuit of every run_circuit call that verify makes.
+    circuit of every plan that verify compiles and runs whole while a batch is being filled.
 
-    The circuit width comes from the open run_circuit call, else from the run_filled call that the
+    The circuit width comes from that whole run, else from the run_filled call that the
     sweep's run_on_basis or own fill goes through. The kernel calls made while _dense builds a
     plan's matrices are not plan steps, and are left out.
     """
-    calls, runs, wholes, building, running = [], [], [], [], []
-    run_filled, dense = fourieradd.circuits.run_filled, fourieradd.circuits._dense
-    run_circuit = fourieradd.verify.run_circuit
+    calls, runs, wholes, building, filling = [], [], [], [], []
+    run_filled, dense, plan = fourieradd.circuits.run_filled, fourieradd.circuits._dense, fourieradd.circuits._plan
 
     def recorded_run_filled(circuit, count, fill):
         runs.append((circuit, count))
-        return run_filled(circuit, count, fill)
 
-    def recorded_run_circuit(circuit, state):
-        wholes.append(circuit)
-        running.append(circuit)
-        try:
-            run_circuit(circuit, state)
-        finally:
-            running.pop()
+        def recorded_fill(start, block):
+            filling.append(True)
+            try:
+                fill(start, block)
+            finally:
+                filling.pop()
+
+        return run_filled(circuit, count, recorded_fill)
+
+    def recorded_plan(circuit, offset=0):
+        if filling:
+            wholes.append(circuit)
+        return plan(circuit, offset)
 
     def recorded_dense(cluster, low, top):
         building.append(True)
@@ -470,7 +474,7 @@ def record_batched_calls(monkeypatch):
 
     for module in (fourieradd.circuits, fourieradd.verify):
         monkeypatch.setattr(module, "run_filled", recorded_run_filled)
-    monkeypatch.setattr(fourieradd.verify, "run_circuit", recorded_run_circuit)
+    monkeypatch.setattr(fourieradd.circuits, "_plan", recorded_plan)
     monkeypatch.setattr(fourieradd.circuits, "_dense", recorded_dense)
     for name in ("apply_dense", "apply_diagonal"):
         original = getattr(fourieradd.circuits, name)
@@ -479,7 +483,7 @@ def record_batched_calls(monkeypatch):
             control = extra if name == "apply_diagonal" else None
             lowest = low if control is None else min(low, control)
             if not building:
-                circuit = running[-1] if running else runs[-1][0]
+                circuit = wholes[-1] if filling else runs[-1][0]
                 calls.append((state.n_qubits, state.n_qubits - circuit.n_qubits, lowest))
             original(state, values, low, extra)
 
