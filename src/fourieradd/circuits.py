@@ -331,14 +331,16 @@ class _Multiply:
 
     Block i's factors, over its positions low..low+K-1, are base times the
     phase vector of its rotations, rotations[j, i] at position cross + j,
-    and times scales[i], what the terms above the block give block i.
+    and times scales[i], what the terms above the block give block i. When
+    no term holds a position above the block, rotations and scales are None
+    and every block's factors are base.
     """
 
     base: np.ndarray
     low: int
-    cross: int
-    rotations: np.ndarray
-    scales: np.ndarray
+    cross: int = 0
+    rotations: np.ndarray | None = None
+    scales: np.ndarray | None = None
 
     def factors(self, index: int, scratch: np.ndarray) -> np.ndarray:
         """Block index's factors: base itself when the block adds nothing, else written into scratch.
@@ -346,6 +348,8 @@ class _Multiply:
         The block's rotations form a vector over cross up, at most one block;
         it exists only when the state is wider than one block.
         """
+        if self.rotations is None:
+            return self.base
         rotations, scale = self.rotations[:, index], self.scales[index]
         if not rotations.size and scale == 1.0:
             return self.base
@@ -356,22 +360,31 @@ class _Multiply:
         return out
 
 
-def _inside(step: _Diagonal, block_qubits: int) -> tuple[int, int]:
-    """The lowest and highest position in the block that a term of the step holds, or (1, 0) for none."""
-    inside = [position for positions, _ in step.terms for position in positions if position <= block_qubits]
-    return (min(inside), max(inside)) if inside else (1, 0)
+def _inside(step: _Diagonal, block_qubits: int) -> tuple[int, int, bool]:
+    """The step's span (low, top, reaches), found once per run.
+
+    low and top are the lowest and highest position in the block that a term
+    holds, or (1, 0) for none; reaches tells whether a term holds a position
+    above the block.
+    """
+    positions = [position for positions, _ in step.terms for position in positions]
+    inside = [position for position in positions if position <= block_qubits]
+    low, top = (min(inside), max(inside)) if inside else (1, 0)
+    return low, top, len(inside) < len(positions)
 
 
-def _multiply(step: _Diagonal, n_qubits: int, block_qubits: int, out: np.ndarray) -> _Multiply:
+def _multiply(step: _Diagonal, span: tuple, n_qubits: int, block_qubits: int, out: np.ndarray) -> _Multiply:
     """The step's factors for every block, split at the block edge; its base is written into out.
 
-    Terms inside the block give base, over the block positions low..top that
-    any term holds. A pair with one position inside and one above rotates the
-    inside one in the blocks where the other is set; the positions it rotates
-    run from cross up, one row of rotations each. Terms above the block give
-    each block a scale.
+    span is the step's _inside span. Terms inside the block give base, over
+    the block positions low..top that any term holds. When no term reaches
+    above the block, base is all: it serves every block, and no rotation
+    table or scale is made. Otherwise a pair with one position inside and one
+    above rotates the inside one in the blocks where the other is set; the
+    positions it rotates run from cross up, one row of rotations each. Terms
+    above the block give each block a scale.
     """
-    low, top = _inside(step, block_qubits)
+    low, top, reaches = span
     inside, above = np.zeros(top + 1 - low), np.zeros(n_qubits - block_qubits)  # single-position angles
     inside_pairs, above_pairs, cross_pairs = [], [], []
     for positions, angle in step.terms:
@@ -387,6 +400,9 @@ def _multiply(step: _Diagonal, n_qubits: int, block_qubits: int, out: np.ndarray
             singles[p] += angle
         else:
             pairs.append((p, q, angle))
+    base = _polynomial(inside, inside_pairs, out)
+    if not reaches:
+        return _Multiply(base, low)
     cross = min((p for p, _, _ in cross_pairs), default=low)
     rows = max((p for p, _, _ in cross_pairs), default=cross - 1) + 1 - cross
     # rows of no rotation, up to half the base's positions from cross, give the block's multiply long inner loops
@@ -395,7 +411,7 @@ def _multiply(step: _Diagonal, n_qubits: int, block_qubits: int, out: np.ndarray
         angles[p - cross, q] += angle
     table = _phase_vector(np.exp(1j * angles), np.ones((len(angles), 1)))
     scales = _polynomial(above, above_pairs, np.empty(1 << len(above), dtype=np.complex128))
-    return _Multiply(_polynomial(inside, inside_pairs, out), low, cross, table, scales)
+    return _Multiply(base, low, cross, table, scales)
 
 
 def _polynomial(singles: np.ndarray, pairs: list, out: np.ndarray) -> np.ndarray:
@@ -454,7 +470,8 @@ def _phase_vector(rotations: np.ndarray, first, out: np.ndarray | None = None) -
 def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
     """Run the steps, block by block between dense steps that reach above the block.
 
-    The base vectors of a stretch's phase steps share one buffer of at most
+    Each phase step's _inside span is found once, before any step runs. The
+    base vectors of a stretch's phase steps share one buffer of at most
     a block of amplitudes, made once per run: a step whose base would pass
     its end starts a new stretch, and is built after the stretch before it
     has run. A phase step writes each block's factors into the worker's
@@ -467,9 +484,9 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
     """
     blocks = [_view(block_qubits, block) for block in state.amplitudes.reshape(-1, 1 << block_qubits)]
     spans = [_inside(step, block_qubits) for step in steps if isinstance(step, _Diagonal)]
-    sizes = [1 << (top + 1 - low) for low, top in spans]
+    sizes = [1 << (top + 1 - low) for low, top, _ in spans]
     bases = np.empty(min(sum(sizes), 1 << block_qubits), dtype=np.complex128)  # a stretch's, one after another
-    sizes = iter(sizes)
+    spans, sizes = iter(spans), iter(sizes)
     stretch: list = []
     held = 0
     for step in steps:
@@ -483,7 +500,7 @@ def _run_plan(steps: list, state: StateVector, block_qubits: int) -> None:
             if held + size > bases.size:
                 _run_blocked(stretch, blocks)
                 stretch, held = [], 0
-            step = _multiply(step, state.n_qubits, block_qubits, bases[held : held + size])
+            step = _multiply(step, next(spans), state.n_qubits, block_qubits, bases[held : held + size])
             held += size
         stretch.append(step)
     _run_blocked(stretch, blocks)
@@ -550,10 +567,16 @@ def _run_parallel(jobs: list) -> None:
 
 
 def _run_blocked(stretch: list, blocks: list[StateVector]) -> None:
-    """Run the stretch over the blocks: one contiguous run of blocks per worker, each with its own scratch."""
+    """Run the stretch over the blocks: one contiguous run of blocks per worker, each with its own scratch.
+
+    A single block runs in this thread, with no call to _split or _run_parallel.
+    """
     if not stretch:
         return
     block = blocks[0].amplitudes
+    if len(blocks) == 1:
+        _run_blocks(stretch, blocks, slice(0, 1), np.empty_like(block))
+        return
     jobs = [partial(_run_blocks, stretch, blocks, part, np.empty_like(block)) for part in _split(len(blocks))]
     _run_parallel(jobs)
 
@@ -622,13 +645,20 @@ def run_filled(circuit: Circuit, count: int, fill) -> Iterator[tuple[int, np.nda
 
 
 def concat(first: Circuit, *rest: Circuit) -> Circuit:
-    """Circuit that runs the given circuits one after another."""
+    """Circuit that runs the given circuits one after another, all of one width.
+
+    Every part passed Circuit's per-gate check on that width when it was
+    built, so the joined list is not checked again.
+    """
     for circuit in rest:
         if circuit.n_qubits != first.n_qubits:
             raise ValueError(
                 f"register sizes differ: {first.n_qubits} vs {circuit.n_qubits} qubits"
             )
-    return Circuit(first.n_qubits, first.gates + tuple(chain.from_iterable(c.gates for c in rest)))
+    joined = object.__new__(Circuit)
+    object.__setattr__(joined, "n_qubits", first.n_qubits)
+    object.__setattr__(joined, "gates", first.gates + tuple(chain.from_iterable(c.gates for c in rest)))
+    return joined
 
 
 def inverse(circuit: Circuit) -> Circuit:

@@ -17,7 +17,6 @@ products.
 
 from __future__ import annotations
 
-import cmath
 from collections.abc import Iterable
 
 import numpy as np
@@ -66,10 +65,15 @@ def phase_adder_equivalence_errors(n_qubits: int, constants: Iterable[int]) -> n
     """
     dim = 1 << n_qubits
     constants = list(constants)
-    rotations = np.ones((len(constants), n_qubits), dtype=np.complex128)
+    rows, targets, angles = [], [], []
     for row, constant in enumerate(constants):
         for gate in phase_adder_circuit(n_qubits, constant).gates:
-            rotations[row, gate.target - 1] *= cmath.exp(1j * gate.angle)
+            rows.append(row)
+            targets.append(gate.target - 1)
+            angles.append(gate.angle)
+    rotations = np.ones((len(constants), n_qubits), dtype=np.complex128)
+    # one array call multiplies each gate's rotation into its row and target, in gate order
+    np.multiply.at(rotations, (rows, targets), np.exp(1j * np.array(angles)))
     # looked up at call time, so a patched circuits._phase_vector reaches the plan and this check
     tensors = circuits._phase_vector(rotations, np.ones((len(constants), 1)))
     reduced = np.array([constant % dim for constant in constants], dtype=np.int64)

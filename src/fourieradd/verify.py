@@ -133,23 +133,34 @@ def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
     circuit_to_matrix, and one run_filled of the inverse runs the inputs of
     all those adders: input (i, a) is column a times the diagonal of the i-th
     stage. So a width compiles one plan of the inverse, whatever the number
-    of constants. Any other adder runs whole. An adder whose gates and
-    target residue c mod 2**N repeat an earlier one's runs only once: the
-    adders for c and c + 2**N build the same gate list.
+    of constants. Any other adder runs whole.
+
+    An adder that repeats an earlier one runs only once: the adders for c and
+    c + 2**N build the same gate list. A repeat is looked for by the target
+    residue c mod 2**N first, and gate lists are compared only among the
+    adders of one residue, each known by (residue, ordinal), its place among
+    them. So no gate list is hashed, and an adder whose gates differ from
+    those of every earlier one of its residue runs and is scored on its own.
     """
     dim = 1 << n
     transform, inverse = qft_circuit(n), inverse_qft_circuit(n)
-    keys, stages, wholes = [], {}, {}  # keyed by (gates, c mod 2**N), in the order first built
+    built: dict[int, list[tuple]] = {}  # per residue, the gate list of each distinct adder in ordinal order
+    keys, stages, wholes = [], {}, {}  # keyed by (residue, ordinal), in the order first built
     for c in constants:
-        adder = const_adder_circuit(n, c)
-        key = (adder.gates, c % dim)
+        adder, residue = const_adder_circuit(n, c), c % dim
+        distinct = built.setdefault(residue, [])
+        # the transforms are the same objects in every adder, so a comparison mostly meets only the stages
+        ordinal = next((i for i, gates in enumerate(distinct) if gates == adder.gates), len(distinct))
+        key = (residue, ordinal)
         keys.append(key)
-        if key not in stages and key not in wholes:
-            stage = _between(adder, transform, inverse.gates)
-            if stage is None or any(gate.kind not in (PHASE, CONTROLLED_PHASE) for gate in stage.gates):
-                wholes[key] = _errors(run_on_basis(adder), dim, lambda a, c=c: (a + c) % dim)
-            else:
-                stages[key] = stage
+        if ordinal < len(distinct):
+            continue
+        distinct.append(adder.gates)
+        stage = _between(adder, transform, inverse.gates)
+        if stage is None or any(gate.kind not in (PHASE, CONTROLLED_PHASE) for gate in stage.gates):
+            wholes[key] = _errors(run_on_basis(adder), dim, lambda a, c=c: (a + c) % dim)
+        else:
+            stages[key] = stage
     transformed, staged = circuit_to_matrix(transform), list(stages.values())
 
     @lru_cache(maxsize=1)  # the last stage's diagonal, its run through the plan on a vector of ones
@@ -167,7 +178,7 @@ def _const_errors(n: int, constants: Iterable[int]) -> np.ndarray:
         for first in range(0, block.shape[1], width):
             np.multiply(columns, diagonal((start + first) >> n), out=block[:, first : first + width])
 
-    count, shifts = len(staged) << n, np.array([key[1] for key in stages], dtype=np.int64)
+    count, shifts = len(staged) << n, np.array([residue for residue, _ in stages], dtype=np.int64)
     shared = _errors(run_filled(inverse, count, fill), count, lambda i: (i + shifts[i >> n]) % dim)
     rows = {key: shared[index << n : (index + 1) << n] for index, key in enumerate(stages)} | wholes
     return np.concatenate([rows[key] for key in keys])

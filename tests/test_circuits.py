@@ -824,6 +824,32 @@ class TestBlockedRun:
             # the step's one call per block, however its terms split at the block edge
             assert widths["apply_diagonal"] == [BLOCK_QUBITS] * (1 << n - BLOCK_QUBITS)
 
+    @pytest.mark.parametrize("n", range(BLOCK_QUBITS + 2, 10))
+    def test_a_diagonal_run_inside_the_block_multiplies_every_block_by_its_base(self, n, monkeypatch):
+        # the run the plan places last holds only positions in the block, so every block's factors
+        # are its base; a run with a pair reaching above the block gives some block other factors
+        monkeypatch.setattr(circuits_module, "BATCH_AMPLITUDES", 1 << BLOCK_QUBITS)
+        made = []
+        multiply = circuits_module._multiply
+
+        def recording(*args):
+            made.append(multiply(*args))
+            return made[-1]
+
+        monkeypatch.setattr(circuits_module, "_multiply", recording)
+        rng = np.random.default_rng(n)
+        angles = rng.uniform(-2.0 * math.pi, 2.0 * math.pi, size=5)
+        inside = (cphase(1, 3, angles[0]), phase(2, angles[1]), cphase(4, 2, angles[2]), phase(4, angles[3]))
+        scratch = np.empty(1 << BLOCK_QUBITS, dtype=np.complex128)
+        for run, reaches in ((inside, False), (inside + (cphase(n, 3, angles[4]),), True)):
+            circuit = Circuit(n, tuple(hadamard(q) for q in range(1, n + 1)) + run)
+            assert isinstance(circuits_module._plan(circuit)[0][-1], circuits_module._Diagonal)
+            made.clear()
+            assert gate_path_error(circuit, n) < DEFAULT_TOL
+            last = made[-1]
+            bases = [last.factors(index, scratch) is last.base for index in range(1 << n - BLOCK_QUBITS)]
+            assert not all(bases) if reaches else all(bases)
+
     @pytest.mark.parametrize("size", [1, 2, 4, 7, 12])
     def test_the_phase_polynomial_is_the_product_of_its_terms(self, size):
         # entry k: exp(i * angles[p, q]) for every p <= q whose bits of k are both set
@@ -1017,6 +1043,18 @@ class TestCombinators:
     def test_concat_size_mismatch(self):
         with pytest.raises(ValueError):
             concat(qft_circuit(2), qft_circuit(3))
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_concat_equals_the_circuit_of_the_joined_gates(self, n):
+        for seed in range(4):
+            first, second = random_circuit(n, seed=2 * seed), random_circuit(n, seed=2 * seed + 1, n_gates=30)
+            joined = concat(first, second)
+            assert joined == Circuit(n, first.gates + second.gates)
+            assert type(joined.gates) is tuple
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                joined.gates = ()
+            with pytest.raises(ValueError, match="register sizes differ"):
+                concat(joined, random_circuit(n + 1, seed=seed))
 
     def test_inverse_negates_phase(self):
         assert inverse(Circuit(2, (phase(1, 0.7),))).gates == (phase(1, -0.7),)

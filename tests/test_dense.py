@@ -219,6 +219,32 @@ class TestEquivalenceCheck:
         for c in range(4 << n):
             assert abs(phase_adder_equivalence_errors(n, [c])[0] - self.dense_reference(n, c)) <= 1e-15
 
+    @pytest.mark.parametrize("n", [1, 5, 9])
+    def test_rotations_are_each_gates_rotation_multiplied_in_gate_order(self, n, monkeypatch):
+        # the array call gives bitwise the rows that a loop of cmath.exp over the gates gives; a
+        # second rotation on qubit 1 makes one entry of each row the product of two, in gate order
+        built = fourieradd.dense.phase_adder_circuit
+
+        def doubled(width, c):
+            return Circuit(width, built(width, c).gates + (phase(1, 0.1 * c + 0.3),))
+
+        seen = []
+        vector = fourieradd.circuits._phase_vector
+
+        def recording(rotations, first, out=None):
+            seen.append(rotations.copy())
+            return vector(rotations, first, out)
+
+        monkeypatch.setattr(fourieradd.dense, "phase_adder_circuit", doubled)
+        monkeypatch.setattr(fourieradd.circuits, "_phase_vector", recording)
+        constants = list(range(min(4 << n, 200)))
+        phase_adder_equivalence_errors(n, constants)
+        expected = np.ones((len(constants), n), dtype=np.complex128)
+        for row, c in enumerate(constants):
+            for gate in doubled(n, c).gates:
+                expected[row, gate.target - 1] *= cmath.exp(1j * gate.angle)
+        assert len(seen) == 1 and np.array_equal(seen[0], expected)
+
     def test_peak_memory_holds_no_matrix(self):
         # one 4096 by 4096 complex matrix alone is 256 MiB; the diagonals are 64 KiB
         tracemalloc.start()

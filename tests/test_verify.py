@@ -13,6 +13,7 @@ from fourieradd import (
     DEFAULT_TOL,
     CheckReport,
     Circuit,
+    Gate,
     StateVector,
     basis_state,
     concat,
@@ -330,6 +331,56 @@ def test_constant_shift_runs_an_adder_whose_gates_differ(monkeypatch):
     report = verify_modularity(3)[-1]
     assert (report.check, report.c, report.passed) == ("modular-constant-shift", 0, False)
     assert report.max_error > 0.1
+
+
+def test_constant_shift_scores_a_diagonal_stage_whose_angles_differ_on_its_own(monkeypatch):
+    # for c + 2**N, one rotation of the stage is 0.3 rad off: the adder keeps the shared shape and
+    # c's residue, but not c's gates, so it joins the shared run as a stage of its own and fails
+    original = fourieradd.verify.const_adder_circuit
+
+    def off_when_shifted(n, c):
+        if c < 1 << n:
+            return original(n, c)
+        first, *rest = phase_adder_circuit(n, c).gates
+        stage = Circuit(n, (phase(1, first.angle + 0.3), *rest))
+        return concat(qft_circuit(n), stage, inverse_qft_circuit(n))
+
+    scored = []
+    errors = fourieradd.verify._errors
+
+    def recording_errors(blocks, count, target):
+        scored.append(target(np.arange(count)).tolist())
+        return errors(blocks, count, target)
+
+    monkeypatch.setattr(fourieradd.verify, "const_adder_circuit", off_when_shifted)
+    monkeypatch.setattr(fourieradd.verify, "_errors", recording_errors)
+    reports = verify_modularity(3)
+    assert [report.passed for report in reports] == [True, False] * 3
+    expected = []
+    for n in range(1, 4):
+        dim = 1 << n
+        constants = [c + turn for c in (0, 1, dim // 2, dim - 1) for turn in (0, dim)]
+        # the distinct adders in order: c and c + 2**N apart, a repeat of either scored once
+        distinct = list(dict.fromkeys((c % dim, c >= dim) for c in constants))
+        expected += [list(range(dim)), [(a + c) % dim for c, _ in distinct for a in range(dim)]]
+    assert scored == expected
+
+
+def test_the_constant_sweeps_hash_no_gate(monkeypatch):
+    # a repeated adder is found by its residue and a comparison of gate lists, never by a gate's hash
+    calls = []
+    original = Gate.__hash__
+
+    def counting(gate):
+        calls.append(gate)
+        return original(gate)
+
+    monkeypatch.setattr(Gate, "__hash__", counting)
+    hash(phase(1, 0.5))
+    assert len(calls) == 1
+    calls.clear()
+    assert all(report.passed for report in verify_const_adder(4) + verify_modularity(4))
+    assert calls == []
 
 
 def test_an_adder_whose_stage_is_not_diagonal_runs_whole(monkeypatch):
