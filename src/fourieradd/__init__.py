@@ -13,7 +13,6 @@ from .circuits import (
     BATCH_AMPLITUDES,
     Circuit,
     Gate,
-    circuit_from_dict,
     circuit_to_dict,
     concat,
     cphase,

@@ -6,7 +6,8 @@ gate matrices. Circuits are frozen once built; helpers like concat and
 inverse return new objects, and each width's transform and inverse
 transform are built once and shared by every caller.
 
-Circuit interchange format (JSON):
+Circuit document (JSON), which circuit_to_dict writes for qft-dump and
+nothing in the package reads back:
 
     {"n": N, "gates": [{"kind": "h", "target": 1},
                        {"kind": "phase", "target": 2, "angle": 0.5},
@@ -123,9 +124,6 @@ class Circuit:
                     raise ValueError(
                         f"gate {gate} addresses qubit {qubit}, register has {self.n_qubits}"
                     )
-
-    def __len__(self) -> int:
-        return len(self.gates)
 
 
 @cache
@@ -343,17 +341,14 @@ class _Multiply:
     scales: np.ndarray | None = None
 
     def factors(self, index: int, scratch: np.ndarray) -> np.ndarray:
-        """Block index's factors: base itself when the block adds nothing, else written into scratch.
+        """Block index's factors: base itself when no term reaches above the block, else written into scratch.
 
         The block's rotations form a vector over cross up, at most one block;
         it exists only when the state is wider than one block.
         """
         if self.rotations is None:
             return self.base
-        rotations, scale = self.rotations[:, index], self.scales[index]
-        if not rotations.size and scale == 1.0:
-            return self.base
-        vector = _phase_vector(rotations, scale)
+        vector = _phase_vector(self.rotations[:, index], self.scales[index])
         shape = (-1, vector.size, 1 << (self.cross - self.low))
         out = scratch[: self.base.size]
         np.multiply(self.base.reshape(shape), vector[:, None], out=out.reshape(shape))
@@ -699,47 +694,3 @@ def circuit_to_dict(circuit: Circuit) -> dict:
         for gate in circuit.gates
     ]
     return {"n": circuit.n_qubits, "gates": gates}
-
-
-def circuit_from_dict(data) -> Circuit:
-    """Parse and validate the circuit schema that qft-dump writes.
-
-    The program reads no circuit; this reader is kept for the dump's round-trip tests.
-    """
-    if not isinstance(data, dict):
-        raise ValueError("circuit document must be a JSON object")
-    if set(data) != {"n", "gates"}:
-        raise ValueError('circuit document must have exactly the fields "n" and "gates"')
-    n_qubits = data["n"]
-    if not isinstance(n_qubits, int) or isinstance(n_qubits, bool) or n_qubits < 1:
-        raise ValueError(f'"n" must be a positive integer, got {n_qubits!r}')
-    raw_gates = data["gates"]
-    if not isinstance(raw_gates, list):
-        raise ValueError('"gates" must be a list')
-    gates: list[Gate] = []
-    for position, entry in enumerate(raw_gates):
-        if not isinstance(entry, dict):
-            raise ValueError(f"gate {position} must be an object")
-        kind = entry.get("kind")
-        if kind not in GATE_KINDS:
-            raise ValueError(f"gate {position} has unknown kind {kind!r}")
-        fields = GATE_FIELDS[kind]
-        if set(entry) != {"kind", *fields}:
-            raise ValueError(
-                f"gate {position} ({kind}) must have exactly the fields {sorted({'kind', *fields})}"
-            )
-        values = {}
-        for name in fields:
-            value = entry[name]
-            if name == "angle":
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ValueError(f"gate {position} angle must be a number")
-                try:
-                    value = float(value)
-                except OverflowError:  # an integer past the float range
-                    raise ValueError(f"gate {position} angle must be a finite number") from None
-            elif not isinstance(value, int) or isinstance(value, bool):
-                raise ValueError(f"gate {position} {name} must be an integer")
-            values[name] = value
-        gates.append(Gate(kind, **values))
-    return Circuit(n_qubits, tuple(gates))

@@ -2,12 +2,12 @@
 
 circuit_to_matrix runs the circuit, through the plan, on every basis
 input. Its 4**N entries are the only kind of matrix the package builds;
-`qft-dump --matrix` is held to 6 qubits, and the const and draper sweeps
-take their transform columns from it. The equivalence check
-calls no kernel: it builds the tensor product of the program's phase stage
-with the plan's phase-vector code and compares it with the closed form, on
-2**N-entry diagonals. No width is capped here; the command line refuses a
-run that would not fit in physical memory.
+`qft-dump --matrix` is held to 6 qubits, and the const, draper and
+modularity sweeps take their transform columns from it. The equivalence
+check calls no kernel: it builds the tensor product of the program's phase
+stage with the plan's phase-vector code and compares it with the closed
+form, on 2**N-entry diagonals. No width is capped here; the command line
+refuses a run that would not fit in physical memory.
 
 Integer exponents of omega = exp(2*pi*i / 2**N) are reduced mod 2**N
 before the complex exponential is evaluated. The reduction is exact for

@@ -6,13 +6,14 @@ of the index, so qubit 1 is the least significant and qubit t carries
 basis weight 2**(t - 1).
 
 Two kernels change a state, both in place: apply_dense applies a 2**K x
-2**K matrix to K consecutive qubits, and apply_diagonal multiplies by
-2**K factors over K consecutive qubits, optionally under a control qubit.
-Every step of a circuit's run, and every gate of the matrices its plan
-builds, is one call of one of them. They work through reshaped views that expose the qubits they act
-on as their own axes; no 2**N x 2**N matrix is ever formed here. Nothing
-renormalizes behind the caller's back: if an operation drifted the norm,
-that is a bug the tests must surface.
+2**K matrix to K consecutive qubits, through the state-sized output it is
+given, and apply_diagonal multiplies by 2**K factors over K consecutive
+qubits, optionally under a control qubit that lies outside them. Every step
+of a circuit's run, and every gate of the matrices its plan builds, is one
+call of one of them. They work through reshaped views that expose the
+qubits they act on as their own axes; no 2**N x 2**N matrix is ever formed
+here. Nothing renormalizes behind the caller's back: if an operation
+drifted the norm, that is a bug the tests must surface.
 
 State interchange format (JSON):
 
@@ -53,10 +54,6 @@ class StateVector:
                 f"got shape {self.amplitudes.shape}"
             )
         require_finite(self.amplitudes)
-
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
 
     def norm_sq(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
@@ -115,10 +112,10 @@ def apply_diagonal(state: StateVector, factors: np.ndarray, low: int, control: i
     """Multiply each amplitude by factors[k], k the value of its qubits low..low+K-1.
 
     factors holds 2**K entries, K >= 0, and is broadcast over the other qubits.
-    With a control qubit, only the amplitudes whose control bit is set are
-    multiplied; if the control is one of the K qubits, the entries whose bit
-    for it is clear are never read. The factors are taken as given: the plan
-    in circuits.py builds them from the gates' finite angles.
+    With a control qubit, which must lie outside the K qubits, only the
+    amplitudes whose control bit is set are multiplied. The factors are taken
+    as given: the plan in circuits.py builds them from the gates' finite
+    angles.
     """
     factors = np.asarray(factors, dtype=np.complex128)
     size = factors.size
@@ -129,40 +126,34 @@ def apply_diagonal(state: StateVector, factors: np.ndarray, low: int, control: i
     _check_qubit(state.n_qubits, low + max(span, 1) - 1, "top")
     below = 1 << (low - 1)
     amplitudes = state.amplitudes
-    # view: the amplitudes to multiply; operand: the factors, broadcast from view's axis `axis` on
-    axis, operand = 1, factors
+    # view: the amplitudes to multiply, whose axis `axis` holds the factor bits
+    axis = 1
     if control is None:
         view = amplitudes.reshape(-1, size, below)
     else:
         _check_qubit(state.n_qubits, control, "control")
+        if low <= control < low + span:
+            raise ValueError(f"control qubit {control} lies among the factor qubits {low}..{low + span - 1}")
         if control < low:
             # axes: (top bits, factor bits, bits between, control bit, lower bits)
             view = amplitudes.reshape(-1, size, below >> control, 2, 1 << (control - 1))[:, :, :, 1]
-        elif control < low + span:
-            # axes: (top bits, factor bits above control, control bit, factor bits below, lower bits)
-            inner = 1 << (control - low)
-            view = amplitudes.reshape(-1, size // (2 * inner), 2, inner, below)[:, :, 1]
-            operand = factors.reshape(-1, 2, inner)[:, 1]
         else:
             # axes: (top bits, control bit, bits between, factor bits, lower bits)
             view = amplitudes.reshape(-1, 2, 1 << (control - low - span), size, below)[:, 1]
             axis = 2
     for part in _parts(view):
-        part *= operand.reshape(operand.shape + (1,) * (part.ndim - axis - operand.ndim))
+        part *= factors.reshape((size,) + (1,) * (part.ndim - axis - 1))
 
 
-def apply_dense(
-    state: StateVector, matrix: np.ndarray, low: int, out: np.ndarray | None = None, part: slice | None = None
-) -> None:
+def apply_dense(state: StateVector, matrix: np.ndarray, low: int, out: np.ndarray, part: slice | None = None) -> None:
     """Apply a 2**K x 2**K matrix, K >= 1, to the qubits low..low+K-1.
 
     Row and column k of the matrix are the value k of those qubits after and
     before, with qubit low as bit 0. The product is written into out, a
-    scratch of as many amplitudes as the state (a new one when out is None),
-    and then copied back into the state. part, a slice of the 2**(low-1)
-    values of the qubits below low, limits both to the amplitudes whose
-    lower bits lie in it, so calls over disjoint parts may share one out and
-    run at once.
+    scratch of as many amplitudes as the state, and then copied back into
+    the state. part, a slice of the 2**(low-1) values of the qubits below
+    low, limits both to the amplitudes whose lower bits lie in it, so calls
+    over disjoint parts may share one out and run at once.
     """
     matrix = np.asarray(matrix, dtype=np.complex128)
     size = matrix.shape[0] if matrix.ndim == 2 else 0
@@ -171,10 +162,8 @@ def apply_dense(
         raise ValueError(f"matrix must be 2**K x 2**K with K >= 1, got shape {matrix.shape}")
     _check_qubit(state.n_qubits, low, "low")
     _check_qubit(state.n_qubits, low + span - 1, "top")
-    if out is None:
-        out = np.empty_like(state.amplitudes)
-    elif out.shape != state.amplitudes.shape:
-        raise ValueError(f"out must hold {state.dim} amplitudes, got shape {out.shape}")
+    if out.shape != state.amplitudes.shape:
+        raise ValueError(f"out must hold {state.amplitudes.size} amplitudes, got shape {out.shape}")
     # axes: (top bits, the K matrix bits, lower bits)
     view = state.amplitudes.reshape(-1, size, 1 << (low - 1))
     product = out.reshape(view.shape)

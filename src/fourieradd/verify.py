@@ -41,15 +41,6 @@ class CheckReport:
     max_error: float
     passed: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "check": self.check,
-            "n": self.n_qubits,
-            "c": self.c,
-            "max_error": self.max_error,
-            "pass": self.passed,
-        }
-
 
 def _report(check: str, n: int, values: Sequence[int], errors: np.ndarray, tol: float) -> CheckReport:
     """A width's report: its worst error, the value that has it, and whether it passes.

@@ -8,7 +8,8 @@ state through the reference's own gate kernels below, one per gate kind, so it c
 plan and shares no kernel with the program, which runs every state through apply_dense and
 apply_diagonal. run_on_states runs given columns through the program's own run_filled, which the
 package fills only with inputs it builds itself. superposition_state, copy_state, probabilities and
-fidelity build, copy and read the tests' own states.
+fidelity build, copy and read the tests' own states. circuit_from_document rebuilds the circuit of a
+document that qft-dump writes, which the package never reads back.
 """
 
 import cmath
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from fourieradd import StateVector
+from fourieradd import Circuit, Gate, StateVector
 from fourieradd.circuits import run_filled
 from fourieradd.dense import _omega_powers, _phase_adder_diagonal
 from fourieradd.statevector import _check_qubit, _parts, _require_normalized
@@ -206,3 +207,8 @@ def fidelity(state_a: StateVector, state_b: StateVector) -> float:
             f"register sizes differ: {state_a.n_qubits} vs {state_b.n_qubits} qubits"
         )
     return float(abs(np.vdot(state_a.amplitudes, state_b.amplitudes)) ** 2)
+
+
+def circuit_from_document(document: dict) -> Circuit:
+    """The circuit of a circuit document, each gate entry passed to Gate as its fields."""
+    return Circuit(document["n"], tuple(Gate(**entry) for entry in document["gates"]))

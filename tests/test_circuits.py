@@ -22,7 +22,6 @@ from fourieradd import (
     apply_const_add,
     apply_dense,
     basis_state,
-    circuit_from_dict,
     circuit_to_dict,
     circuit_to_matrix,
     concat,
@@ -40,7 +39,15 @@ from fourieradd import (
     shift_qubits,
     swap,
 )
-from oracles import copy_state, dft_matrix, fidelity, random_state, run_gate_by_gate, run_on_states
+from oracles import (
+    circuit_from_document,
+    copy_state,
+    dft_matrix,
+    fidelity,
+    random_state,
+    run_gate_by_gate,
+    run_on_states,
+)
 
 SQRT1_2 = math.sqrt(0.5)
 
@@ -102,7 +109,7 @@ class TestCircuitValidation:
     def test_gates_become_tuple(self):
         circuit = Circuit(2, [hadamard(1), swap(1, 2)])
         assert isinstance(circuit.gates, tuple)
-        assert len(circuit) == 2
+        assert len(circuit.gates) == 2
 
     def test_circuits_are_frozen(self):
         # the transforms are shared between callers, so no circuit may change
@@ -111,7 +118,7 @@ class TestCircuitValidation:
             circuit.gates = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             circuit.n_qubits = 3
-        assert circuit == qft_circuit(2) and len(circuit) == 4
+        assert circuit == qft_circuit(2) and len(circuit.gates) == 4
 
 
 class TestQftConstruction:
@@ -430,7 +437,7 @@ class TestRunOnStates:
         transformed = joined(run_on_basis(transform))
         for c in (0, 7, 31):
             adder = const_adder_circuit(n, c)
-            rest = Circuit(n, adder.gates[len(transform) :])
+            rest = Circuit(n, adder.gates[len(transform.gates) :])
             exact = np.roll(np.eye(1 << n), c, axis=0)  # column a is |a + c mod 2**n>
             assert distance(joined(run_on_states(rest, transformed)), exact) < DEFAULT_TOL
             assert distance(joined(run_on_basis(adder)), exact) < DEFAULT_TOL
@@ -568,10 +575,12 @@ def dense_steps(circuit):
 
 
 class TestDenseKernel:
-    @pytest.mark.parametrize("out", [False, True], ids=["fresh-output", "scratch"])
+    @pytest.mark.parametrize("shared", [False, True], ids=["fresh-output", "scratch"])
     @pytest.mark.parametrize("n", [8, 9, 10])
-    def test_every_low_applies_the_circuit_matrix(self, n, out):
-        # the reference runs every gate on its own, so no part of it goes through apply_dense
+    def test_every_low_applies_the_circuit_matrix(self, n, shared):
+        # the reference runs every gate on its own, so no part of it goes through apply_dense;
+        # a shared scratch holds the previous call's product, a fresh output starts as NaN
+        scratch = np.empty(1 << n, dtype=np.complex128)
         for k in range(1, circuits_module.FUSE_QUBITS + 1):
             circuit = random_circuit(k, seed=100 * n + k, n_gates=8 * k)
             matrix = run_each(circuit, range(1 << k))  # column j: the circuit run on |j>
@@ -579,7 +588,7 @@ class TestDenseKernel:
                 expected = random_state(n, seed=low)
                 actual = copy_state(expected)
                 run_gate_by_gate(shift_qubits(circuit, low - 1, n), expected)
-                apply_dense(actual, matrix, low, np.empty_like(actual.amplitudes) if out else None)
+                apply_dense(actual, matrix, low, scratch if shared else np.full(1 << n, np.nan, dtype=np.complex128))
                 assert np.max(np.abs(actual.amplitudes - expected.amplitudes)) < 1e-14
 
 
@@ -1139,13 +1148,14 @@ class TestEveryKind:
 
 
 class TestCircuitJson:
+    # the package reads no circuit document; circuit_from_document rebuilds one, each entry as Gate's fields
     def test_round_trip(self):
         circuit = qft_circuit(3)
-        back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
+        back = circuit_from_document(json.loads(json.dumps(circuit_to_dict(circuit))))
         assert back == circuit
 
     def test_round_trip_of_every_kind(self):
-        back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(ALL_KINDS))))
+        back = circuit_from_document(json.loads(json.dumps(circuit_to_dict(ALL_KINDS))))
         assert back == ALL_KINDS
 
     def test_key_order(self):
@@ -1158,31 +1168,9 @@ class TestCircuitJson:
         )
 
     def test_integer_angle_is_read_as_float(self):
-        circuit = circuit_from_dict({"n": 1, "gates": [{"kind": "phase", "target": 1, "angle": 1}]})
+        # the gate builders take an integer angle as a float, so the document writes 1.0
+        circuit = Circuit(1, (phase(1, 1),))
         assert json.dumps(circuit_to_dict(circuit)["gates"]) == '[{"kind": "phase", "target": 1, "angle": 1.0}]'
-
-    @pytest.mark.parametrize(
-        "gate",
-        [
-            {"kind": "h", "target": True},
-            {"kind": "h", "target": 1.0},
-            {"kind": "cphase", "control": True, "target": 1, "angle": 0.5},
-            {"kind": "cphase", "control": 2.0, "target": 1, "angle": 0.5},
-            {"kind": "swap", "target": 1, "other": True},
-            {"kind": "swap", "target": 1, "other": 2.0},
-            {"kind": "phase", "target": 1, "angle": True},
-            {"kind": ["h"], "target": 1},
-        ],
-    )
-    def test_rejects_mistyped_field(self, gate):
-        with pytest.raises(ValueError):
-            circuit_from_dict({"n": 2, "gates": [gate]})
-
-    @pytest.mark.parametrize("angle", [10**400, -(10**400)])
-    def test_rejects_integer_angle_past_the_float_range(self, angle):
-        # float() of such an integer raises OverflowError; it is a schema error
-        with pytest.raises(ValueError, match="gate 0 angle must be a finite number"):
-            circuit_from_dict({"n": 1, "gates": [{"kind": "phase", "target": 1, "angle": angle}]})
 
     def test_documented_shape(self):
         doc = circuit_to_dict(Circuit(2, (hadamard(1), cphase(2, 1, 0.5), swap(1, 2))))
@@ -1197,21 +1185,5 @@ class TestCircuitJson:
 
     def test_angle_survives_json_exactly(self):
         circuit = Circuit(1, (phase(1, math.pi / 3),))
-        back = circuit_from_dict(json.loads(json.dumps(circuit_to_dict(circuit))))
+        back = circuit_from_document(json.loads(json.dumps(circuit_to_dict(circuit))))
         assert back.gates[0].angle == math.pi / 3
-
-    def test_rejects_unknown_kind(self):
-        with pytest.raises(ValueError, match="kind"):
-            circuit_from_dict({"n": 1, "gates": [{"kind": "cnot", "target": 1}]})
-
-    def test_rejects_extra_gate_field(self):
-        with pytest.raises(ValueError, match="fields"):
-            circuit_from_dict({"n": 1, "gates": [{"kind": "h", "target": 1, "angle": 0.0}]})
-
-    def test_rejects_missing_angle(self):
-        with pytest.raises(ValueError, match="fields"):
-            circuit_from_dict({"n": 1, "gates": [{"kind": "phase", "target": 1}]})
-
-    def test_rejects_out_of_register_gate(self):
-        with pytest.raises(ValueError, match="register"):
-            circuit_from_dict({"n": 1, "gates": [{"kind": "h", "target": 2}]})

@@ -22,7 +22,6 @@ from fourieradd import (
     StateVector,
     apply_const_add,
     basis_state,
-    circuit_from_dict,
     circuit_to_dict,
     circuit_to_matrix,
     qft_circuit,
@@ -30,7 +29,7 @@ from fourieradd import (
     state_to_json,
 )
 from fourieradd.cli import PROB_DISPLAY_CUTOFF, _print_state_table, main
-from oracles import dft_matrix, probabilities, random_state
+from oracles import circuit_from_document, dft_matrix, probabilities, random_state
 
 
 def run_cli(argv):
@@ -167,6 +166,19 @@ class TestAdd:
         assert code == 2
         capsys.readouterr()
 
+    def test_a_reader_that_closes_stdout_gets_exit_1_and_no_traceback(self):
+        # as `| head -c 20` does, in a real process through __main__.py; the 14-qubit document
+        # is far larger than a pipe's buffer, so the program is still writing when the pipe closes
+        src = str(Path(cli_module.__file__).parents[1])
+        argv = [sys.executable, "-m", "fourieradd", "add", "--n", "14", "--const", "1", "--input", "3", "--json"]
+        env = {**os.environ, "PYTHONPATH": src}
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as child:
+            assert child.stdout.read(20) == b'{"n": 14, "amplitude'
+            child.stdout.close()
+            _, error = child.communicate(timeout=60)
+        assert child.returncode == 1
+        assert error == b""
+
 
 class TestAddReg:
     def test_basic_sum(self, capsys):
@@ -222,7 +234,7 @@ def reference_table(state):
     """The table printed one row at a time: every row whose probability is not below the cutoff."""
     squares = probabilities(state)
     lines = []
-    for index in range(state.dim):
+    for index in range(len(squares)):
         probability = float(squares[index])
         if probability < PROB_DISPLAY_CUTOFF:
             continue
@@ -487,9 +499,9 @@ class TestQftDump:
     def test_circuit_dump_round_trips(self, capsys):
         assert run_cli(["qft-dump", "--n", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        circuit = circuit_from_dict(payload)
-        assert circuit.n_qubits == 3
-        assert len(circuit) == 3 + 3 + 1
+        circuit = circuit_from_document(payload)
+        assert circuit == qft_circuit(3)
+        assert len(circuit.gates) == 3 + 3 + 1
         assert circuit_to_dict(circuit) == payload
 
     def test_circuit_dump_starts_on_top_qubit(self, capsys):

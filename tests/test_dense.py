@@ -1,5 +1,4 @@
 import cmath
-import json
 import math
 import tracemalloc
 
@@ -21,7 +20,6 @@ from fourieradd import (
     phase_adder_equivalence_errors,
     qft_circuit,
     run_circuit,
-    verify_modularity,
 )
 from fourieradd.circuits import run_filled
 from fourieradd.verify import _errors, _fourier_columns
@@ -387,13 +385,3 @@ class TestModularityCheck:
         expected = dft_matrix(n).conj().T @ dft_matrix(n)
         assert np.max(np.abs(outputs - expected)) < 1e-14
 
-
-class TestCheckReport:
-    def test_json_shape(self):
-        report = verify_modularity(2)[0]
-        doc = json.loads(json.dumps(report.to_dict()))
-        assert set(doc) == {"check", "n", "c", "max_error", "pass"}
-        assert doc["check"] == "modularity"
-        assert doc["n"] == 1
-        assert doc["c"] in (0, 1)  # the column x with the larger rounding error
-        assert doc["pass"] is True

@@ -110,7 +110,7 @@ class TestKernelProperties:
         reference = state.amplitudes.copy()
         apply_phase(state, target, theta)
         mask = 1 << (target - 1)
-        for index in range(state.dim):
+        for index in range(len(reference)):
             if index & mask == 0:
                 assert state.amplitudes[index] == reference[index]
 

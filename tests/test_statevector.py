@@ -270,20 +270,26 @@ def reference_diagonal(amplitudes, factors, low, control):
 class TestDiagonal:
     @pytest.mark.parametrize("n", [1, 3, 6, 10])
     def test_every_span_and_control_matches_the_first_formula(self, n):
-        # 10 qubits also take the split paths: views of 2**10 amplitudes over short last axes
+        # 10 qubits also take the split paths: views of 2**10 amplitudes over short last axes;
+        # a control among the factor qubits is refused
         rng = np.random.default_rng(n)
         for low in range(1, n + 1):
             for span in range(0, n - low + 2):
                 factors = np.exp(1j * rng.uniform(-math.pi, math.pi, 1 << span))
                 for control in (None, *range(1, n + 1)):
+                    if control is not None and low <= control < low + span:
+                        with pytest.raises(ValueError, match="among the factor qubits"):
+                            apply_diagonal(basis_state(n, 0), factors, low, control)
+                        continue
                     assert_kernel_matches_reference(
                         n, low, apply_diagonal, reference_diagonal, factors, low, control
                     )
 
-    def test_a_control_among_the_factor_qubits_reads_only_its_set_entries(self):
+    def test_a_control_among_the_factor_qubits_is_refused(self):
         state = basis_state(2, 0b10)
-        apply_diagonal(state, np.array([2.0, 3.0, 5.0, 7.0]), 1, control=2)
-        assert np.array_equal(state.amplitudes, [0, 0, 5.0, 0])
+        with pytest.raises(ValueError, match=r"control qubit 2 lies among the factor qubits 1\.\.2"):
+            apply_diagonal(state, np.array([2.0, 3.0, 5.0, 7.0]), 1, control=2)
+        assert np.array_equal(state.amplitudes, [0, 0, 1.0, 0])
 
     @pytest.mark.parametrize(
         "factors, low, control",
@@ -323,8 +329,9 @@ class TestDense:
         ],
     )
     def test_rejects_bad_arguments(self, matrix, low, out):
+        # out None stands for a well-formed out of the state's 8 amplitudes
         with pytest.raises(ValueError):
-            apply_dense(basis_state(3, 0), matrix, low, out)
+            apply_dense(basis_state(3, 0), matrix, low, np.empty(8, dtype=np.complex128) if out is None else out)
 
     @pytest.mark.parametrize("low", [2, 4])
     def test_parts_sharing_one_out_give_the_whole_product_bitwise(self, low):
@@ -332,8 +339,8 @@ class TestDense:
         matrix = random_state(6, seed=low).amplitudes.reshape(8, 8)
         whole = random_state(12, seed=12)
         parts = copy_state(whole)
-        apply_dense(whole, matrix, low)
-        out = np.full(parts.dim, np.nan, dtype=np.complex128)
+        apply_dense(whole, matrix, low, np.empty(1 << 12, dtype=np.complex128))
+        out = np.full(1 << 12, np.nan, dtype=np.complex128)
         below = 1 << (low - 1)
         for start in range(0, below, 4):
             apply_dense(parts, matrix, low, out, slice(start, start + 4))
@@ -342,8 +349,8 @@ class TestDense:
     def test_a_part_leaves_the_other_amplitudes_alone(self):
         state = random_state(8, seed=8)
         before = state.amplitudes.copy()
-        apply_dense(state, np.eye(4)[::-1], 4, None, slice(2, 6))
-        lower = np.arange(state.dim) % 8
+        apply_dense(state, np.eye(4)[::-1], 4, np.empty(1 << 8, dtype=np.complex128), slice(2, 6))
+        lower = np.arange(1 << 8) % 8
         outside = (lower < 2) | (lower >= 6)
         assert np.array_equal(state.amplitudes[outside], before[outside])
         assert not np.array_equal(state.amplitudes[~outside], before[~outside])
